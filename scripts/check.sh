@@ -48,6 +48,12 @@
 #      vs the scheduler's four-way ledger) fails to reconcile exactly, a
 #      worker fails to exit within the shutdown timeout, or any request
 #      outlives its deadline envelope by more than 2x.
+#   9. wire-benchmark harness gate: `python3 usaasbench/run.py --test`
+#      builds the benchmark (its own CMake project over src/, into
+#      .bench_build) and runs its unit tests. The harness calls the
+#      engine's public API directly, so a src/ signature change that
+#      breaks the benchmark build fails here instead of surfacing only
+#      when the benchmark pipeline runs.
 #
 # The sanitize suites carry USAAS_PARALLEL_FORCE=1 via their ctest
 # ENVIRONMENT property, so parallel_for really fans out across the pool —
@@ -310,5 +316,8 @@ awk -v ratio="${C_RATIO}" 'BEGIN {
   printf "chaos smoke clean: worst request at %.3fx of its deadline " \
          "envelope (gate: 2x)\n", ratio
 }'
+
+echo "==> bench harness: build usaasbench against src/ + its unit tests"
+python3 usaasbench/run.py --test
 
 echo "==> all checks passed"

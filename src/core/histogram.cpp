@@ -13,11 +13,8 @@ Binner1D::Binner1D(double lo, double hi, std::size_t bins)
 }
 
 void Binner1D::add(double x, double y) {
-  if (x < lo_ || x >= hi_) return;
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  idx = std::min(idx, stats_.size() - 1);  // guard float rounding at hi edge
-  stats_[idx].add(y);
-  ++total_;
+  const std::size_t bin = bin_index(x);
+  if (bin != kNoBin) add_to_bin(bin, y);
 }
 
 std::vector<Bin> Binner1D::bins() const {

@@ -6,6 +6,7 @@
 // (latency x loss) grid for Fig 2's compounding heat map.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -34,6 +35,22 @@ class Binner1D {
   /// Adds an (x, y) observation; x outside [lo, hi) is ignored (the paper's
   /// methodology clamps each sweep to a fixed metric window).
   void add(double x, double y);
+
+  /// The split form of add(): bin_index(x) is the bin add(x, y) files x
+  /// under (kNoBin outside [lo, hi)), and add_to_bin(bin_index(x), y) is
+  /// exactly add(x, y). Binners sharing one layout can reuse a single
+  /// index — a fused sweep bins each row once and feeds several y-columns.
+  static constexpr std::size_t kNoBin = static_cast<std::size_t>(-1);
+  [[nodiscard]] std::size_t bin_index(double x) const {
+    if (x < lo_ || x >= hi_) return kNoBin;
+    const auto idx = static_cast<std::size_t>((x - lo_) / width_);
+    return std::min(idx, stats_.size() - 1);  // float rounding at hi edge
+  }
+  /// Adds y to bin `bin`, a non-kNoBin bin_index() result of this layout.
+  void add_to_bin(std::size_t bin, double y) {
+    stats_[bin].add(y);
+    ++total_;
+  }
 
   [[nodiscard]] std::size_t bin_count() const { return stats_.size(); }
   [[nodiscard]] std::size_t total_added() const { return total_; }

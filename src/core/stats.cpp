@@ -58,19 +58,6 @@ double max_value(std::span<const double> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 double RunningStats::mean() const {
   if (n_ == 0) throw std::logic_error("RunningStats::mean on empty");
   return mean_;

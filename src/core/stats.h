@@ -6,6 +6,7 @@
 // those aggregations plus the usual moments.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -37,7 +38,19 @@ namespace usaas::core {
 /// the telemetry clients that cannot buffer every sample.
 class RunningStats {
  public:
-  void add(double x);
+  /// Inline: scan kernels call this once per selected row and bin.
+  void add(double x) {
+    if (n_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }

@@ -209,19 +209,26 @@ struct ControlColumns {
   return set;
 }
 
-/// Phase-2 sweep aggregation: add-only loop over the selected rows,
-/// touching exactly two columns.
-void accumulate_sweep(core::Binner1D& binner, const double* x, const double* y,
-                      ScanSet set) {
+/// Phase-2 sweep aggregation: add-only loop over the selected rows that
+/// bins each row's x once and feeds y[k][row] to binners[k], for k <
+/// `n_y`. The binners share one layout, so the index is valid for all.
+void accumulate_sweep(core::Binner1D* binners, const double* x,
+                      const double* const* y, std::size_t n_y, ScanSet set) {
+  const auto add_row = [&](std::size_t r) {
+    const std::size_t bin = binners[0].bin_index(x[r]);
+    if (bin == core::Binner1D::kNoBin) return;
+    for (std::size_t k = 0; k < n_y; ++k) binners[k].add_to_bin(bin, y[k][r]);
+  };
   if (set.idx == nullptr) {
-    for (std::size_t i = 0; i < set.n; ++i) binner.add(x[i], y[i]);
+    for (std::size_t r = 0; r < set.n; ++r) add_row(r);
     return;
   }
-  for (std::size_t j = 0; j < set.n; ++j) {
-    const std::uint32_t r = set.idx[j];
-    binner.add(x[r], y[r]);
-  }
+  for (std::size_t j = 0; j < set.n; ++j) add_row(set.idx[j]);
 }
+
+constexpr EngagementMetric kAllEngagements[] = {EngagementMetric::kPresence,
+                                                EngagementMetric::kCamOn,
+                                                EngagementMetric::kMicOn};
 
 }  // namespace
 
@@ -254,6 +261,8 @@ void CorrelationEngine::set_telemetry(core::telemetry::Registry* registry,
   corpus_ = std::string{corpus};
   if (registry == nullptr) {
     ingest_tel_ = {};
+    mos_memo_hits_ = {};
+    mos_memo_misses_ = {};
     for (SessionShard& shard : shards_) {
       shard.summary_touches = {};
       shard.scan_touches = {};
@@ -268,6 +277,15 @@ void CorrelationEngine::set_telemetry(core::telemetry::Registry* registry,
   };
   ingest_tel_ = {phase("count"), phase("plan"), phase("scatter"),
                  phase("summarize"), phase("total")};
+  const auto memo = [&](const char* result) {
+    return registry->counter(
+        "usaas_mos_correlation_memo_total",
+        "Corpus-wide MOS correlation lookups answered from the memo (hit) "
+        "vs computed after a mutation (miss)",
+        {{"result", result}});
+  };
+  mos_memo_hits_ = memo("hit");
+  mos_memo_misses_ = memo("miss");
   // Shards ingested before telemetry was attached get counters now;
   // shards created later register in shard_for_key.
   for (SessionShard& shard : shards_) register_shard_touches(shard);
@@ -303,13 +321,30 @@ void CorrelationEngine::register_shard_touches(SessionShard& shard) {
 void CorrelationEngine::note_shard_touches(
     const std::vector<SelectedShard>& selected,
     const std::vector<char>& use_summary, std::uint64_t n_summary,
-    QueryFanoutStats* out) const {
+    QueryFanoutStats* out, std::uint64_t visits) const {
   for (std::size_t i = 0; i < selected.size(); ++i) {
     (use_summary[i] ? selected[i].shard->summary_touches
                     : selected[i].shard->scan_touches)
-        .add();
+        .add(visits);
   }
-  note_fanout(n_summary, selected.size() - n_summary, out);
+  note_fanout(visits * n_summary, visits * (selected.size() - n_summary), out);
+}
+
+CorrelationEngine::MosMemo& CorrelationEngine::MosMemo::operator=(
+    const MosMemo& o) {
+  if (this == &o) return *this;
+  const std::scoped_lock lock{mu, o.mu};
+  for (std::size_t m = 0; m < ready.size(); ++m) {
+    value[m] = o.value[m];
+    ready[m].store(o.ready[m].load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+  }
+  return *this;
+}
+
+void CorrelationEngine::MosMemo::clear() {
+  const std::lock_guard<std::mutex> lock{mu};
+  for (std::atomic<bool>& r : ready) r.store(false, std::memory_order_relaxed);
 }
 
 CorrelationEngine::SessionShard& CorrelationEngine::shard_for_key(int key) {
@@ -343,6 +378,7 @@ void CorrelationEngine::append(SessionShard& shard, const core::Date& date,
 
 void CorrelationEngine::ingest(const confsim::CallRecord& call) {
   predicted_fresh_ = false;
+  mos_memo_.clear();
   for (const auto& p : call.participants) {
     append(shard_for(call.start.date, p.platform), call.start.date, p);
   }
@@ -358,6 +394,7 @@ void CorrelationEngine::ingest(std::span<const confsim::CallRecord> calls) {
     return;
   }
   predicted_fresh_ = false;
+  mos_memo_.clear();
   const auto t0 = std::chrono::steady_clock::now();
 
   // Contiguous in-order call chunks. Fan-out is capped by the pool's
@@ -600,6 +637,7 @@ void CorrelationEngine::configure_summaries(SummaryConfig config) {
   [[maybe_unused]] const ShardSummary probe{config};
   summary_cfg_ = std::move(config);
   for (SessionShard& shard : shards_) shard.summary = ShardSummary{*summary_cfg_};
+  mos_memo_.clear();
 }
 
 std::size_t CorrelationEngine::summary_memory_bytes() const {
@@ -662,6 +700,23 @@ EngagementCurve CorrelationEngine::engagement_curve(
     const SweepSpec& spec, EngagementMetric engagement,
     const ParticipantFilter& filter, const ShardSelector& selector,
     QueryFanoutStats* fanout) const {
+  std::vector<EngagementCurve> curves = sweep_engagement(
+      spec, {&engagement, 1}, filter, selector, fanout, nullptr);
+  return std::move(curves.front());
+}
+
+std::vector<EngagementCurve> CorrelationEngine::engagement_curves(
+    const SweepSpec& spec, const ParticipantFilter& filter,
+    const ShardSelector& selector, QueryFanoutStats* fanout,
+    const CancelProbe& cancelled) const {
+  return sweep_engagement(spec, kAllEngagements, filter, selector, fanout,
+                          cancelled);
+}
+
+std::vector<EngagementCurve> CorrelationEngine::sweep_engagement(
+    const SweepSpec& spec, std::span<const EngagementMetric> metrics,
+    const ParticipantFilter& filter, const ShardSelector& selector,
+    QueryFanoutStats* fanout, const CancelProbe& cancelled) const {
   const auto selected = select_shards(selector);
   // Summary fast path: the query shape must match a precomputed axis
   // exactly (metric/lo/hi/bins, mean aggregate, no confounder filter, no
@@ -687,21 +742,33 @@ EngagementCurve CorrelationEngine::engagement_curve(
                      sel.shard->summary.enabled();
     n_summary += use_summary[i] ? 1 : 0;
   }
-  note_shard_touches(selected, use_summary, n_summary, fanout);
+  const std::size_t n_metrics = metrics.size();
+  note_shard_touches(selected, use_summary, n_summary, fanout, n_metrics);
 
+  // Shard i's binner for metrics[k] is partials[i * n_metrics + k].
   std::vector<core::Binner1D> partials;
-  partials.reserve(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
+  partials.reserve(selected.size() * n_metrics);
+  for (std::size_t i = 0; i < selected.size() * n_metrics; ++i) {
     partials.emplace_back(spec.lo, spec.hi, spec.bins);
   }
+  std::atomic<bool> stop{false};
   core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
     std::vector<std::uint32_t> scratch;
     for (std::size_t i = b; i < e; ++i) {
+      if (cancelled) {
+        if (stop.load(std::memory_order_relaxed)) break;
+        if (cancelled()) {
+          stop.store(true, std::memory_order_relaxed);
+          break;
+        }
+      }
       const SelectedShard& sel = selected[i];
-      core::Binner1D& binner = partials[i];
+      core::Binner1D* binners = &partials[i * n_metrics];
       if (use_summary[i]) {
-        sel.shard->summary.add_curve_to(binner, *axis, engagement,
-                                        selector.access);
+        for (std::size_t k = 0; k < n_metrics; ++k) {
+          sel.shard->summary.add_curve_to(binners[k], *axis, metrics[k],
+                                          selector.access);
+        }
         continue;
       }
       const SessionColumns& cols = sel.shard->columns;
@@ -709,20 +776,30 @@ EngagementCurve CorrelationEngine::engagement_curve(
           make_residual(sel.check_dates, sel.check_platform, selector);
       const ScanSet set =
           select_sweep_rows(cols, res, filter, spec, scratch);
-      accumulate_sweep(binner, sweep_column(cols, spec.metric, spec.aggregate),
-                       cols.engagement_column(engagement), set);
+      std::array<const double*, kNumEngagementMetrics> y{};
+      for (std::size_t k = 0; k < n_metrics; ++k) {
+        y[k] = cols.engagement_column(metrics[k]);
+      }
+      accumulate_sweep(binners,
+                       sweep_column(cols, spec.metric, spec.aggregate),
+                       y.data(), n_metrics, set);
     }
   });
-  core::Binner1D total{spec.lo, spec.hi, spec.bins};
-  for (const core::Binner1D& p : partials) total.merge(p);
 
-  EngagementCurve curve;
-  curve.network_metric = spec.metric;
-  curve.engagement_metric = engagement;
-  for (const core::Bin& b : total.bins()) {
-    curve.points.push_back({b.center(), b.mean_y, b.count});
+  std::vector<EngagementCurve> curves(n_metrics);
+  for (std::size_t k = 0; k < n_metrics; ++k) {
+    core::Binner1D total{spec.lo, spec.hi, spec.bins};
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      total.merge(partials[i * n_metrics + k]);
+    }
+    EngagementCurve& curve = curves[k];
+    curve.network_metric = spec.metric;
+    curve.engagement_metric = metrics[k];
+    for (const core::Bin& b : total.bins()) {
+      curve.points.push_back({b.center(), b.mean_y, b.count});
+    }
   }
-  return curve;
+  return curves;
 }
 
 std::vector<CurvePoint> CorrelationEngine::dropoff_curve(
@@ -824,6 +901,44 @@ CorrelationEngine::mos_correlation(EngagementMetric engagement,
                                    std::size_t min_samples,
                                    QueryFanoutStats* fanout) const {
   const auto selected = select_shards({});
+  std::vector<char> use_summary(selected.size(), 0);
+  std::uint64_t n_summary = 0;
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    use_summary[i] = summary_cfg_.has_value() &&
+                     selected[i].shard->summary.enabled();
+    n_summary += use_summary[i] ? 1 : 0;
+  }
+  // Counted on hits too: the per-query fan-out report and the per-shard
+  // touch counters describe the answer's data lineage, not the work done.
+  note_shard_touches(selected, use_summary, n_summary, fanout);
+
+  // The answer depends on the corpus alone (no selector, min_samples is
+  // applied below), so it is computed once per corpus state.
+  const auto slot = static_cast<std::size_t>(engagement);
+  if (mos_memo_.ready[slot].load(std::memory_order_acquire)) {
+    mos_memo_hits_.add();
+  } else {
+    const std::lock_guard<std::mutex> lock{mos_memo_.mu};
+    if (mos_memo_.ready[slot].load(std::memory_order_relaxed)) {
+      mos_memo_hits_.add();
+    } else {
+      mos_memo_.value[slot] = correlate_rated(selected, use_summary, engagement);
+      mos_memo_.ready[slot].store(true, std::memory_order_release);
+      mos_memo_misses_.add();
+    }
+  }
+  const MosCorrelation& memo = mos_memo_.value[slot];
+  if (memo.rated_sessions < min_samples) return std::nullopt;
+  if (memo.rated_sessions < 2) {
+    throw std::invalid_argument(
+        "mos_correlation: need >= 2 rated sessions to correlate");
+  }
+  return memo;
+}
+
+CorrelationEngine::MosCorrelation CorrelationEngine::correlate_rated(
+    const std::vector<SelectedShard>& selected,
+    const std::vector<char>& use_summary, EngagementMetric engagement) const {
   struct Rated {
     std::vector<double> eng;
     std::vector<double> mos;
@@ -833,14 +948,6 @@ CorrelationEngine::mos_correlation(EngagementMetric engagement,
   // (engagement, MOS) samples in ingest order — the gather below replays
   // the scan's exact sequence, so downstream stats are bit-identical.
   const auto eng_idx = static_cast<std::size_t>(engagement);
-  std::vector<char> use_summary(selected.size(), 0);
-  std::uint64_t n_summary = 0;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    use_summary[i] = summary_cfg_.has_value() &&
-                     selected[i].shard->summary.enabled();
-    n_summary += use_summary[i] ? 1 : 0;
-  }
-  note_shard_touches(selected, use_summary, n_summary, fanout);
   core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       Rated& part = partials[i];
@@ -870,12 +977,12 @@ CorrelationEngine::mos_correlation(EngagementMetric engagement,
     eng.insert(eng.end(), part.eng.begin(), part.eng.end());
     mos.insert(mos.end(), part.mos.begin(), part.mos.end());
   }
-  if (eng.size() < min_samples) return std::nullopt;
-
   MosCorrelation out;
   out.rated_sessions = eng.size();
-  out.pearson = core::pearson(eng, mos);
-  out.spearman = core::spearman(eng, mos);
+  if (eng.size() >= 2) {
+    out.pearson = core::pearson(eng, mos);
+    out.spearman = core::spearman(eng, mos);
+  }
 
   // Decile curve: mean MOS per engagement decile. Ties are broken on the
   // (engagement, MOS) value pair so the sorted sequence — and hence every

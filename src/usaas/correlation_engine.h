@@ -23,10 +23,12 @@
 // the flat layout as the sequential reference path for equivalence tests.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -88,6 +90,10 @@ struct SweepSpec {
 using ParticipantFilter =
     std::function<bool(const confsim::ParticipantRecord&)>;
 
+/// Cooperative-cancellation probe a shard fan-out polls once per shard
+/// (see CorrelationEngine::engagement_curves).
+using CancelProbe = std::function<bool()>;
+
 /// How ingested sessions are partitioned.
 enum class ShardingPolicy {
   /// One flat shard, scanned sequentially — the seed's layout, kept as the
@@ -131,8 +137,9 @@ class CorrelationEngine {
   [[nodiscard]] ShardingPolicy sharding() const { return sharding_; }
 
   /// Registers this engine's batch-ingest phase histograms
-  /// (`usaas_ingest_batch_seconds{corpus,phase}`) and per-shard access
-  /// counters (`usaas_shard_touches_total{corpus,shard,source}`) in
+  /// (`usaas_ingest_batch_seconds{corpus,phase}`), per-shard access
+  /// counters (`usaas_shard_touches_total{corpus,shard,source}`) and MOS
+  /// memo counters (`usaas_mos_correlation_memo_total{result}`) in
   /// `registry`; shards created by later ingests register their counters
   /// lazily. Nullptr (or a disabled registry) detaches: ingest performs
   /// no observations and query touches stop counting.
@@ -209,6 +216,20 @@ class CorrelationEngine {
       const ShardSelector& selector = {},
       QueryFanoutStats* fanout = nullptr) const;
 
+  /// The presence, cam-on and mic-on curves (in that order) of one sweep,
+  /// from a single shard pass: per scanned shard one phase-1 selection and
+  /// one read of the swept column, each row binned once and fed to all
+  /// three binners. Each curve is bit-identical to the matching
+  /// engagement_curve() call, and shard visits are counted as those three
+  /// calls count them. `cancelled`, when set, is polled once per shard;
+  /// once it answers true the shards not yet started are skipped and the
+  /// curves are partial, so the caller must discard them (a deadline probe
+  /// on a monotone clock stays true: re-checking it afterwards suffices).
+  [[nodiscard]] std::vector<EngagementCurve> engagement_curves(
+      const SweepSpec& spec, const ParticipantFilter& filter = nullptr,
+      const ShardSelector& selector = {}, QueryFanoutStats* fanout = nullptr,
+      const CancelProbe& cancelled = nullptr) const;
+
   /// Early-drop-off rate (fraction) binned over one network metric.
   [[nodiscard]] std::vector<CurvePoint> dropoff_curve(
       const SweepSpec& spec, const ParticipantFilter& filter = nullptr,
@@ -221,7 +242,10 @@ class CorrelationEngine {
 
   /// Fig 4: correlation between an engagement metric and MOS over the
   /// MOS-sampled subset. Returns nullopt when fewer than `min_samples`
-  /// rated sessions exist.
+  /// rated sessions exist. The answer is corpus-wide (no selector), so it
+  /// is memoized: computed on the first call after a mutation (ingest,
+  /// configure_summaries) and reused until the next one. Shard visits are
+  /// counted on every call, memo hit or not.
   struct MosCorrelation {
     double pearson{0.0};
     double spearman{0.0};
@@ -296,15 +320,28 @@ class CorrelationEngine {
               const confsim::ParticipantRecord& rec);
   [[nodiscard]] std::vector<SelectedShard> select_shards(
       const ShardSelector& selector) const;
+  /// The one engagement-sweep kernel behind engagement_curve (one metric)
+  /// and engagement_curves (all three).
+  [[nodiscard]] std::vector<EngagementCurve> sweep_engagement(
+      const SweepSpec& spec, std::span<const EngagementMetric> metrics,
+      const ParticipantFilter& filter, const ShardSelector& selector,
+      QueryFanoutStats* fanout, const CancelProbe& cancelled) const;
+  /// Gathers every rated session of `selected` and correlates engagement
+  /// with MOS (the memo's fill; no min_samples cut-off). Pearson/Spearman
+  /// stay 0 below two rated sessions, where they are undefined.
+  [[nodiscard]] MosCorrelation correlate_rated(
+      const std::vector<SelectedShard>& selected,
+      const std::vector<char>& use_summary, EngagementMetric engagement) const;
   /// Registers `shard`'s per-shard touch counters when telemetry is
   /// attached (label "YYYY-MM/<platform>", or "flat" under kSingleShard).
   void register_shard_touches(SessionShard& shard);
   /// Bumps each selected shard's touch counter for the source that
-  /// answered it, then folds the totals into note_fanout.
+  /// answered it, then folds the totals into note_fanout; `visits` counts
+  /// each shard that many times (a fused sweep stands for several calls).
   void note_shard_touches(const std::vector<SelectedShard>& selected,
                           const std::vector<char>& use_summary,
-                          std::uint64_t n_summary,
-                          QueryFanoutStats* out) const;
+                          std::uint64_t n_summary, QueryFanoutStats* out,
+                          std::uint64_t visits = 1) const;
   /// Bumps the cumulative summary/scan counters and, when `out` is set,
   /// adds the same visits to the caller's per-query stats.
   void note_fanout(std::uint64_t from_summary, std::uint64_t scanned,
@@ -335,6 +372,24 @@ class CorrelationEngine {
                     std::memory_order_relaxed);
       return *this;
     }
+  };
+
+  /// The memoized corpus-wide MOS correlations, one slot per engagement
+  /// metric. A slot fills on the first mos_correlation() call after a
+  /// mutation and stays valid until every mutator clears all slots (they
+  /// run under the caller's exclusive lock). Const readers racing to fill
+  /// a slot serialize on `mu`: the first computes and publishes `ready`
+  /// with a release store, the rest reuse its value, so each slot is
+  /// computed once per corpus state. Copies carry the source's filled
+  /// slots (ablation benches copy engines by value).
+  struct MosMemo {
+    mutable std::mutex mu;
+    std::array<std::atomic<bool>, kNumEngagementMetrics> ready{};
+    std::array<MosCorrelation, kNumEngagementMetrics> value{};
+    MosMemo() = default;
+    MosMemo(const MosMemo& o) { *this = o; }
+    MosMemo& operator=(const MosMemo& o);
+    void clear();
   };
 
   /// One slot of the batch-ingest permutation: where row data comes from
@@ -369,6 +424,11 @@ class CorrelationEngine {
   /// predictor; any ingest clears it (the sums would under-count).
   bool predicted_fresh_{false};
   mutable FanoutCounters fanout_;
+  mutable MosMemo mos_memo_;
+  /// usaas_mos_correlation_memo_total{result="hit"|"miss"} (null no-ops
+  /// when telemetry is off).
+  core::telemetry::Counter mos_memo_hits_;
+  core::telemetry::Counter mos_memo_misses_;
   /// Batch-ingest phase histograms (null handles when telemetry is off or
   /// set_telemetry never ran — observations are single-branch no-ops).
   struct IngestTelemetry {

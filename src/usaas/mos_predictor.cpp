@@ -9,7 +9,7 @@ namespace usaas::service {
 
 MosPredictor::MosPredictor(MosPredictorConfig config) : config_{config} {}
 
-std::vector<double> MosPredictor::features(
+MosPredictor::Features MosPredictor::features(
     const confsim::ParticipantRecord& rec) {
   const auto c = rec.network.mean_conditions();
   return {rec.presence_pct, rec.cam_on_pct,   rec.mic_on_pct,
@@ -85,7 +85,7 @@ void MosPredictor::train(
 
 double MosPredictor::predict(const confsim::ParticipantRecord& rec) const {
   if (!trained_) throw std::logic_error("MosPredictor: not trained");
-  const auto f = features(rec);
+  const Features f = features(rec);
   const double raw = model_.predict(f);
   return core::clamp_mos(core::Mos{raw}).score();
 }

@@ -8,6 +8,7 @@
 // against two baselines (constant mean; network-metrics-only).
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -59,8 +60,11 @@ class MosPredictor {
       std::span<const confsim::ParticipantRecord> sessions) const;
 
   /// The 7 features: presence, cam, mic, latency, loss, jitter, bandwidth.
+  /// A stack array: predict() runs once per scanned row in predicted-MOS
+  /// tallies, so it must not allocate.
   static constexpr std::size_t kNumFeatures = 7;
-  [[nodiscard]] static std::vector<double> features(
+  using Features = std::array<double, kNumFeatures>;
+  [[nodiscard]] static Features features(
       const confsim::ParticipantRecord& rec);
 
  private:

@@ -635,20 +635,25 @@ Insight QueryService::compute_insight(const Query& query,
   spec.hi = query.metric_hi;
   spec.bins = query.bins;
   spec.control_others = false;  // queries want the full population view
+  if (budget.expired()) return expired_skeleton();
+  // One fused pass bins all three engagement curves; it polls the budget
+  // per shard (like the social fan-out below) and its partial curves are
+  // discarded by the check after it. A budget without a clock never
+  // expires, so it passes no probe at all.
+  CancelProbe deadline_probe;
+  if (budget.clock != nullptr) {
+    deadline_probe = [&budget] { return budget.expired(); };
+  }
+  insight.engagement = engine_.engagement_curves(spec, filter, selector,
+                                                 &fanout, deadline_probe);
+  if (budget.expired()) return expired_skeleton();
   for (const EngagementMetric m :
        {EngagementMetric::kPresence, EngagementMetric::kCamOn,
         EngagementMetric::kMicOn}) {
-    // Phase boundary: each engagement sweep fans out across every
-    // selected session shard, so this is the natural grain to abandon
-    // an expired run at without tearing a sweep in half.
-    if (budget.expired()) return expired_skeleton();
-    insight.engagement.push_back(
-        engine_.engagement_curve(spec, m, filter, selector, &fanout));
     if (const auto corr = engine_.mos_correlation(m, 50, &fanout)) {
       insight.mos_spearman.emplace_back(m, corr->spearman);
     }
   }
-  if (budget.expired()) return expired_skeleton();
 
   std::function<double(const confsim::ParticipantRecord&)> predict;
   if (predictor_trained_) {

@@ -133,13 +133,14 @@ enum class ServedBy {
 /// Remaining-time budget the admission layer propagates into run(): the
 /// absolute clock-seconds instant after which continuing the computation
 /// is pointless (the client has already timed out). compute_insight
-/// checks it cooperatively at phase boundaries — between engagement
-/// sweeps, before the tally, and per shard inside the social fan-out —
-/// and abandons the run with QueryError::kDeadlineExceeded instead of
-/// burning pool time on an answer nobody is waiting for. An abandoned
-/// run returns a fresh skeleton Insight (never a torn partial) and is
-/// never cached. A default RunBudget (null clock) never expires, so the
-/// plain run() path pays one predictable branch per checkpoint.
+/// checks it cooperatively at phase boundaries — before and after the
+/// fused engagement sweep, before the tally — and per shard inside the
+/// sweep and the social fan-out, and abandons the run with
+/// QueryError::kDeadlineExceeded instead of burning pool time on an
+/// answer nobody is waiting for. An abandoned run returns a fresh
+/// skeleton Insight (never a torn partial) and is never cached. A default
+/// RunBudget (null clock) never expires, so the plain run() path pays one
+/// predictable branch per checkpoint.
 struct RunBudget {
   core::SchedulerClock* clock{nullptr};
   double deadline{0.0};  ///< Absolute seconds on `clock`; ignored if null.
@@ -185,7 +186,10 @@ struct QueryExecution {
 struct Insight {
   /// Engagement curves over the requested metric, one per action.
   std::vector<EngagementCurve> engagement;
-  /// MOS correlation per engagement metric (when enough samples).
+  /// MOS correlation per engagement metric (when enough samples). It is
+  /// corpus-wide: the query's window, platform and access filters do not
+  /// apply, so the value depends only on the corpus version (which is
+  /// what lets the engine memoize it between mutations).
   std::vector<std::pair<EngagementMetric, double>> mos_spearman;
   /// Predicted mean MOS across *all* sessions in the window (backfilled by
   /// the predictor; this is the coverage USaaS adds over raw MOS).

@@ -625,6 +625,41 @@ TEST(ServiceTelemetry, ExpositionAgreesBitForBitWithStats) {
   EXPECT_GT(service.slow_queries().size(), 0u);
 }
 
+TEST(ServiceTelemetry, MosMemoCountersReachTheExposition) {
+  // Each corpus version computes the three corpus-wide MOS correlations
+  // once (misses); every later uncached query reuses them (hits). Cache
+  // hits never reach the engine and count neither.
+  Registry reg{true};
+  QueryServiceConfig config;
+  config.threads = 2;
+  config.telemetry = &reg;
+  QueryService service{config};
+  service.ingest_calls(synth_calls(7, 400));
+  Query other = summary_query();
+  other.bins = 6;
+  (void)service.run(summary_query());  // 3 misses
+  (void)service.run(other);            // 3 hits
+  (void)service.run(other);            // insight-cache hit: no lookups
+  service.ingest_calls(synth_calls(9, 40));
+  (void)service.run(other);            // 3 misses at the new version
+  const auto memo = [&](const char* result) {
+    return reg
+        .counter("usaas_mos_correlation_memo_total", "", {{"result", result}})
+        .value();
+  };
+  EXPECT_EQ(memo("miss"), 6u);
+  EXPECT_EQ(memo("hit"), 3u);
+  const std::string text = service.metrics_text();
+  EXPECT_NE(text.find("usaas_mos_correlation_memo_total{result=\"miss\"} 6\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("usaas_mos_correlation_memo_total{result=\"hit\"} 3\n"),
+            std::string::npos);
+  EXPECT_NE(service.metrics_json().find(
+                "\"usaas_mos_correlation_memo_total{result=\\\"hit\\\"}\": 3"),
+            std::string::npos);
+}
+
 TEST(ServiceTelemetry, DisabledRegistryZeroRegistration) {
   Registry reg{false};
   const QueryService service = make_service(&reg);
@@ -639,6 +674,7 @@ TEST(ServiceTelemetry, DisabledRegistryZeroRegistration) {
   // always maintained); only registry-native metrics are absent.
   const std::string text = service.metrics_text();
   EXPECT_EQ(text.find("usaas_query_seconds"), std::string::npos);
+  EXPECT_EQ(text.find("usaas_mos_correlation_memo_total"), std::string::npos);
   EXPECT_NE(text.find("usaas_ingest_records_total"), std::string::npos);
 }
 

@@ -31,6 +31,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "confsim/call.h"
@@ -41,6 +42,7 @@
 #include "netsim/conditions.h"
 #include "netsim/profiles.h"
 #include "usaas/correlation_engine.h"
+#include "usaas/query_service.h"
 
 namespace usaas::service {
 namespace {
@@ -440,11 +442,19 @@ void expect_record_eq(const confsim::ParticipantRecord& got,
 
 // ---- Parameterized battery ---------------------------------------------
 
+// gtest names each instance after the parameter's raw bytes, so the padding
+// is spelled out as zeroed members: left implicit, it holds stack garbage
+// (pointer halves under ASLR) and the test names change from build to build.
 struct Config {
+  Config(ShardingPolicy s, std::size_t t, bool sum)
+      : sharding{s}, threads{t}, summaries{sum} {}
   ShardingPolicy sharding;
+  std::uint32_t pad0 = 0;
   std::size_t threads;
   bool summaries;
+  std::uint8_t pad1[7] = {};
 };
+static_assert(sizeof(Config) == 24);
 
 std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   std::string name = info.param.sharding == ShardingPolicy::kSingleShard
@@ -647,6 +657,86 @@ TEST_P(ColumnarDifferential, OpaqueFilterForcesScan) {
       "filter+control+cut curve");
 }
 
+TEST_P(ColumnarDifferential, FusedSweepMatchesSingleCurvesAndReference) {
+  // engagement_curves() bins the three engagement columns in one pass; each
+  // curve must equal its single-metric engagement_curve() call bit for bit,
+  // count the same shard visits as the three calls, and match the frozen
+  // row reference (the summary-merged whole-population default axis is
+  // the one ~1e-12 case, as in WholePopulationDefaultAxisCurve).
+  ShardSelector cut_access;
+  cut_access.first = Date{2022, 1, 15};
+  cut_access.last = Date{2022, 3, 20};
+  cut_access.access = netsim::AccessTechnology::kFiber;
+  ShardSelector combo = cut_access;
+  combo.platform = confsim::Platform::kAndroid;
+  struct Shape {
+    const char* name;
+    SweepSpec spec;
+    ParticipantFilter filter;
+    ShardSelector selector;
+    bool summary_merged_whole_population;
+  };
+  const Shape shapes[] = {
+      {"scan axis", sweep_for(netsim::Metric::kLoss, 12), nullptr, {}, false},
+      {"default axis", sweep_for(netsim::Metric::kLatency, 10), nullptr, {},
+       true},
+      {"date-cut access", sweep_for(netsim::Metric::kJitter, 10), nullptr,
+       cut_access, false},
+      {"combined selector", sweep_for(netsim::Metric::kBandwidth, 12),
+       nullptr, combo, false},
+      {"p95", sweep_for(netsim::Metric::kLatency, 10, false,
+                        SessionAggregate::kP95),
+       nullptr, {}, false},
+      {"filter+control+cut", sweep_for(netsim::Metric::kLatency, 12, true),
+       kOpaqueFilter, cut_access, false},
+  };
+  for (const Shape& shape : shapes) {
+    QueryFanoutStats fused_fanout;
+    const std::vector<EngagementCurve> fused = engine_.engagement_curves(
+        shape.spec, shape.filter, shape.selector, &fused_fanout);
+    ASSERT_EQ(fused.size(), std::size(kEngagements)) << shape.name;
+    QueryFanoutStats single_fanout;
+    for (std::size_t k = 0; k < std::size(kEngagements); ++k) {
+      const EngagementMetric e = kEngagements[k];
+      const std::string what = std::string(shape.name) + " " + to_string(e);
+      const EngagementCurve single = engine_.engagement_curve(
+          shape.spec, e, shape.filter, shape.selector, &single_fanout);
+      EXPECT_EQ(fused[k].network_metric, shape.spec.metric) << what;
+      EXPECT_EQ(fused[k].engagement_metric, e) << what;
+      expect_points_eq(fused[k].points, single.points, what + " vs single");
+      expect_points_eq(
+          fused[k].points,
+          ref_.engagement_curve(shape.spec, e, shape.filter, shape.selector),
+          what + " vs reference",
+          /*exact=*/!(shape.summary_merged_whole_population &&
+                      GetParam().summaries));
+    }
+    EXPECT_EQ(fused_fanout.shards_from_summary,
+              single_fanout.shards_from_summary)
+        << shape.name;
+    EXPECT_EQ(fused_fanout.shards_scanned, single_fanout.shards_scanned)
+        << shape.name;
+  }
+}
+
+TEST_P(ColumnarDifferential, CancelledFusedSweepSkipsRemainingShards) {
+  // A probe that answers true before the first shard abandons the pass:
+  // no shard is binned (the caller discards the partial curves anyway).
+  const SweepSpec spec = sweep_for(netsim::Metric::kLatency, 12);
+  const std::vector<EngagementCurve> curves =
+      engine_.engagement_curves(spec, nullptr, {}, nullptr, [] { return true; });
+  ASSERT_EQ(curves.size(), std::size(kEngagements));
+  for (const EngagementCurve& curve : curves) {
+    EXPECT_TRUE(curve.points.empty());
+  }
+  // A probe that never fires changes nothing.
+  const std::vector<EngagementCurve> full = engine_.engagement_curves(
+      spec, nullptr, {}, nullptr, [] { return false; });
+  expect_points_eq(full[0].points,
+                   engine_.engagement_curve(spec, kEngagements[0]).points,
+                   "never-cancelled fused sweep");
+}
+
 TEST_P(ColumnarDifferential, DropoffCurves) {
   const SweepSpec spec = sweep_for(netsim::Metric::kLoss, 12);
   expect_points_eq(engine_.dropoff_curve(spec),
@@ -767,6 +857,68 @@ INSTANTIATE_TEST_SUITE_P(
         Config{ShardingPolicy::kMonthPlatform, 8, false},
         Config{ShardingPolicy::kMonthPlatform, 8, true}),
     config_name);
+
+// ---- Fused sweep inside QueryService -----------------------------------
+
+TEST(FusedSweepExecution, InsightFanoutAndServedByMatchTheSingleCallSequence) {
+  // QueryService answers the engagement side with one fused sweep. Its
+  // per-query execution report must still read as the three
+  // engagement_curve + three mos_correlation + tally calls it replaced,
+  // for a scan, a mixed and a summary-merge query.
+  Query whole;  // default axis, whole months
+  whole.first = Date{2022, 1, 1};
+  whole.last = Date{2022, 4, 30};
+  Query cut = whole;  // mid-month cuts: boundary shards scan
+  cut.first = Date{2022, 1, 15};
+  cut.last = Date{2022, 3, 20};
+  struct Case {
+    Query query;
+    bool summaries;
+    ServedBy served_by;
+  };
+  const Case cases[] = {{whole, false, ServedBy::kScan},
+                        {cut, true, ServedBy::kMixed},
+                        {whole, true, ServedBy::kSummaryMerge}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(to_string(c.served_by));
+    QueryServiceConfig config;
+    config.threads = 2;
+    config.insight_cache_entries = 0;
+    config.shard_summaries = c.summaries;
+    QueryService service{config};
+    service.ingest_calls(corpus());
+    CorrelationEngine engine{ShardingPolicy::kMonthPlatform};
+    if (c.summaries) engine.configure_summaries(config.summary_layout);
+    engine.ingest(std::span<const confsim::CallRecord>{corpus()});
+
+    const ShardSelector selector{c.query.first, c.query.last,
+                                 c.query.platform, c.query.access};
+    SweepSpec spec;
+    spec.metric = c.query.metric;
+    spec.lo = c.query.metric_lo;
+    spec.hi = c.query.metric_hi;
+    spec.bins = c.query.bins;
+    spec.control_others = false;
+    QueryFanoutStats want;
+    std::vector<EngagementCurve> curves;
+    for (const EngagementMetric e : kEngagements) {
+      curves.push_back(
+          engine.engagement_curve(spec, e, nullptr, selector, &want));
+      (void)engine.mos_correlation(e, 50, &want);
+    }
+    (void)engine.tally(nullptr, selector, nullptr, &want);
+
+    const Insight insight = service.run(c.query);
+    EXPECT_EQ(insight.execution.served_by, c.served_by);
+    EXPECT_EQ(insight.execution.shards_from_summary, want.shards_from_summary);
+    EXPECT_EQ(insight.execution.shards_scanned, want.shards_scanned);
+    ASSERT_EQ(insight.engagement.size(), curves.size());
+    for (std::size_t k = 0; k < curves.size(); ++k) {
+      expect_points_eq(insight.engagement[k].points, curves[k].points,
+                       "service curve");
+    }
+  }
+}
 
 // ---- Ingest-path equivalence -------------------------------------------
 

@@ -14,9 +14,11 @@
 // Registered under the `sanitize` ctest label with USAAS_PARALLEL_FORCE=1:
 // NoStaleInsightAfterBump races readers (cache probes + computes) against
 // a live producer and is the TSan workload for cache_mu + the version
-// counter.
+// counter; the MosMemo race does the same for the engine's memoized
+// corpus-wide MOS correlations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include "social/post.h"
 #include "usaas/query_service.h"
 #include "usaas/shard_summary.h"
+#include "usaas/stream_ingestor.h"
 
 namespace usaas::service {
 namespace {
@@ -729,6 +732,196 @@ TEST(InsightCache, NoStaleInsightAfterVersionBump) {
   const std::uint64_t hits_before = svc.stats().insight_cache.hits;
   expect_identical(svc.run(q), cached_final);
   EXPECT_EQ(svc.stats().insight_cache.hits, hits_before + 1);
+}
+
+// ---- Corpus-wide MOS correlation memo ----------------------------------
+
+using Spearman = std::vector<std::pair<EngagementMetric, double>>;
+
+/// boundary_calls with rater noise on every MOS: there, MOS and all three
+/// engagement actions are monotone in latency (Spearman is exactly 1 at
+/// any corpus size), so a stale correlation could not be told apart.
+std::vector<confsim::CallRecord> noisy_calls(std::uint64_t seed,
+                                             std::size_t calls_per_day) {
+  std::vector<confsim::CallRecord> calls = boundary_calls(seed, calls_per_day);
+  core::Rng rng{seed ^ 0x0153};
+  for (confsim::CallRecord& call : calls) {
+    for (confsim::ParticipantRecord& p : call.participants) {
+      if (p.mos) {
+        p.mos = core::clamp_mos(core::Mos{p.mos->score() + rng.uniform(-1, 1)});
+      }
+    }
+  }
+  return calls;
+}
+
+/// Insight::mos_spearman as a freshly built engine computes it over
+/// `calls` (same layout as service_config's engine).
+Spearman fresh_spearman(std::span<const confsim::CallRecord> calls) {
+  CorrelationEngine engine{ShardingPolicy::kMonthPlatform};
+  engine.configure_summaries(SummaryConfig{});
+  engine.ingest(calls);
+  Spearman out;
+  for (const EngagementMetric m :
+       {EngagementMetric::kPresence, EngagementMetric::kCamOn,
+        EngagementMetric::kMicOn}) {
+    if (const auto corr = engine.mos_correlation(m, 50)) {
+      out.emplace_back(m, corr->spearman);
+    }
+  }
+  return out;
+}
+
+/// Bit-for-bit: EXPECT_EQ on the doubles.
+void expect_spearman_eq(const Spearman& got, const Spearman& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first);
+    EXPECT_EQ(got[i].second, want[i].second);
+  }
+}
+
+TEST(MosMemo, EveryMutationPathInvalidates) {
+  // Cache off, so every run() reaches the engine: a memo that survived a
+  // mutation would show up as the pre-mutation correlation.
+  QueryService svc{service_config(2, 0, true)};
+  const Query q = battery().front();
+  const auto calls = noisy_calls(616, 24);
+  const std::span<const confsim::CallRecord> all{calls};
+  std::vector<confsim::CallRecord> ingested;
+  Spearman previous;
+  const auto check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    const Spearman want = fresh_spearman(ingested);
+    ASSERT_EQ(want.size(), 3u);  // enough rated sessions at every step
+    expect_spearman_eq(svc.run(q).mos_spearman, want);  // fills the memo
+    expect_spearman_eq(svc.run(q).mos_spearman, want);  // memo hit
+    EXPECT_NE(want, previous);  // the step really moved the correlation
+    previous = want;
+  };
+
+  const std::size_t half = calls.size() / 2;
+  svc.ingest_calls(all.first(half));
+  ingested.assign(calls.begin(), calls.begin() + half);
+  check("first batch");
+
+  svc.ingest_calls(all.subspan(half, 20));
+  ingested.insert(ingested.end(), calls.begin() + half,
+                  calls.begin() + half + 20);
+  check("batch ingest");
+
+  // A one-call span takes the engine's single-record ingest overload.
+  const auto extra = noisy_calls(717, 2);
+  const auto rated = std::find_if(
+      extra.begin(), extra.end(), [](const confsim::CallRecord& call) {
+        return std::any_of(call.participants.begin(), call.participants.end(),
+                           [](const auto& p) { return p.mos.has_value(); });
+      });
+  ASSERT_NE(rated, extra.end());
+  svc.ingest_calls(std::span<const confsim::CallRecord>{&*rated, 1});
+  ingested.push_back(*rated);
+  check("single-record ingest");
+
+  {
+    StreamIngestor ingestor{svc};
+    const auto rest = all.subspan(half + 20);
+    ASSERT_EQ(ingestor.push_many(rest), rest.size());
+    ASSERT_TRUE(ingestor.flush());
+    ingested.insert(ingested.end(), rest.begin(), rest.end());
+  }
+  check("stream flush");
+}
+
+TEST(MosMemo, EngineCopyKeepsItsOwnMemo) {
+  const auto calls = noisy_calls(818, 24);
+  const std::span<const confsim::CallRecord> all{calls};
+  const std::size_t half = calls.size() / 2;
+  CorrelationEngine original{ShardingPolicy::kMonthPlatform};
+  original.configure_summaries(SummaryConfig{});
+  original.ingest(all.first(half));
+  const auto before = original.mos_correlation(EngagementMetric::kCamOn);
+  ASSERT_TRUE(before.has_value());
+
+  const auto expect_corr_eq = [](const CorrelationEngine::MosCorrelation& a,
+                                 const CorrelationEngine::MosCorrelation& b) {
+    EXPECT_EQ(a.rated_sessions, b.rated_sessions);
+    EXPECT_EQ(a.pearson, b.pearson);
+    EXPECT_EQ(a.spearman, b.spearman);
+    ASSERT_EQ(a.decile_curve.size(), b.decile_curve.size());
+    for (std::size_t i = 0; i < a.decile_curve.size(); ++i) {
+      EXPECT_EQ(a.decile_curve[i].metric_value, b.decile_curve[i].metric_value);
+      EXPECT_EQ(a.decile_curve[i].engagement, b.decile_curve[i].engagement);
+    }
+  };
+  CorrelationEngine copy = original;  // carries the filled memo
+  expect_corr_eq(*copy.mos_correlation(EngagementMetric::kCamOn), *before);
+  copy.ingest(all.subspan(half));
+
+  CorrelationEngine fresh{ShardingPolicy::kMonthPlatform};
+  fresh.configure_summaries(SummaryConfig{});
+  fresh.ingest(all);
+  const auto grown = copy.mos_correlation(EngagementMetric::kCamOn);
+  ASSERT_TRUE(grown.has_value());
+  expect_corr_eq(*grown, *fresh.mos_correlation(EngagementMetric::kCamOn));
+  EXPECT_GT(grown->rated_sessions, before->rated_sessions);
+  // The original never saw the copy's ingest.
+  expect_corr_eq(*original.mos_correlation(EngagementMetric::kCamOn), *before);
+}
+
+TEST(MosMemo, ReadersRacingTheFirstQueryAfterABumpSeeNoStaleCorrelation) {
+  // Four readers race to fill the memo after every flush while a producer
+  // streams. With a fixed watermark the flushes slice the stream
+  // deterministically, so the correlation each insight carries must equal
+  // a fresh engine's over the prefix its corpus version names.
+  constexpr std::size_t kWatermark = 10;
+  const auto calls = noisy_calls(9090, 16);
+  const std::span<const confsim::CallRecord> all{calls};
+  const std::size_t flushes = (calls.size() + kWatermark - 1) / kWatermark;
+  std::vector<Spearman> expected;  // expected[v]: after v flushes
+  for (std::size_t v = 0; v <= flushes; ++v) {
+    expected.push_back(
+        fresh_spearman(all.first(std::min(v * kWatermark, calls.size()))));
+  }
+
+  QueryService svc{service_config(4, 0, true)};
+  const Query q = battery().front();
+  std::atomic<bool> done{false};
+  std::atomic<int> violations{0};
+  std::atomic<int> correlated{0};
+  const auto reader = [&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const Insight insight = svc.run(q);
+      if (insight.corpus_version >= expected.size() ||
+          insight.mos_spearman != expected[insight.corpus_version]) {
+        ++violations;
+      }
+      if (!insight.mos_spearman.empty()) ++correlated;
+      // Yield so the producer's exclusive lock is not starved.
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) readers.emplace_back(reader);
+  {
+    // EXPECT, not ASSERT: an early return would destroy joinable readers.
+    StreamIngestorConfig cfg;
+    cfg.call_capacity = 64;
+    cfg.call_flush_watermark = kWatermark;
+    StreamIngestor ingestor{svc, cfg};
+    for (const confsim::CallRecord& call : calls) {
+      EXPECT_EQ(ingestor.push(call), PushOutcome::kAccepted);
+      std::this_thread::sleep_for(std::chrono::microseconds{500});
+    }
+    EXPECT_TRUE(ingestor.flush());
+  }
+  // Let the readers race once more at the final version.
+  std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(correlated.load(), 0);
+  EXPECT_EQ(svc.corpus_version() + 1, expected.size());
+  expect_spearman_eq(svc.run(q).mos_spearman, expected.back());
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "confsim/dataset.h"
+#include "core/regression.h"
+#include "core/units.h"
 
 namespace usaas::service {
 namespace {
@@ -86,6 +90,36 @@ TEST_F(MosPredictorTest, FeatureVectorLayout) {
   EXPECT_DOUBLE_EQ(f[0], sessions().front().presence_pct);
   EXPECT_DOUBLE_EQ(f[3],
                    sessions().front().network.latency_ms.mean);
+}
+
+TEST_F(MosPredictorTest, PredictMatchesTheHeapFeatureVectorPathBitForBit) {
+  // predict() builds its features in a stack array; it must return exactly
+  // what the fitted model gave when evaluated on a heap std::vector built
+  // field by field, clamped into [1, 5].
+  const auto heap_features = [](const confsim::ParticipantRecord& rec) {
+    const auto c = rec.network.mean_conditions();
+    return std::vector<double>{rec.presence_pct, rec.cam_on_pct,
+                               rec.mic_on_pct,   c.latency.ms(),
+                               c.loss.percent(), c.jitter.ms(),
+                               c.bandwidth.mbps()};
+  };
+  std::vector<double> rows;
+  std::vector<double> ys;
+  for (const auto& rec : sessions()) {
+    if (!rec.mos) continue;
+    const std::vector<double> f = heap_features(rec);
+    rows.insert(rows.end(), f.begin(), f.end());
+    ys.push_back(rec.mos->score());
+  }
+  const core::LinearModel model = core::LinearModel::fit(
+      rows, MosPredictor::kNumFeatures, ys, MosPredictorConfig{}.ridge);
+  MosPredictor predictor;
+  predictor.train(sessions());
+  for (const auto& rec : sessions()) {
+    const double want =
+        core::clamp_mos(core::Mos{model.predict(heap_features(rec))}).score();
+    EXPECT_EQ(predictor.predict(rec), want);
+  }
 }
 
 TEST_F(MosPredictorTest, EvaluationDeterministicForSplitSeed) {
