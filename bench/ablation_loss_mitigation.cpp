@@ -25,8 +25,7 @@ CorrelationEngine build_engine(bool mitigation_enabled) {
   cfg.sweep_hi = 3.5;
   cfg.mitigation.enabled = mitigation_enabled;
   CorrelationEngine engine;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(confsim::CallDatasetGenerator{cfg}.generate());
   return engine;
 }
 

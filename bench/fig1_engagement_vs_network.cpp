@@ -28,8 +28,7 @@ CorrelationEngine build_engine(netsim::Metric metric, double lo, double hi,
   cfg.sweep_lo = lo;
   cfg.sweep_hi = hi;
   CorrelationEngine engine;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(confsim::CallDatasetGenerator{cfg}.generate());
   return engine;
 }
 

@@ -25,8 +25,7 @@ CorrelationEngine build_engine(std::size_t calls) {
   // Let loss roam over its full range too (jitter/bw stay controlled).
   cfg.control_windows.loss_hi_pct = 3.4;
   CorrelationEngine engine;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(confsim::CallDatasetGenerator{cfg}.generate());
   return engine;
 }
 

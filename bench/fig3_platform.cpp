@@ -22,8 +22,7 @@ CorrelationEngine build_engine(std::size_t calls) {
   cfg.sweep_lo = 0.0;
   cfg.sweep_hi = 3.5;
   CorrelationEngine engine;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(confsim::CallDatasetGenerator{cfg}.generate());
   return engine;
 }
 

@@ -20,8 +20,7 @@ CorrelationEngine build_engine(std::size_t calls) {
   cfg.num_calls = calls;
   cfg.sampling = confsim::ConditionSampling::kPopulation;
   CorrelationEngine engine;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(confsim::CallDatasetGenerator{cfg}.generate());
   return engine;
 }
 

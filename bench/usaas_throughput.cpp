@@ -2,14 +2,13 @@
 //
 // The §5 service must answer operator queries over ~150-200 M call
 // sessions and years of social posts. This bench measures the sharded
-// multi-threaded engine against the seed's flat single-threaded query path
-// (single shard, sentiment re-scored per query) on the same corpus:
-//   * ingest throughput, old vs new: the seed's flat per-record path, the
-//     PR-1-era per-record sharded path, and the two-pass counted batch
-//     pipeline at 1/2/8 worker threads (with per-phase timings);
+// multi-threaded engine on one synthetic corpus:
+//   * ingest throughput: the two-pass counted batch pipeline at 1/2/8
+//     worker threads (with per-phase timings), and the streaming
+//     front-end's record and span pushes through the same pipeline;
 //   * query throughput over a realistic operator battery (full-population,
 //     per-platform, per-access-network, date-windowed queries);
-//   * the headline query speedup: the sharded engine vs the legacy path;
+//   * the row-wise vs columnar scan kernels, bit-identity checked;
 //   * the two-tier query path: cold batteries answered by merging
 //     per-shard summaries (no record rescans) and warm batteries served
 //     from the versioned insight cache, against the same scan battery;
@@ -44,8 +43,6 @@
 #include "core/rng.h"
 #include "core/telemetry/metrics.h"
 #include "core/timeseries.h"
-#include "nlp/keywords.h"
-#include "nlp/sentiment.h"
 #include "social/post.h"
 #include "usaas/query_scheduler.h"
 #include "usaas/query_service.h"
@@ -228,88 +225,6 @@ std::vector<service::Query> battery() {
   return queries;
 }
 
-// ---- The legacy (seed) query path ------------------------------------
-// Flat store, no shard pruning, sentiment + keyword scan re-run over the
-// whole post corpus on every query: byte-for-byte the seed algorithm.
-
-struct LegacyService {
-  service::CorrelationEngine engine{service::ShardingPolicy::kSingleShard};
-  std::vector<confsim::ParticipantRecord> sessions;
-  std::vector<social::Post> posts;
-  nlp::SentimentAnalyzer analyzer;
-  service::MosPredictor predictor;
-  bool trained{false};
-};
-
-service::Insight legacy_run(const LegacyService& svc,
-                            const service::Query& query) {
-  service::Insight insight;
-  const service::ParticipantFilter filter =
-      [&](const confsim::ParticipantRecord& rec) {
-        if (query.platform && rec.platform != *query.platform) return false;
-        if (query.access && rec.access != *query.access) return false;
-        return true;
-      };
-
-  service::SweepSpec spec;
-  spec.metric = query.metric;
-  spec.lo = query.metric_lo;
-  spec.hi = query.metric_hi;
-  spec.bins = query.bins;
-  spec.control_others = false;
-  for (const service::EngagementMetric m :
-       {service::EngagementMetric::kPresence,
-        service::EngagementMetric::kCamOn,
-        service::EngagementMetric::kMicOn}) {
-    insight.engagement.push_back(svc.engine.engagement_curve(spec, m, filter));
-    if (const auto corr = svc.engine.mos_correlation(m)) {
-      insight.mos_spearman.emplace_back(m, corr->spearman);
-    }
-  }
-
-  std::vector<double> observed;
-  double predicted_acc = 0.0;
-  std::size_t predicted_n = 0;
-  for (const auto& rec : svc.sessions) {
-    if (!filter(rec)) continue;
-    ++insight.sessions;
-    if (rec.mos) {
-      observed.push_back(rec.mos->score());
-      ++insight.rated_sessions;
-    }
-    if (svc.trained) {
-      predicted_acc += svc.predictor.predict(rec);
-      ++predicted_n;
-    }
-  }
-  if (predicted_n > 0) {
-    insight.predicted_mean_mos =
-        predicted_acc / static_cast<double>(predicted_n);
-  }
-
-  const auto& dict = nlp::KeywordDictionary::outage_dictionary();
-  core::DailySeries keyword_days{query.first, query.last};
-  std::size_t strong_pos = 0;
-  std::size_t strong_neg = 0;
-  for (const social::Post& post : svc.posts) {
-    if (post.date < query.first || query.last < post.date) continue;
-    ++insight.posts;
-    const auto s = svc.analyzer.score(post.full_text());
-    if (s.strong_positive()) ++strong_pos;
-    if (s.strong_negative()) ++strong_neg;
-    const auto hits = dict.count_occurrences(post.full_text());
-    if (hits > 0 && s.negative >= 0.4) {
-      keyword_days.add(post.date, static_cast<double>(hits));
-    }
-  }
-  if (strong_pos + strong_neg > 0) {
-    insight.strong_positive_share =
-        static_cast<double>(strong_pos) /
-        static_cast<double>(strong_pos + strong_neg);
-  }
-  return insight;
-}
-
 struct QueryResult {
   double battery_seconds{0.0};
   double queries_per_sec{0.0};
@@ -443,7 +358,6 @@ FrontendOutcome run_frontend_open_loop(
 
   core::telemetry::Registry reg{true};
   service::QueryServiceConfig cfg;
-  cfg.sharding = service::ShardingPolicy::kMonthPlatform;
   cfg.threads = 1;
   cfg.telemetry = &reg;
   service::QueryService svc{cfg};
@@ -581,105 +495,6 @@ FrontendOutcome run_frontend_open_loop(
   return out;
 }
 
-// ---- EDF vs per-bucket saturation A/B ---------------------------------
-// The question PR 8's FairQueue answers: when tenants with very
-// different deadlines contend for tokens at the same time, who gets the
-// accrual? The legacy loop parks each waiter on a private
-// sleep(seconds_until) and lets the OS wakeup order decide; the EDF
-// queue hands each accrual to the earliest absolute deadline. Two
-// tenants — "tight" (20 ms budgets) and "loose" (60 ms budgets) — hammer
-// their saturated buckets from concurrent threads, and the A/B compares
-// the tight tenant's admission-wait tail and admit rate across the two
-// queueing policies on an otherwise identical workload.
-
-struct SaturationAb {
-  std::size_t threads{0};
-  std::size_t tight_submissions{0};
-  bool oversubscribed{false};
-  double legacy_tight_wait_p99_ms{0.0};
-  double edf_tight_wait_p99_ms{0.0};
-  double legacy_tight_admit_rate{0.0};
-  double edf_tight_admit_rate{0.0};
-};
-
-SaturationAb run_saturation_ab(std::span<const confsim::CallRecord> calls) {
-  SaturationAb out;
-  constexpr std::size_t kThreads = 4;  // 2 tight + 2 loose
-  constexpr int kPerThread = 200;
-  out.threads = kThreads;
-  out.oversubscribed = kThreads > core::hardware_parallelism();
-
-  const auto run_side = [&](bool fair, double& p99_ms, double& admit_rate,
-                            std::size_t& tight_total) {
-    core::telemetry::Registry reg{true};
-    service::QueryServiceConfig cfg;
-    cfg.sharding = service::ShardingPolicy::kMonthPlatform;
-    cfg.threads = 1;
-    cfg.telemetry = &reg;
-    service::QueryService svc{cfg};
-    svc.ingest_calls(calls.subspan(0, std::min<std::size_t>(500, calls.size())));
-    service::Query q;
-    q.first = core::Date(2022, 1, 1);
-    q.last = core::Date(2022, 3, 31);
-    q.metric = netsim::Metric::kLatency;
-    q.metric_lo = 0.0;
-    q.metric_hi = 300.0;
-    q.bins = 10;
-    (void)svc.run(q);  // cache it: every admission costs the 1-token floor
-
-    service::SchedulerConfig scfg;
-    scfg.fair_queue = fair;
-    scfg.max_wait_seconds = 0.06;
-    scfg.tenant_qos["tight"] = {200.0, 2.0};
-    scfg.tenant_qos["loose"] = {200.0, 2.0};
-    service::QueryScheduler sched{svc, scfg};
-
-    std::vector<std::vector<double>> waits(kThreads);
-    std::vector<std::size_t> admitted(kThreads, 0);
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
-        const bool tight = t < kThreads / 2;
-        const char* tenant = tight ? "tight" : "loose";
-        const double budget = tight ? 0.02 : 0.06;
-        for (int i = 0; i < kPerThread; ++i) {
-          const service::ScheduledResult r = sched.submit(tenant, q, budget);
-          if (tight) {
-            waits[t].push_back(r.wait_seconds);
-            if (r.outcome == service::AdmissionOutcome::kAdmitted) {
-              ++admitted[t];
-            }
-          }
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-
-    std::vector<double> tight_waits;
-    std::size_t tight_admitted = 0;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      tight_waits.insert(tight_waits.end(), waits[t].begin(), waits[t].end());
-      tight_admitted += admitted[t];
-    }
-    std::sort(tight_waits.begin(), tight_waits.end());
-    tight_total = tight_waits.size();
-    p99_ms = percentile_ms(tight_waits, 0.99);
-    admit_rate = tight_total > 0
-                     ? static_cast<double>(tight_admitted) /
-                           static_cast<double>(tight_total)
-                     : 0.0;
-  };
-
-  std::size_t tight_total = 0;
-  run_side(false, out.legacy_tight_wait_p99_ms, out.legacy_tight_admit_rate,
-           tight_total);
-  run_side(true, out.edf_tight_wait_p99_ms, out.edf_tight_admit_rate,
-           tight_total);
-  out.tight_submissions = tight_total;
-  return out;
-}
-
 void print_frontend(const FrontendOutcome& fe) {
   std::printf("frontend: offered %.0f/s for %.1f s -> submitted %llu = "
               "admitted %llu + degraded %llu + shed %llu + expired %llu  "
@@ -723,7 +538,6 @@ int main() {
       only != nullptr && *only == '1') {
     const auto posts = synth_posts(target_posts, 424242);
     service::QueryServiceConfig cfg;
-    cfg.sharding = service::ShardingPolicy::kMonthPlatform;
     cfg.threads = 1;
     cfg.insight_cache_entries = 0;
     cfg.shard_summaries = false;
@@ -751,7 +565,6 @@ int main() {
       only != nullptr && *only == '1') {
     const auto calls = synth_calls(target_sessions, 20220101);
     service::QueryServiceConfig cfg;
-    cfg.sharding = service::ShardingPolicy::kMonthPlatform;
     cfg.threads = 1;
     cfg.insight_cache_entries = 0;
     cfg.shard_summaries = false;
@@ -825,40 +638,11 @@ int main() {
   std::vector<QueryResult> query_results;
   std::vector<std::unique_ptr<service::QueryService>> services;
 
-  // ---- Old ingest paths, for the old-vs-new comparison --------------
-  // (a) The seed's flat per-record ingest: single shard, one map lookup
-  // and two unreserved push_backs per record.
-  {
-    IngestColumn col;
-    col.name = "flat per-record 1t";
-    service::CorrelationEngine flat{service::ShardingPolicy::kSingleShard};
-    t0 = Clock::now();
-    for (const auto& call : calls) flat.ingest(call);
-    col.call_seconds = seconds_since(t0);
-    col.post_seconds = -1.0;  // the seed scored posts per query, not here
-    col.sessions_per_sec = static_cast<double>(sessions) / col.call_seconds;
-    ingest_columns.push_back(col);
-  }
-  // (b) The per-record *sharded* ingest (the PR-1 hot path's shape: a
-  // shard-map lookup per record, no reservation).
-  {
-    IngestColumn col;
-    col.name = "sharded per-record 1t";
-    service::CorrelationEngine sharded{service::ShardingPolicy::kMonthPlatform};
-    t0 = Clock::now();
-    for (const auto& call : calls) sharded.ingest(call);
-    col.call_seconds = seconds_since(t0);
-    col.post_seconds = -1.0;
-    col.sessions_per_sec = static_cast<double>(sessions) / col.call_seconds;
-    ingest_columns.push_back(col);
-  }
-
   // Scan-path config: insight cache and shard summaries off, so the
   // "sharded" columns keep measuring the raw scan engine the earlier PRs
   // measured (the two-tier columns below measure the default config).
   const auto scan_config = [](std::size_t threads) {
     service::QueryServiceConfig cfg;
-    cfg.sharding = service::ShardingPolicy::kMonthPlatform;
     cfg.threads = threads;
     cfg.insight_cache_entries = 0;
     cfg.shard_summaries = false;
@@ -973,45 +757,22 @@ int main() {
 
   for (const IngestColumn& col : ingest_columns) print_ingest(col);
 
-  const double ingest_speedup_1t =
-      ingest_columns[2].sessions_per_sec / ingest_columns[0].sessions_per_sec;
-  std::printf("\ningest, two-pass sharded 1t vs seed flat per-record: %.2fx\n",
-              ingest_speedup_1t);
   // Streaming overhead: record-at-a-time staging vs handing the engine the
   // whole batch (both through the same two-pass pipeline, 1 thread).
+  // Columns: [0..2] 2-pass 1/2/8t, [3..5] streaming, [6..8] push-many.
   const double streaming_share_1t =
-      ingest_columns[5].sessions_per_sec / ingest_columns[2].sessions_per_sec;
-  std::printf("ingest, streaming 1t vs one-shot batch 1t: %.2fx "
+      ingest_columns[3].sessions_per_sec / ingest_columns[0].sessions_per_sec;
+  std::printf("\ningest, streaming 1t vs one-shot batch 1t: %.2fx "
               "(staging + validation + per-flush lock overhead)\n",
               streaming_share_1t);
   const double push_many_gain_1t =
-      ingest_columns[8].sessions_per_sec / ingest_columns[5].sessions_per_sec;
+      ingest_columns[6].sessions_per_sec / ingest_columns[3].sessions_per_sec;
   std::printf("ingest, streaming push_many 1t vs per-record push 1t: %.2fx "
               "(lock + health-publish amortization)\n",
               push_many_gain_1t);
   std::printf("\n");
 
-  // Legacy baseline: seed layout + seed query algorithm, one thread.
-  LegacyService legacy;
-  legacy.engine.ingest(std::span{calls});
-  legacy.posts = posts;
-  legacy.sessions = legacy.engine.sessions();
-  try {
-    legacy.predictor.train(legacy.sessions);
-    legacy.trained = true;
-  } catch (const std::exception&) {
-    legacy.trained = false;
-  }
-
   const auto queries = battery();
-  const QueryResult legacy_result = time_batteries(2, [&] {
-    std::size_t acc = 0;
-    for (const auto& q : queries) acc += legacy_run(legacy, q).sessions;
-    return acc;
-  });
-  std::printf("query   legacy   1t: %6.2f s/battery  (%5.2f q/s)   "
-              "[flat store, query-time sentiment]\n",
-              legacy_result.battery_seconds, legacy_result.queries_per_sec);
 
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const service::QueryService& svc = *services[i];
@@ -1024,23 +785,6 @@ int main() {
     std::printf("query   sharded %zut: %6.2f s/battery  (%5.2f q/s)\n",
                 thread_counts[i], r.battery_seconds, r.queries_per_sec);
   }
-
-  // Cross-check: the sharded engine answers the full-population query with
-  // the same session count as the legacy path.
-  const auto sanity_new = services.back()->run(queries.front());
-  const auto sanity_old = legacy_run(legacy, queries.front());
-  if (sanity_new.sessions != sanity_old.sessions) {
-    std::fprintf(stderr, "FATAL: sharded/legacy session-count mismatch "
-                         "(%zu vs %zu)\n",
-                 sanity_new.sessions, sanity_old.sessions);
-    return 1;
-  }
-
-  const double speedup =
-      query_results.back().queries_per_sec / legacy_result.queries_per_sec;
-  std::printf("\nquery-path speedup, sharded 8-thread config vs 1-thread "
-              "legacy path: %.1fx%s\n", speedup,
-              hw < 8 ? "  (algorithmic only: fewer than 8 cores)" : "");
 
   // ---- Scan kernels: row-wise reference vs columnar two-phase, 1t -----
   // Same month x platform shards, same pruning, same per-record predicate
@@ -1067,8 +811,7 @@ int main() {
         s.records.push_back(p);
       }
     }
-    service::CorrelationEngine columnar{
-        service::ShardingPolicy::kMonthPlatform};
+    service::CorrelationEngine columnar;
     columnar.ingest(std::span{calls});
 
     // The battery's sweep shapes, exactly as QueryService::run builds
@@ -1220,7 +963,6 @@ int main() {
     const std::size_t threads = thread_counts[i];
     // The *default* QueryServiceConfig: cache + summaries on.
     service::QueryServiceConfig cfg;
-    cfg.sharding = service::ShardingPolicy::kMonthPlatform;
     cfg.threads = threads;
     auto svc = std::make_unique<service::QueryService>(cfg);
     IngestColumn col;
@@ -1419,25 +1161,6 @@ int main() {
     return 1;
   }
 
-  // ---- EDF fair queue vs legacy per-bucket waits under saturation ----
-  // Concurrent tight-budget and loose-budget tenants contend for the same
-  // drained token buckets; the number that should move is the tight
-  // tenants' admission-wait tail (EDF offers refills to the nearest
-  // deadline first) and their admit rate.
-  std::printf("\n-- admission saturation A/B: legacy per-bucket waits vs "
-              "EDF fair queue --\n");
-  const SaturationAb ab = run_saturation_ab(calls);
-  std::printf("  %zu threads (%zu tight-budget submissions)%s\n", ab.threads,
-              ab.tight_submissions,
-              ab.oversubscribed
-                  ? "  [OVERSUBSCRIBED: more threads than cores; treat "
-                    "deltas as directional]"
-                  : "");
-  std::printf("  tight-tenant wait p99:  legacy %8.3f ms   edf %8.3f ms\n",
-              ab.legacy_tight_wait_p99_ms, ab.edf_tight_wait_p99_ms);
-  std::printf("  tight-tenant admit rate: legacy %7.4f      edf %7.4f\n",
-              ab.legacy_tight_admit_rate, ab.edf_tight_admit_rate);
-
   std::ofstream json{json_path};
   if (!json) {
     std::fprintf(stderr, "FATAL: cannot open %s for writing\n",
@@ -1486,17 +1209,11 @@ int main() {
     json << "}" << (i + 1 < ingest_columns.size() ? "," : "") << "\n";
   }
   json << "  },\n"
-       << "  \"ingest_speedup_2pass_1t_vs_flat_per_record\": "
-       << ingest_speedup_1t << ",\n"
        << "  \"streaming_1t_share_of_batch_1t\": " << streaming_share_1t
        << ",\n"
        << "  \"streaming_push_many_gain_1t\": " << push_many_gain_1t
        << ",\n"
-       << "  \"query\": {\n"
-       << "    \"legacy_flat_1t\": {\"battery_seconds\": "
-       << legacy_result.battery_seconds << ", \"queries_per_sec\": "
-       << legacy_result.queries_per_sec
-       << ", \"pool_threads\": 1, \"effective_parallelism\": 1},\n";
+       << "  \"query\": {\n";
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     json << "    \"sharded_" << thread_counts[i]
          << "t\": {\"battery_seconds\": " << query_results[i].battery_seconds
@@ -1538,8 +1255,6 @@ int main() {
        << "    \"speedup\": " << scan_kernel_speedup << ",\n"
        << "    \"bit_identical\": true\n"
        << "  },\n"
-       << "  \"query_speedup_sharded_8t_config_vs_legacy\": " << speedup
-       << ",\n"
        << "  \"query_speedup_summary_cold_vs_sharded\": " << cold_speedup
        << ",\n"
        << "  \"query_speedup_cache_warm_vs_sharded\": " << warm_speedup
@@ -1591,26 +1306,9 @@ int main() {
        << "    \"reconciled\": " << (fe.stats_reconciled ? "true" : "false")
        << ",\n"
        << "    \"exposition_reconciled\": "
-       << (fe.exposition_reconciled ? "true" : "false") << ",\n"
-       << "    \"saturation_ab\": {\n"
-       << "      \"threads\": " << ab.threads << ",\n"
-       << "      \"tight_submissions\": " << ab.tight_submissions << ",\n"
-       << "      \"oversubscribed\": "
-       << (ab.oversubscribed ? "true" : "false") << ",\n"
-       << "      \"legacy_tight_wait_p99_ms\": "
-       << ab.legacy_tight_wait_p99_ms << ",\n"
-       << "      \"edf_tight_wait_p99_ms\": " << ab.edf_tight_wait_p99_ms
-       << ",\n"
-       << "      \"legacy_tight_admit_rate\": "
-       << ab.legacy_tight_admit_rate << ",\n"
-       << "      \"edf_tight_admit_rate\": " << ab.edf_tight_admit_rate
-       << "\n"
-       << "    }\n"
+       << (fe.exposition_reconciled ? "true" : "false") << "\n"
        << "  },\n"
-       << "  \"notes\": \"Legacy baseline is the seed's path (flat "
-          "single-shard store, per-record ingest, sentiment re-scored over "
-          "the whole post corpus per query). Sharded engines use the "
-          "two-pass counted batch ingest (count, prefix-sum/reserve, "
+       << "  \"notes\": \"Sharded engines use the two-pass counted batch ingest (count, prefix-sum/reserve, "
           "scatter), score sentiment once at ingest, and prune per-month x "
           "per-platform shards at query time. Thread columns record the "
           "actual pool size and the effective parallelism after capping at "
@@ -1657,13 +1355,7 @@ int main() {
           "+ expired == submitted in both the scheduler stats and the "
           "scraped exposition, staleness stamps respect "
           "max_versions_behind, and nothing sheds while a degradable "
-          "cached insight exists. saturation_ab contends tight-budget and "
-          "loose-budget tenant threads on deliberately drained token "
-          "buckets and compares the tight tenants' admission-wait p99 and "
-          "admit rate between the legacy per-bucket timed waits and the "
-          "deadline-ordered (EDF) cross-tenant fair queue; on "
-          "oversubscribed hosts the deltas are directional, not "
-          "calibrated.\"\n"
+          "cached insight exists.\"\n"
        << "}\n";
   json.close();
   std::printf("wrote %s\n", json_path.c_str());

@@ -25,8 +25,7 @@
 int main() {
   using namespace usaas;
 
-  service::QueryService svc{service::QueryServiceConfig{
-      service::ShardingPolicy::kMonthPlatform, /*threads=*/4}};
+  service::QueryService svc{service::QueryServiceConfig{.threads = 4}};
 
   std::printf("ingesting conferencing + social signals...\n");
   confsim::DatasetConfig cfg;

@@ -26,8 +26,7 @@ int main() {
   cfg.sweep_hi = 300.0;
 
   service::CorrelationEngine engine;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(confsim::CallDatasetGenerator{cfg}.generate());
   std::printf("simulated %zu participant sessions\n", engine.session_count());
 
   service::SweepSpec spec;

@@ -7,6 +7,7 @@
 //
 // Build & run:   ./build/examples/teams_engagement_study
 #include <cstdio>
+#include <vector>
 
 #include "confsim/dataset.h"
 #include "usaas/correlation_engine.h"
@@ -23,13 +24,14 @@ int main() {
   cfg.first_day = core::Date(2022, 1, 3);
   cfg.last_day = core::Date(2022, 4, 29);
 
+  const std::vector<confsim::CallRecord> calls =
+      confsim::CallDatasetGenerator{cfg}.generate();
   service::CorrelationEngine engine;
+  engine.ingest(calls);
   std::vector<confsim::ParticipantRecord> sessions;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) {
-        engine.ingest(call);
-        for (const auto& p : call.participants) sessions.push_back(p);
-      });
+  for (const auto& call : calls) {
+    for (const auto& p : call.participants) sessions.push_back(p);
+  }
   std::printf("  %zu sessions (weekday business hours, 3+ participants)\n\n",
               engine.session_count());
 

@@ -193,8 +193,7 @@ std::string field_of(const std::string& response, const std::string& key) {
 // ---- Mode 1 (default): the real listener over loopback -------------------
 
 int run_wire_demo() {
-  service::QueryService svc{service::QueryServiceConfig{
-      service::ShardingPolicy::kMonthPlatform, /*threads=*/4}};
+  service::QueryService svc{service::QueryServiceConfig{.threads = 4}};
   ingest_corpus(svc);
 
   service::SchedulerConfig sched_cfg;
@@ -355,8 +354,7 @@ int run_wire_demo() {
 // ---- Mode 2 (--in-process): the deterministic VirtualClock demo ----------
 
 int run_in_process_demo() {
-  service::QueryService svc{service::QueryServiceConfig{
-      service::ShardingPolicy::kMonthPlatform, /*threads=*/4}};
+  service::QueryService svc{service::QueryServiceConfig{.threads = 4}};
   ingest_corpus(svc);
 
   core::VirtualClock clock;
@@ -443,7 +441,6 @@ int run_in_process_demo() {
 
 int run_chaos(const core::FaultInjector::Config& fault_cfg) {
   service::QueryServiceConfig svc_cfg;
-  svc_cfg.sharding = service::ShardingPolicy::kMonthPlatform;
   svc_cfg.threads = 2;
   // sampling=all with headroom: the trace ledger must reconcile exactly
   // against the scheduler's four-way ledger after the storm, so no

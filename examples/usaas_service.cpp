@@ -16,10 +16,10 @@ int main() {
   using namespace usaas;
 
   // Production shape: per-month x per-platform shards, a small worker
-  // pool for ingest partitioning and query fan-out. Results are identical
-  // to the flat single-threaded layout (see tests/test_usaas_sharding.cpp).
-  service::QueryService svc{service::QueryServiceConfig{
-      service::ShardingPolicy::kMonthPlatform, /*threads=*/4}};
+  // pool for ingest partitioning and query fan-out. Results match a plain
+  // loop over the raw corpus at any thread count (see
+  // tests/test_usaas_sharding.cpp).
+  service::QueryService svc{service::QueryServiceConfig{.threads = 4}};
 
   // Ingest the implicit side: conferencing telemetry + engagement.
   std::printf("ingesting conferencing signals...\n");

@@ -55,34 +55,20 @@
 #      breaks the benchmark build fails here instead of surfacing only
 #      when the benchmark pipeline runs.
 #
-# The sanitize suites carry USAAS_PARALLEL_FORCE=1 via their ctest
-# ENVIRONMENT property, so parallel_for really fans out across the pool —
-# even on single-core hosts where the oversubscription cap would otherwise
-# run everything inline and TSan would have no races to check. Every test
-# also carries a ctest TIMEOUT so a deadlock fails the gate instead of
-# hanging it.
+# The sanitize suites are the tests tests/CMakeLists.txt tags `LABELS
+# sanitize`; the same tag adds each to the `sanitize_tests` build target,
+# so the list lives in one place. They carry USAAS_PARALLEL_FORCE=1 via
+# their ctest ENVIRONMENT property, so parallel_for really fans out
+# across the pool — even on single-core hosts where the oversubscription
+# cap would otherwise run everything inline and TSan would have no races
+# to check. Every test also carries a ctest TIMEOUT so a deadlock fails the
+# gate instead of hanging it.
 #
 # Usage: scripts/check.sh [jobs]     (default: nproc)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
-
-SANITIZE_TARGETS=(
-  test_thread_pool
-  test_usaas_sharding
-  test_usaas_ingest_equivalence
-  test_usaas_streaming
-  test_usaas_insight_cache
-  test_usaas_columnar
-  test_usaas_scheduler
-  test_usaas_fair_queue
-  test_usaas_http_listener
-  test_fault_injection
-  test_telemetry
-  test_usaas_tracing
-  test_nlp_differential
-)
 
 echo "==> tier-1: configure + build (${JOBS} jobs)"
 cmake -B build -S . >/dev/null
@@ -93,14 +79,14 @@ ctest --test-dir build --output-on-failure -j "${JOBS}"
 
 echo "==> tsan: configure + build sanitize-labeled test targets"
 cmake -B build-tsan -S . -DUSAAS_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "${JOBS}" --target "${SANITIZE_TARGETS[@]}"
+cmake --build build-tsan -j "${JOBS}" --target sanitize_tests
 
 echo "==> tsan: ctest -L sanitize"
 ctest --test-dir build-tsan -L sanitize --output-on-failure -j "${JOBS}"
 
 echo "==> asan: configure + build sanitize-labeled test targets"
 cmake -B build-asan -S . -DUSAAS_SANITIZE=address >/dev/null
-cmake --build build-asan -j "${JOBS}" --target "${SANITIZE_TARGETS[@]}"
+cmake --build build-asan -j "${JOBS}" --target sanitize_tests
 
 echo "==> asan: ctest -L sanitize"
 ctest --test-dir build-asan -L sanitize --output-on-failure -j "${JOBS}"

@@ -100,6 +100,15 @@ Date Date::month_start() const { return Date(year_, month_, 1); }
 
 int Date::days_in_month() const { return days_in_month(year_, month_); }
 
+bool window_cuts_month(const std::optional<Date>& first,
+                       const std::optional<Date>& last, int mk) {
+  const bool first_cuts =
+      first && month_key(*first) == mk && first->day() > 1;
+  const bool last_cuts =
+      last && month_key(*last) == mk && last->day() < last->days_in_month();
+  return first_cuts || last_cuts;
+}
+
 std::int64_t Date::days_until(const Date& other) const {
   return other.days_since_epoch() - days_since_epoch();
 }

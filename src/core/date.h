@@ -9,6 +9,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace usaas::core {
@@ -88,6 +89,16 @@ class Date {
 [[nodiscard]] inline int month_key(const Date& d) {
   return d.year() * 12 + (d.month() - 1);
 }
+
+/// True when the inclusive window [first, last] covers month `mk`
+/// (month_key units) only in part: `first` falls inside the month after
+/// its 1st, or `last` before its final day. An unset bound never cuts. A
+/// whole-covered month can be answered from per-month pre-aggregates; a
+/// cut one needs per-record date checks. The one rule session shards,
+/// post shards and the admission cost estimate all apply.
+[[nodiscard]] bool window_cuts_month(const std::optional<Date>& first,
+                                     const std::optional<Date>& last,
+                                     int mk);
 
 /// Iterates [first, last] inclusive, calling fn(Date) once per day.
 template <typename Fn>

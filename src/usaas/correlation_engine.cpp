@@ -30,8 +30,8 @@ using core::month_key;
 // Two-phase columnar scan kernels.
 //
 // Phase 1 (selection) compiles the residual predicates shard pruning could
-// not discharge — date window, platform, access — into branchless compares
-// over the day-key / platform / access columns and emits the matching row
+// not discharge — date window, access — into branchless compares over the
+// day-key / access columns and emits the matching row
 // indices. Optional refines preserve the row scan's predicate order: the
 // opaque ParticipantFilter runs on materialized rows *after* the structural
 // predicates and *before* the confounder control check, exactly as
@@ -47,23 +47,21 @@ constexpr std::int32_t kDayMin = std::numeric_limits<std::int32_t>::min();
 constexpr std::int32_t kDayMax = std::numeric_limits<std::int32_t>::max();
 
 /// Residual per-row predicates, wildcarded so the selection loop runs all
-/// four compares unconditionally: an unchecked bound widens to +-inf and an
-/// unchecked equality OR-s with its `*_any` flag.
+/// three compares unconditionally: an unchecked bound widens to +-inf and
+/// an unchecked equality OR-s with its `*_any` flag. (Platform never needs
+/// a residual: every shard holds one platform.)
 struct Residual {
   std::int32_t day_lo{kDayMin};
   std::int32_t day_hi{kDayMax};
-  std::uint8_t platform{0};
-  std::uint8_t platform_any{1};
   std::uint8_t access{0};
   std::uint8_t access_any{1};
 
   [[nodiscard]] bool none() const {
-    return day_lo == kDayMin && day_hi == kDayMax && platform_any != 0 &&
-           access_any != 0;
+    return day_lo == kDayMin && day_hi == kDayMax && access_any != 0;
   }
 };
 
-[[nodiscard]] Residual make_residual(bool check_dates, bool check_platform,
+[[nodiscard]] Residual make_residual(bool check_dates,
                                      const ShardSelector& selector) {
   Residual p;
   if (check_dates) {
@@ -71,10 +69,6 @@ struct Residual {
     // becomes two integer compares.
     if (selector.first) p.day_lo = SessionColumns::pack_day_key(*selector.first);
     if (selector.last) p.day_hi = SessionColumns::pack_day_key(*selector.last);
-  }
-  if (check_platform) {
-    p.platform = static_cast<std::uint8_t>(*selector.platform);
-    p.platform_any = 0;
   }
   if (selector.access) {
     p.access = static_cast<std::uint8_t>(*selector.access);
@@ -99,20 +93,29 @@ struct ScanSet {
   const std::size_t n = cols.size();
   scratch.resize(n);
   const std::int32_t* day = cols.day_key.data();
-  const std::uint8_t* plat = cols.platform.data();
   const std::uint8_t* acc = cols.access.data();
   std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned keep =
         static_cast<unsigned>(day[i] >= p.day_lo) &
         static_cast<unsigned>(day[i] <= p.day_hi) &
-        (static_cast<unsigned>(plat[i] == p.platform) | p.platform_any) &
         (static_cast<unsigned>(acc[i] == p.access) | p.access_any);
     scratch[m] = static_cast<std::uint32_t>(i);
     m += keep;
   }
   scratch.resize(m);
   return {scratch.data(), m};
+}
+
+/// Calls f(row) for every row of `set`, in order: dense over [0, n) for
+/// the identity set, through the index vector otherwise.
+template <typename F>
+void for_each_row(ScanSet set, F&& f) {
+  if (set.idx == nullptr) {
+    for (std::size_t r = 0; r < set.n; ++r) f(r);
+    return;
+  }
+  for (std::size_t j = 0; j < set.n; ++j) f(set.idx[j]);
 }
 
 /// Compacts `in` down to the rows where `keep(row)` holds. `in.idx` may
@@ -179,13 +182,12 @@ struct ControlColumns {
                                        : cols.mean_column(metric);
 }
 
-/// Runs selection + the optional filter/control refines for one shard:
-/// the shared phase-1 front half of every sweep-shaped scan.
-[[nodiscard]] ScanSet select_sweep_rows(const SessionColumns& cols,
-                                        const Residual& res,
-                                        const ParticipantFilter& filter,
-                                        const SweepSpec& spec,
-                                        std::vector<std::uint32_t>& scratch) {
+/// Runs structural selection + the optional opaque-filter refine for one
+/// shard: the phase-1 front half every scan shares.
+[[nodiscard]] ScanSet select_rows(const SessionColumns& cols,
+                                  const Residual& res,
+                                  const ParticipantFilter& filter,
+                                  ShardScratch& scratch) {
   ScanSet set{nullptr, cols.size()};
   if (!res.none()) set = select_structural(cols, res, scratch);
   if (filter) {
@@ -194,6 +196,17 @@ struct ControlColumns {
     set = refine(set, scratch,
                  [&](std::size_t r) { return filter(cols.record(r)); });
   }
+  return set;
+}
+
+/// select_rows plus the confounder-control refine: the phase-1 front half
+/// of every sweep-shaped scan.
+[[nodiscard]] ScanSet select_sweep_rows(const SessionColumns& cols,
+                                        const Residual& res,
+                                        const ParticipantFilter& filter,
+                                        const SweepSpec& spec,
+                                        ShardScratch& scratch) {
+  ScanSet set = select_rows(cols, res, filter, scratch);
   if (spec.control_others) {
     const ControlColumns cc =
         make_control_columns(cols, spec.metric, spec.control, spec.aggregate);
@@ -214,21 +227,32 @@ struct ControlColumns {
 /// `n_y`. The binners share one layout, so the index is valid for all.
 void accumulate_sweep(core::Binner1D* binners, const double* x,
                       const double* const* y, std::size_t n_y, ScanSet set) {
-  const auto add_row = [&](std::size_t r) {
+  for_each_row(set, [&](std::size_t r) {
     const std::size_t bin = binners[0].bin_index(x[r]);
     if (bin == core::Binner1D::kNoBin) return;
     for (std::size_t k = 0; k < n_y; ++k) binners[k].add_to_bin(bin, y[k][r]);
-  };
-  if (set.idx == nullptr) {
-    for (std::size_t r = 0; r < set.n; ++r) add_row(r);
-    return;
-  }
-  for (std::size_t j = 0; j < set.n; ++j) add_row(set.idx[j]);
+  });
 }
 
 constexpr EngagementMetric kAllEngagements[] = {EngagementMetric::kPresence,
                                                 EngagementMetric::kCamOn,
                                                 EngagementMetric::kMicOn};
+
+/// A merged binner's populated bins as curve points.
+[[nodiscard]] std::vector<CurvePoint> curve_points(const core::Binner1D& b) {
+  std::vector<CurvePoint> out;
+  for (const core::Bin& bin : b.bins()) {
+    out.push_back({bin.center(), bin.mean_y, bin.count});
+  }
+  return out;
+}
+
+/// The packed shard key pass 1 counts on: month_key * kNumPlatforms +
+/// platform. Packing preserves (month_key, platform) lexicographic order.
+[[nodiscard]] int shard_key(const core::Date& date,
+                            confsim::Platform platform) {
+  return month_key(date) * confsim::kNumPlatforms + static_cast<int>(platform);
+}
 
 }  // namespace
 
@@ -247,12 +271,6 @@ EngagementCurve EngagementCurve::normalized() const {
   if (best <= 0.0) return out;
   for (CurvePoint& p : out.points) p.engagement = 100.0 * p.engagement / best;
   return out;
-}
-
-int CorrelationEngine::packed_key(const core::Date& date,
-                                  confsim::Platform platform) const {
-  if (sharding_ == ShardingPolicy::kSingleShard) return 0;
-  return month_key(date) * confsim::kNumPlatforms + static_cast<int>(platform);
 }
 
 void CorrelationEngine::set_telemetry(core::telemetry::Registry* registry,
@@ -293,19 +311,14 @@ void CorrelationEngine::set_telemetry(core::telemetry::Registry* registry,
 
 void CorrelationEngine::register_shard_touches(SessionShard& shard) {
   if (registry_ == nullptr || !registry_->enabled()) return;
-  std::string label;
-  if (sharding_ == ShardingPolicy::kSingleShard) {
-    label = "flat";
-  } else {
-    // Floored decode so pre-epoch (negative) month keys render sanely.
-    const int mk = shard.month_key;
-    const int year = (mk >= 0 ? mk : mk - 11) / 12;
-    const int month = mk - year * 12 + 1;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%04d-%02d/", year, month);
-    label = buf;
-    label += confsim::to_string(shard.platform);
-  }
+  // Floored decode so pre-epoch (negative) month keys render sanely.
+  const int mk = shard.month_key;
+  const int year = (mk >= 0 ? mk : mk - 11) / 12;
+  const int month = mk - year * 12 + 1;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%04d-%02d/", year, month);
+  std::string label = buf;
+  label += confsim::to_string(shard.platform);
   const auto touch = [&](const char* source) {
     return registry_->counter(
         "usaas_shard_touches_total",
@@ -316,18 +329,6 @@ void CorrelationEngine::register_shard_touches(SessionShard& shard) {
   };
   shard.summary_touches = touch("summary");
   shard.scan_touches = touch("scan");
-}
-
-void CorrelationEngine::note_shard_touches(
-    const std::vector<SelectedShard>& selected,
-    const std::vector<char>& use_summary, std::uint64_t n_summary,
-    QueryFanoutStats* out, std::uint64_t visits) const {
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    (use_summary[i] ? selected[i].shard->summary_touches
-                    : selected[i].shard->scan_touches)
-        .add(visits);
-  }
-  note_fanout(visits * n_summary, visits * (selected.size() - n_summary), out);
 }
 
 CorrelationEngine::MosMemo& CorrelationEngine::MosMemo::operator=(
@@ -351,7 +352,7 @@ CorrelationEngine::SessionShard& CorrelationEngine::shard_for_key(int key) {
   const auto [it, inserted] = shard_index_.try_emplace(key, shards_.size());
   if (inserted) {
     // Unpack with floored semantics so pre-epoch month keys (negative)
-    // still round-trip; under kSingleShard the key is the constant 0.
+    // still round-trip.
     const int platform_idx =
         ((key % confsim::kNumPlatforms) + confsim::kNumPlatforms) %
         confsim::kNumPlatforms;
@@ -365,34 +366,8 @@ CorrelationEngine::SessionShard& CorrelationEngine::shard_for_key(int key) {
   return shards_[it->second];
 }
 
-CorrelationEngine::SessionShard& CorrelationEngine::shard_for(
-    const core::Date& date, confsim::Platform platform) {
-  return shard_for_key(packed_key(date, platform));
-}
-
-void CorrelationEngine::append(SessionShard& shard, const core::Date& date,
-                               const confsim::ParticipantRecord& rec) {
-  shard.columns.append(date, rec);
-  shard.summary.fold(rec);
-}
-
-void CorrelationEngine::ingest(const confsim::CallRecord& call) {
-  predicted_fresh_ = false;
-  mos_memo_.clear();
-  for (const auto& p : call.participants) {
-    append(shard_for(call.start.date, p.platform), call.start.date, p);
-  }
-  ingest_stats_.records += call.participants.size();
-  ingest_stats_.bytes_moved +=
-      call.participants.size() * SessionColumns::bytes_per_row();
-}
-
 void CorrelationEngine::ingest(std::span<const confsim::CallRecord> calls) {
   if (calls.empty()) return;
-  if (calls.size() == 1) {  // the two-pass machinery isn't worth one call
-    ingest(calls.front());
-    return;
-  }
   predicted_fresh_ = false;
   mos_memo_.clear();
   const auto t0 = std::chrono::steady_clock::now();
@@ -422,7 +397,7 @@ void CorrelationEngine::ingest(std::span<const confsim::CallRecord> calls) {
       for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
         const core::Date date = calls[i].start.date;
         for (const auto& p : calls[i].participants) {
-          local.add(packed_key(date, p.platform));
+          local.add(shard_key(date, p.platform));
         }
       }
     }
@@ -481,7 +456,7 @@ void CorrelationEngine::ingest(std::span<const confsim::CallRecord> calls) {
         const std::int32_t day = SessionColumns::pack_day_key(date);
         for (const auto& p : calls[i].participants) {
           const auto k = static_cast<std::size_t>(
-              packed_key(date, p.platform) - plan.min_key);
+              shard_key(date, p.platform) - plan.min_key);
           perm[batch_offsets[k] + cursor[k]++] = {&p, day};
         }
       }
@@ -658,42 +633,50 @@ void CorrelationEngine::refresh_predicted_tallies(
   predicted_fresh_ = static_cast<bool>(predictor);
 }
 
-std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::select_shards(
-    const ShardSelector& selector) const {
-  std::vector<SelectedShard> out;
-  out.reserve(shards_.size());
+std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::plan_fanout(
+    const ShardSelector& selector, bool summary_capable,
+    QueryFanoutStats* fanout, std::uint64_t visits) const {
+  std::vector<SelectedShard> plan;
+  plan.reserve(shards_.size());
+  std::uint64_t n_summary = 0;
   for (const auto& [key, idx] : shard_index_) {
     const SessionShard& shard = shards_[idx];
+    if (selector.platform && shard.platform != *selector.platform) continue;
+    if (selector.first && shard.month_key < month_key(*selector.first)) {
+      continue;
+    }
+    if (selector.last && shard.month_key > month_key(*selector.last)) {
+      continue;
+    }
+    // Only a boundary month the window actually cuts into needs per-record
+    // date checks; a whole-covered month stays summary-answerable.
     SelectedShard sel;
     sel.shard = &shard;
-    if (sharding_ == ShardingPolicy::kSingleShard) {
-      sel.check_dates = selector.first.has_value() || selector.last.has_value();
-      sel.check_platform = selector.platform.has_value();
-    } else {
-      if (selector.platform && shard.platform != *selector.platform) continue;
-      if (selector.first && shard.month_key < month_key(*selector.first)) {
-        continue;
-      }
-      if (selector.last && shard.month_key > month_key(*selector.last)) {
-        continue;
-      }
-      // Only window-boundary months whose boundary actually cuts into the
-      // month still need per-record date checks: a window starting on the
-      // 1st (or ending on the last day) covers its boundary month whole,
-      // so the shard stays summary-answerable.
-      const bool first_cuts =
-          selector.first && month_key(*selector.first) == shard.month_key &&
-          selector.first->day() > 1;
-      const bool last_cuts =
-          selector.last && month_key(*selector.last) == shard.month_key &&
-          selector.last->day() <
-              core::Date::days_in_month(selector.last->year(),
-                                        selector.last->month());
-      sel.check_dates = first_cuts || last_cuts;
-    }
-    out.push_back(sel);
+    sel.check_dates =
+        core::window_cuts_month(selector.first, selector.last, shard.month_key);
+    sel.use_summary =
+        summary_capable && !sel.check_dates && shard.summary.enabled();
+    n_summary += sel.use_summary ? 1 : 0;
+    (sel.use_summary ? shard.summary_touches : shard.scan_touches).add(visits);
+    plan.push_back(sel);
   }
-  return out;
+  note_fanout(visits * n_summary, visits * (plan.size() - n_summary), fanout);
+  return plan;
+}
+
+template <typename Init, typename Fill>
+auto CorrelationEngine::fan_out(const std::vector<SelectedShard>& plan,
+                                const Init& init, const Fill& fill,
+                                const CancelProbe& cancelled) const
+    -> std::vector<decltype(init())> {
+  std::vector<decltype(init())> partials;
+  partials.reserve(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) partials.push_back(init());
+  for_each_shard(pool_, plan.size(), cancelled,
+                 [&](std::size_t i, ShardScratch& scratch) {
+                   fill(plan[i], partials[i], scratch);
+                 });
+  return partials;
 }
 
 EngagementCurve CorrelationEngine::engagement_curve(
@@ -717,7 +700,6 @@ std::vector<EngagementCurve> CorrelationEngine::sweep_engagement(
     const SweepSpec& spec, std::span<const EngagementMetric> metrics,
     const ParticipantFilter& filter, const ShardSelector& selector,
     QueryFanoutStats* fanout, const CancelProbe& cancelled) const {
-  const auto selected = select_shards(selector);
   // Summary fast path: the query shape must match a precomputed axis
   // exactly (metric/lo/hi/bins, mean aggregate, no confounder filter, no
   // opaque row filter) — then each shard whose pruning is fully
@@ -734,70 +716,48 @@ std::vector<EngagementCurve> CorrelationEngine::sweep_engagement(
       }
     }
   }
-  std::vector<char> use_summary(selected.size(), 0);
-  std::uint64_t n_summary = 0;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    const SelectedShard& sel = selected[i];
-    use_summary[i] = axis && !sel.check_dates && !sel.check_platform &&
-                     sel.shard->summary.enabled();
-    n_summary += use_summary[i] ? 1 : 0;
-  }
   const std::size_t n_metrics = metrics.size();
-  note_shard_touches(selected, use_summary, n_summary, fanout, n_metrics);
-
-  // Shard i's binner for metrics[k] is partials[i * n_metrics + k].
-  std::vector<core::Binner1D> partials;
-  partials.reserve(selected.size() * n_metrics);
-  for (std::size_t i = 0; i < selected.size() * n_metrics; ++i) {
-    partials.emplace_back(spec.lo, spec.hi, spec.bins);
-  }
-  std::atomic<bool> stop{false};
-  core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    std::vector<std::uint32_t> scratch;
-    for (std::size_t i = b; i < e; ++i) {
-      if (cancelled) {
-        if (stop.load(std::memory_order_relaxed)) break;
-        if (cancelled()) {
-          stop.store(true, std::memory_order_relaxed);
-          break;
+  const auto plan =
+      plan_fanout(selector, axis.has_value(), fanout, n_metrics);
+  // Each shard's partial holds one binner per requested metric.
+  const auto partials = fan_out(
+      plan,
+      [&] {
+        return std::vector<core::Binner1D>(
+            n_metrics, core::Binner1D{spec.lo, spec.hi, spec.bins});
+      },
+      [&](const SelectedShard& sel, std::vector<core::Binner1D>& binners,
+          ShardScratch& scratch) {
+        if (sel.use_summary) {
+          for (std::size_t k = 0; k < n_metrics; ++k) {
+            sel.shard->summary.add_curve_to(binners[k], *axis, metrics[k],
+                                            selector.access);
+          }
+          return;
         }
-      }
-      const SelectedShard& sel = selected[i];
-      core::Binner1D* binners = &partials[i * n_metrics];
-      if (use_summary[i]) {
+        const SessionColumns& cols = sel.shard->columns;
+        const ScanSet set = select_sweep_rows(
+            cols, make_residual(sel.check_dates, selector), filter, spec,
+            scratch);
+        std::array<const double*, kNumEngagementMetrics> y{};
         for (std::size_t k = 0; k < n_metrics; ++k) {
-          sel.shard->summary.add_curve_to(binners[k], *axis, metrics[k],
-                                          selector.access);
+          y[k] = cols.engagement_column(metrics[k]);
         }
-        continue;
-      }
-      const SessionColumns& cols = sel.shard->columns;
-      const Residual res =
-          make_residual(sel.check_dates, sel.check_platform, selector);
-      const ScanSet set =
-          select_sweep_rows(cols, res, filter, spec, scratch);
-      std::array<const double*, kNumEngagementMetrics> y{};
-      for (std::size_t k = 0; k < n_metrics; ++k) {
-        y[k] = cols.engagement_column(metrics[k]);
-      }
-      accumulate_sweep(binners,
-                       sweep_column(cols, spec.metric, spec.aggregate),
-                       y.data(), n_metrics, set);
-    }
-  });
+        accumulate_sweep(binners.data(),
+                         sweep_column(cols, spec.metric, spec.aggregate),
+                         y.data(), n_metrics, set);
+      },
+      cancelled);
 
   std::vector<EngagementCurve> curves(n_metrics);
   for (std::size_t k = 0; k < n_metrics; ++k) {
     core::Binner1D total{spec.lo, spec.hi, spec.bins};
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      total.merge(partials[i * n_metrics + k]);
+    for (const std::vector<core::Binner1D>& part : partials) {
+      total.merge(part[k]);
     }
-    EngagementCurve& curve = curves[k];
-    curve.network_metric = spec.metric;
-    curve.engagement_metric = metrics[k];
-    for (const core::Bin& b : total.bins()) {
-      curve.points.push_back({b.center(), b.mean_y, b.count});
-    }
+    curves[k].network_metric = spec.metric;
+    curves[k].engagement_metric = metrics[k];
+    curves[k].points = curve_points(total);
   }
   return curves;
 }
@@ -805,46 +765,26 @@ std::vector<EngagementCurve> CorrelationEngine::sweep_engagement(
 std::vector<CurvePoint> CorrelationEngine::dropoff_curve(
     const SweepSpec& spec, const ParticipantFilter& filter,
     const ShardSelector& selector) const {
-  const auto selected = select_shards(selector);
-  std::vector<core::Binner1D> partials;
-  partials.reserve(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    partials.emplace_back(spec.lo, spec.hi, spec.bins);
-  }
-  core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    std::vector<std::uint32_t> scratch;
-    for (std::size_t i = b; i < e; ++i) {
-      const SelectedShard& sel = selected[i];
-      core::Binner1D& binner = partials[i];
-      const SessionColumns& cols = sel.shard->columns;
-      const Residual res =
-          make_residual(sel.check_dates, sel.check_platform, selector);
-      const ScanSet set =
-          select_sweep_rows(cols, res, filter, spec, scratch);
-      // y is the 0/1 early-drop byte widened to double — exactly the
-      // `dropped_early ? 1.0 : 0.0` the row scan fed the binner.
-      const double* x = sweep_column(cols, spec.metric, spec.aggregate);
-      const std::uint8_t* dropped = cols.dropped_early.data();
-      if (set.idx == nullptr) {
-        for (std::size_t r = 0; r < set.n; ++r) {
+  const auto plan = plan_fanout(selector, /*summary_capable=*/false, nullptr);
+  const auto partials = fan_out(
+      plan, [&] { return core::Binner1D{spec.lo, spec.hi, spec.bins}; },
+      [&](const SelectedShard& sel, core::Binner1D& binner,
+          ShardScratch& scratch) {
+        const SessionColumns& cols = sel.shard->columns;
+        const ScanSet set = select_sweep_rows(
+            cols, make_residual(sel.check_dates, selector), filter, spec,
+            scratch);
+        // y is the 0/1 early-drop byte widened to double — exactly the
+        // `dropped_early ? 1.0 : 0.0` the row scan fed the binner.
+        const double* x = sweep_column(cols, spec.metric, spec.aggregate);
+        const std::uint8_t* dropped = cols.dropped_early.data();
+        for_each_row(set, [&](std::size_t r) {
           binner.add(x[r], static_cast<double>(dropped[r]));
-        }
-      } else {
-        for (std::size_t j = 0; j < set.n; ++j) {
-          const std::uint32_t r = set.idx[j];
-          binner.add(x[r], static_cast<double>(dropped[r]));
-        }
-      }
-    }
-  });
+        });
+      });
   core::Binner1D total{spec.lo, spec.hi, spec.bins};
   for (const core::Binner1D& p : partials) total.merge(p);
-
-  std::vector<CurvePoint> out;
-  for (const core::Bin& b : total.bins()) {
-    out.push_back({b.center(), b.mean_y, b.count});
-  }
-  return out;
+  return curve_points(total);
 }
 
 core::Grid2D CorrelationEngine::compounding_grid(EngagementMetric engagement,
@@ -852,46 +792,34 @@ core::Grid2D CorrelationEngine::compounding_grid(EngagementMetric engagement,
                                                  std::size_t lat_bins,
                                                  double loss_hi_pct,
                                                  std::size_t loss_bins) const {
-  const auto selected = select_shards({});
   // Summary fast path: when the requested grid layout matches the
   // configured one, merge each shard's precomputed grid (same per-record
   // add sequence as the scan — bit-identical).
   const SummaryGrid wanted{latency_hi_ms, lat_bins, loss_hi_pct, loss_bins};
-  const bool summary_capable =
-      summary_cfg_.has_value() && wanted == summary_cfg_->grid;
-  std::vector<char> use_summary(selected.size(), 0);
-  std::uint64_t n_summary = 0;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    use_summary[i] = summary_capable && selected[i].shard->summary.enabled();
-    n_summary += use_summary[i] ? 1 : 0;
-  }
-  note_shard_touches(selected, use_summary, n_summary, nullptr);
-  std::vector<core::Grid2D> partials;
-  partials.reserve(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    partials.emplace_back(0.0, latency_hi_ms, lat_bins, 0.0, loss_hi_pct,
-                          loss_bins);
-  }
-  core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      core::Grid2D& grid = partials[i];
-      if (use_summary[i] &&
-          selected[i].shard->summary.add_grid_to(grid, engagement, wanted)) {
-        continue;
-      }
-      // Dense three-column kernel: compounding_grid takes no selector or
-      // filter, so there is no selection phase at all.
-      const SessionColumns& cols = selected[i].shard->columns;
-      const double* lat = cols.latency_mean.data();
-      const double* loss = cols.loss_mean.data();
-      const double* eng = cols.engagement_column(engagement);
-      for (std::size_t r = 0; r < cols.size(); ++r) {
-        grid.add(lat[r], loss[r], eng[r]);
-      }
-    }
-  });
-  core::Grid2D total{0.0, latency_hi_ms, lat_bins, 0.0, loss_hi_pct,
-                     loss_bins};
+  const auto plan = plan_fanout(
+      {}, summary_cfg_.has_value() && wanted == summary_cfg_->grid, nullptr);
+  const auto make_grid = [&] {
+    return core::Grid2D{0.0, latency_hi_ms, lat_bins,
+                        0.0, loss_hi_pct,   loss_bins};
+  };
+  const auto partials = fan_out(
+      plan, make_grid,
+      [&](const SelectedShard& sel, core::Grid2D& grid, ShardScratch&) {
+        if (sel.use_summary &&
+            sel.shard->summary.add_grid_to(grid, engagement, wanted)) {
+          return;
+        }
+        // Dense three-column kernel: compounding_grid takes no selector or
+        // filter, so there is no selection phase at all.
+        const SessionColumns& cols = sel.shard->columns;
+        const double* lat = cols.latency_mean.data();
+        const double* loss = cols.loss_mean.data();
+        const double* eng = cols.engagement_column(engagement);
+        for (std::size_t r = 0; r < cols.size(); ++r) {
+          grid.add(lat[r], loss[r], eng[r]);
+        }
+      });
+  core::Grid2D total = make_grid();
   for (const core::Grid2D& p : partials) total.merge(p);
   return total;
 }
@@ -900,17 +828,10 @@ std::optional<CorrelationEngine::MosCorrelation>
 CorrelationEngine::mos_correlation(EngagementMetric engagement,
                                    std::size_t min_samples,
                                    QueryFanoutStats* fanout) const {
-  const auto selected = select_shards({});
-  std::vector<char> use_summary(selected.size(), 0);
-  std::uint64_t n_summary = 0;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    use_summary[i] = summary_cfg_.has_value() &&
-                     selected[i].shard->summary.enabled();
-    n_summary += use_summary[i] ? 1 : 0;
-  }
-  // Counted on hits too: the per-query fan-out report and the per-shard
-  // touch counters describe the answer's data lineage, not the work done.
-  note_shard_touches(selected, use_summary, n_summary, fanout);
+  // Planned (and counted) on hits too: the per-query fan-out report and
+  // the per-shard touch counters describe the answer's data lineage, not
+  // the work done.
+  const auto plan = plan_fanout({}, summary_cfg_.has_value(), fanout);
 
   // The answer depends on the corpus alone (no selector, min_samples is
   // applied below), so it is computed once per corpus state.
@@ -922,7 +843,7 @@ CorrelationEngine::mos_correlation(EngagementMetric engagement,
     if (mos_memo_.ready[slot].load(std::memory_order_relaxed)) {
       mos_memo_hits_.add();
     } else {
-      mos_memo_.value[slot] = correlate_rated(selected, use_summary, engagement);
+      mos_memo_.value[slot] = correlate_rated(plan, engagement);
       mos_memo_.ready[slot].store(true, std::memory_order_release);
       mos_memo_misses_.add();
     }
@@ -937,40 +858,38 @@ CorrelationEngine::mos_correlation(EngagementMetric engagement,
 }
 
 CorrelationEngine::MosCorrelation CorrelationEngine::correlate_rated(
-    const std::vector<SelectedShard>& selected,
-    const std::vector<char>& use_summary, EngagementMetric engagement) const {
+    const std::vector<SelectedShard>& plan,
+    EngagementMetric engagement) const {
   struct Rated {
     std::vector<double> eng;
     std::vector<double> mos;
   };
-  std::vector<Rated> partials(selected.size());
-  // Summary fast path: each summary keeps its shard's rated sessions as
-  // (engagement, MOS) samples in ingest order — the gather below replays
-  // the scan's exact sequence, so downstream stats are bit-identical.
   const auto eng_idx = static_cast<std::size_t>(engagement);
-  core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Rated& part = partials[i];
-      if (use_summary[i]) {
-        for (const RatedSample& s : selected[i].shard->summary.rated()) {
-          part.eng.push_back(s.engagement[eng_idx]);
-          part.mos.push_back(s.mos);
+  const auto partials = fan_out(
+      plan, [] { return Rated{}; },
+      [&](const SelectedShard& sel, Rated& part, ShardScratch&) {
+        if (sel.use_summary) {
+          // Each summary keeps its shard's rated sessions as (engagement,
+          // MOS) samples in ingest order — replaying the scan's exact
+          // sequence, so downstream stats are bit-identical.
+          for (const RatedSample& s : sel.shard->summary.rated()) {
+            part.eng.push_back(s.engagement[eng_idx]);
+            part.mos.push_back(s.mos);
+          }
+          return;
         }
-        continue;
-      }
-      // Columnar gather over the validity mask: three columns touched
-      // (~17 bytes/row) instead of the full record.
-      const SessionColumns& cols = selected[i].shard->columns;
-      const std::uint8_t* valid = cols.mos_valid.data();
-      const double* eng = cols.engagement_column(engagement);
-      const double* mos = cols.mos.data();
-      for (std::size_t r = 0; r < cols.size(); ++r) {
-        if (valid[r] == 0) continue;
-        part.eng.push_back(eng[r]);
-        part.mos.push_back(mos[r]);
-      }
-    }
-  });
+        // Columnar gather over the validity mask: three columns touched
+        // (~17 bytes/row) instead of the full record.
+        const SessionColumns& cols = sel.shard->columns;
+        const std::uint8_t* valid = cols.mos_valid.data();
+        const double* eng = cols.engagement_column(engagement);
+        const double* mos = cols.mos.data();
+        for (std::size_t r = 0; r < cols.size(); ++r) {
+          if (valid[r] == 0) continue;
+          part.eng.push_back(eng[r]);
+          part.mos.push_back(mos[r]);
+        }
+      });
   std::vector<double> eng;
   std::vector<double> mos;
   for (const Rated& part : partials) {
@@ -1015,71 +934,47 @@ CorrelationEngine::Tally CorrelationEngine::tally(
     const ParticipantFilter& filter, const ShardSelector& selector,
     const std::function<double(const confsim::ParticipantRecord&)>& predictor,
     QueryFanoutStats* fanout) const {
-  const auto selected = select_shards(selector);
   // Summary fast path: counts and MOS sums live pre-accumulated per shard
   // (whole-shard and per-access buckets, both in ingest order — identical
   // add sequence to the scan). Predicted sums are only usable while
   // they're fresh for the caller's predictor (refresh_predicted_tallies).
   const bool summary_capable =
       summary_cfg_.has_value() && !filter && (!predictor || predicted_fresh_);
-  std::vector<char> use_summary(selected.size(), 0);
-  std::uint64_t n_summary = 0;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    const SelectedShard& sel = selected[i];
-    use_summary[i] = summary_capable && !sel.check_dates &&
-                     !sel.check_platform && sel.shard->summary.enabled();
-    n_summary += use_summary[i] ? 1 : 0;
-  }
-  note_shard_touches(selected, use_summary, n_summary, fanout);
-  std::vector<Tally> partials(selected.size());
-  core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    std::vector<std::uint32_t> scratch;
-    for (std::size_t i = b; i < e; ++i) {
-      const SelectedShard& sel = selected[i];
-      Tally& part = partials[i];
-      if (use_summary[i]) {
-        const SummaryTally& st = sel.shard->summary.tally(selector.access);
-        part.sessions += st.sessions;
-        part.rated += st.rated;
-        part.observed_mos_sum += st.observed_mos_sum;
-        if (predictor) {
-          part.predicted_mos_sum += st.predicted_mos_sum;
-          part.predicted += st.predicted;
+  const auto plan = plan_fanout(selector, summary_capable, fanout);
+  const auto partials = fan_out(
+      plan, [] { return Tally{}; },
+      [&](const SelectedShard& sel, Tally& part, ShardScratch& scratch) {
+        if (sel.use_summary) {
+          const SummaryTally& st = sel.shard->summary.tally(selector.access);
+          part.sessions += st.sessions;
+          part.rated += st.rated;
+          part.observed_mos_sum += st.observed_mos_sum;
+          if (predictor) {
+            part.predicted_mos_sum += st.predicted_mos_sum;
+            part.predicted += st.predicted;
+          }
+          return;
         }
-        continue;
-      }
-      const SessionColumns& cols = sel.shard->columns;
-      const Residual res =
-          make_residual(sel.check_dates, sel.check_platform, selector);
-      ScanSet set{nullptr, cols.size()};
-      if (!res.none()) set = select_structural(cols, res, scratch);
-      if (filter) {
-        set = refine(set, scratch,
-                     [&](std::size_t r) { return filter(cols.record(r)); });
-      }
-      const std::uint8_t* valid = cols.mos_valid.data();
-      const double* mos = cols.mos.data();
-      // The row scan's per-record accumulators are independent, so the
-      // split over selected rows below replays each one's add sequence
-      // exactly (same rows, same order).
-      const auto tally_row = [&](std::size_t r) {
-        ++part.sessions;
-        if (valid[r] != 0) {
-          part.observed_mos_sum += mos[r];
-          ++part.rated;
-        }
-        if (predictor) {
-          part.predicted_mos_sum += predictor(cols.record(r));
-          ++part.predicted;
-        }
-      };
-      if (set.idx == nullptr) {
-        for (std::size_t r = 0; r < set.n; ++r) tally_row(r);
-      } else {
-        for (std::size_t j = 0; j < set.n; ++j) tally_row(set.idx[j]);
-      }
-    }
-  });
+        const SessionColumns& cols = sel.shard->columns;
+        const ScanSet set = select_rows(
+            cols, make_residual(sel.check_dates, selector), filter, scratch);
+        const std::uint8_t* valid = cols.mos_valid.data();
+        const double* mos = cols.mos.data();
+        // The row scan's per-record accumulators are independent, so the
+        // split over selected rows below replays each one's add sequence
+        // exactly (same rows, same order).
+        for_each_row(set, [&](std::size_t r) {
+          ++part.sessions;
+          if (valid[r] != 0) {
+            part.observed_mos_sum += mos[r];
+            ++part.rated;
+          }
+          if (predictor) {
+            part.predicted_mos_sum += predictor(cols.record(r));
+            ++part.predicted;
+          }
+        });
+      });
   Tally total;
   for (const Tally& part : partials) {
     total.sessions += part.sessions;
@@ -1106,46 +1001,12 @@ std::vector<confsim::ParticipantRecord> CorrelationEngine::sessions() const {
 std::vector<confsim::ParticipantRecord>
 CorrelationEngine::rated_sessions_canonical() const {
   std::vector<confsim::ParticipantRecord> out;
-  if (sharding_ == ShardingPolicy::kMonthPlatform) {
-    for (const auto& [key, idx] : shard_index_) {
-      const SessionColumns& cols = shards_[idx].columns;
-      const std::uint8_t* valid = cols.mos_valid.data();
-      for (std::size_t r = 0; r < cols.size(); ++r) {
-        if (valid[r] != 0) out.push_back(cols.record(r));
-      }
-    }
-    return out;
-  }
-  // Flat layout: stable-sort rated rows into the same (month, platform,
-  // ingest) order the sharded layout yields naturally. month_key falls
-  // straight out of the packed day key: year*12 + month - 1.
-  struct Keyed {
-    int month_key;
-    int platform;
-    std::size_t seq;
-  };
-  std::vector<Keyed> keys;
-  for (const SessionShard& shard : shards_) {
-    const SessionColumns& cols = shard.columns;
+  for (const auto& [key, idx] : shard_index_) {
+    const SessionColumns& cols = shards_[idx].columns;
     const std::uint8_t* valid = cols.mos_valid.data();
     for (std::size_t r = 0; r < cols.size(); ++r) {
-      if (valid[r] == 0) continue;
-      const std::int32_t day = cols.day_key[r];
-      keys.push_back({(day / 512) * 12 + ((day / 32) % 16) - 1,
-                      static_cast<int>(cols.platform[r]), r});
+      if (valid[r] != 0) out.push_back(cols.record(r));
     }
-  }
-  std::stable_sort(keys.begin(), keys.end(),
-                   [](const Keyed& a, const Keyed& b) {
-                     if (a.month_key != b.month_key) {
-                       return a.month_key < b.month_key;
-                     }
-                     return a.platform < b.platform;
-                   });
-  out.reserve(keys.size());
-  for (const Keyed& k : keys) {
-    // All rated rows live in the single flat shard under this policy.
-    out.push_back(shards_.front().columns.record(k.seq));
   }
   return out;
 }

@@ -16,11 +16,11 @@
 // partitioning of the paper's Jan-Apr corpus and Fig 3's platform
 // breakdown): ingest batches are partitioned in parallel, queries fan out
 // across the shards that survive date/platform pruning and reduce partial
-// accumulators (core::Binner1D/Grid2D merge) in shard-key order.
-// Every result is therefore deterministic and independent of the thread
-// count; versus a single flat store the only difference is floating-point
-// summation order (<= ~1e-12 relative). ShardingPolicy::kSingleShard keeps
-// the flat layout as the sequential reference path for equivalence tests.
+// accumulators (core::Binner1D/Grid2D merge) in shard-key order. Every
+// query runs the same skeleton — plan the shards and whether each answers
+// from its summary or a scan, fill one partial per shard in parallel,
+// merge in shard-key order — so every result is deterministic and
+// independent of the thread count.
 #pragma once
 
 #include <array>
@@ -94,19 +94,44 @@ using ParticipantFilter =
 /// (see CorrelationEngine::engagement_curves).
 using CancelProbe = std::function<bool()>;
 
-/// How ingested sessions are partitioned.
-enum class ShardingPolicy {
-  /// One flat shard, scanned sequentially — the seed's layout, kept as the
-  /// reference path for shard-equivalence tests.
-  kSingleShard,
-  /// Per-month x per-platform shards; queries prune on both axes.
-  kMonthPlatform,
-};
+/// Per-worker row-index scratch a shard scan selects into.
+using ShardScratch = std::vector<std::uint32_t>;
+
+/// The one cancellable per-shard loop behind every fan-out (the engine's
+/// and QueryService's social side): runs body(i, scratch) for each i in
+/// [0, n) across `pool`, with one scratch buffer per worker chunk.
+/// `cancelled`, when set, is polled once per shard; once a poll answers
+/// true a relaxed stop flag makes every worker skip the shards it has not
+/// started (the flag only widens, so relaxed suffices). Returns false when
+/// the loop was cancelled: the caller must then discard its partials.
+template <typename Body>
+bool for_each_shard(core::ThreadPool* pool, std::size_t n,
+                    const CancelProbe& cancelled, Body&& body) {
+  std::atomic<bool> stop{false};
+  core::parallel_for(pool, n, [&](std::size_t b, std::size_t e) {
+    ShardScratch scratch;
+    for (std::size_t i = b; i < e; ++i) {
+      if (cancelled) {
+        if (stop.load(std::memory_order_relaxed)) return;
+        if (cancelled()) {
+          stop.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+      body(i, scratch);
+    }
+  });
+  return !stop.load(std::memory_order_relaxed);
+}
+
+/// Kept for source compatibility only: month x platform is the one shard
+/// layout, so the tag selects nothing.
+enum class ShardingPolicy { kMonthPlatform };
 
 /// Shard-level pruning hints a query may carry. Dates are inclusive; any
 /// unset field means "no restriction". Pruning never changes results —
-/// the same predicate is re-applied per record where a shard straddles a
-/// window boundary (or under kSingleShard, where no pruning happens).
+/// the date predicate is re-applied per record where a shard straddles a
+/// window boundary; platform prunes whole shards.
 /// `access` is a pure per-record predicate; carrying it structurally
 /// (instead of inside an opaque ParticipantFilter) lets the summary fast
 /// path answer access-filtered queries from per-access buckets.
@@ -128,13 +153,13 @@ struct QueryFanoutStats {
 class CorrelationEngine {
  public:
   CorrelationEngine() = default;
-  explicit CorrelationEngine(ShardingPolicy sharding) : sharding_{sharding} {}
+  /// Same as the default constructor (see ShardingPolicy).
+  explicit CorrelationEngine(ShardingPolicy /*tag*/) {}
 
   /// Borrows a pool for parallel ingest + query fan-out; nullptr (the
   /// default) keeps everything on the calling thread. Results do not
   /// depend on the pool or its size.
   void set_thread_pool(core::ThreadPool* pool) { pool_ = pool; }
-  [[nodiscard]] ShardingPolicy sharding() const { return sharding_; }
 
   /// Registers this engine's batch-ingest phase histograms
   /// (`usaas_ingest_batch_seconds{corpus,phase}`), per-shard access
@@ -160,9 +185,9 @@ class CorrelationEngine {
   /// sequential ingest order by construction, at any thread count — and
   /// each record's fields are written to their columns exactly once.
   /// Counting and permutation scratch persists across batches (the plan
-  /// phase was dominated by allocation churn before it did).
+  /// phase was dominated by allocation churn before it did). A single
+  /// call is a batch of one: `ingest({&call, 1})`.
   void ingest(std::span<const confsim::CallRecord> calls);
-  void ingest(const confsim::CallRecord& call);
 
   [[nodiscard]] std::size_t session_count() const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -230,7 +255,9 @@ class CorrelationEngine {
       const ShardSelector& selector = {}, QueryFanoutStats* fanout = nullptr,
       const CancelProbe& cancelled = nullptr) const;
 
-  /// Early-drop-off rate (fraction) binned over one network metric.
+  /// Early-drop-off rate (fraction) binned over one network metric. Always
+  /// a scan (summaries keep no drop-off bins); visits count like any other
+  /// fan-out's.
   [[nodiscard]] std::vector<CurvePoint> dropoff_curve(
       const SweepSpec& spec, const ParticipantFilter& filter = nullptr,
       const ShardSelector& selector = {}) const;
@@ -278,15 +305,15 @@ class CorrelationEngine {
   /// methods above — this exists for offline analyses over modest corpora.
   [[nodiscard]] std::vector<confsim::ParticipantRecord> sessions() const;
 
-  /// Rated sessions in canonical (month, platform, ingest) order — the
-  /// same sequence under every ShardingPolicy, so predictor training is
-  /// bit-identical across layouts.
+  /// Rated sessions in canonical (month, platform, ingest) order — shard
+  /// key order, so predictor training is bit-identical at any thread
+  /// count and batch split.
   [[nodiscard]] std::vector<confsim::ParticipantRecord>
   rated_sessions_canonical() const;
 
  private:
   struct SessionShard {
-    int month_key{0};  // year*12 + month-1; 0 under kSingleShard
+    int month_key{0};  // year*12 + month-1
     confsim::Platform platform{confsim::Platform::kWindowsPc};
     /// Struct-of-arrays row storage: one contiguous column per field, so
     /// scan kernels touch only the columns a query names.
@@ -299,49 +326,51 @@ class CorrelationEngine {
     core::telemetry::Counter summary_touches;
     core::telemetry::Counter scan_touches;
   };
-  /// A shard surviving selector pruning, with the per-record checks that
-  /// pruning could not discharge at the shard level.
+  /// A shard surviving selector pruning: whether a window boundary cuts
+  /// into its month (per-record date checks), and whether the query
+  /// answers it from its summary instead of scanning its rows.
   struct SelectedShard {
     const SessionShard* shard{nullptr};
     bool check_dates{false};
-    bool check_platform{false};
+    bool use_summary{false};
   };
 
-  /// The packed shard key pass 1 counts on: month_key * kNumPlatforms +
-  /// platform under kMonthPlatform, the constant 0 under kSingleShard.
-  /// Packing preserves (month_key, platform) lexicographic order.
-  [[nodiscard]] int packed_key(const core::Date& date,
-                               confsim::Platform platform) const;
-  /// Finds or creates the shard for a packed key — shards are addressed
-  /// by key alone, never re-derived from record contents.
+  /// Finds or creates the shard for a packed (month_key, platform) key —
+  /// shards are addressed by key alone, never re-derived from records.
   SessionShard& shard_for_key(int key);
-  SessionShard& shard_for(const core::Date& date, confsim::Platform platform);
-  void append(SessionShard& shard, const core::Date& date,
-              const confsim::ParticipantRecord& rec);
-  [[nodiscard]] std::vector<SelectedShard> select_shards(
-      const ShardSelector& selector) const;
+  /// The fan-out planner every query method starts with: prunes shards on
+  /// `selector`'s window and platform, marks each one summary-answered
+  /// under the one rule `summary_capable && !check_dates &&
+  /// summary.enabled()`, bumps each shard's touch counter for its source,
+  /// and folds the totals into note_fanout. `visits` counts each shard
+  /// that many times (a fused sweep stands for several calls).
+  [[nodiscard]] std::vector<SelectedShard> plan_fanout(
+      const ShardSelector& selector, bool summary_capable,
+      QueryFanoutStats* fanout, std::uint64_t visits = 1) const;
+  /// The fan-out skeleton: one `init()` partial per planned shard, filled
+  /// by fill(shard, partial, scratch) in parallel through for_each_shard
+  /// (`cancelled` polled per shard). Callers merge the partials in plan
+  /// order, which is shard-key order.
+  template <typename Init, typename Fill>
+  [[nodiscard]] auto fan_out(const std::vector<SelectedShard>& plan,
+                             const Init& init, const Fill& fill,
+                             const CancelProbe& cancelled = nullptr) const
+      -> std::vector<decltype(init())>;
   /// The one engagement-sweep kernel behind engagement_curve (one metric)
   /// and engagement_curves (all three).
   [[nodiscard]] std::vector<EngagementCurve> sweep_engagement(
       const SweepSpec& spec, std::span<const EngagementMetric> metrics,
       const ParticipantFilter& filter, const ShardSelector& selector,
       QueryFanoutStats* fanout, const CancelProbe& cancelled) const;
-  /// Gathers every rated session of `selected` and correlates engagement
+  /// Gathers every rated session of `plan` and correlates engagement
   /// with MOS (the memo's fill; no min_samples cut-off). Pearson/Spearman
   /// stay 0 below two rated sessions, where they are undefined.
   [[nodiscard]] MosCorrelation correlate_rated(
-      const std::vector<SelectedShard>& selected,
-      const std::vector<char>& use_summary, EngagementMetric engagement) const;
+      const std::vector<SelectedShard>& plan,
+      EngagementMetric engagement) const;
   /// Registers `shard`'s per-shard touch counters when telemetry is
-  /// attached (label "YYYY-MM/<platform>", or "flat" under kSingleShard).
+  /// attached (label "YYYY-MM/<platform>").
   void register_shard_touches(SessionShard& shard);
-  /// Bumps each selected shard's touch counter for the source that
-  /// answered it, then folds the totals into note_fanout; `visits` counts
-  /// each shard that many times (a fused sweep stands for several calls).
-  void note_shard_touches(const std::vector<SelectedShard>& selected,
-                          const std::vector<char>& use_summary,
-                          std::uint64_t n_summary, QueryFanoutStats* out,
-                          std::uint64_t visits = 1) const;
   /// Bumps the cumulative summary/scan counters and, when `out` is set,
   /// adds the same visits to the caller's per-query stats.
   void note_fanout(std::uint64_t from_summary, std::uint64_t scanned,
@@ -409,7 +438,6 @@ class CorrelationEngine {
     std::vector<std::size_t> batch_offsets;  // exclusive prefix of totals
   };
 
-  ShardingPolicy sharding_{ShardingPolicy::kMonthPlatform};
   core::ThreadPool* pool_{nullptr};
   IngestStats ingest_stats_;
   IngestScratch scratch_;

@@ -11,11 +11,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Smallest admission wait: one microsecond. Purely a forward-progress
-/// floor for the legacy refill loop (see legacy_bucket_wait); virtual-
-/// clock tests that assert exact waits always need more than this.
-constexpr double kMinWaitSeconds = 1e-6;
-
 /// The enum values are the /debug/traces wire contract; convert
 /// explicitly so a reordering on either side is a compile-visible edit
 /// here, not a silent JSON corruption.
@@ -64,9 +59,7 @@ QueryScheduler::QueryScheduler(QueryService& service, SchedulerConfig config)
   }
   telemetry_ = config_.telemetry != nullptr ? config_.telemetry
                                             : &service_.telemetry_registry();
-  if (config_.fair_queue) {
-    queue_ = std::make_unique<FairQueue>(*clock_);
-  }
+  queue_ = std::make_unique<FairQueue>(*clock_);
   core::telemetry::Registry& reg = *telemetry_;
   submitted_total_ = reg.counter("usaas_admission_submitted_total",
                                  "Queries entering admission control");
@@ -150,32 +143,6 @@ QueryScheduler::TenantState& QueryScheduler::tenant_state_locked(
                         {{"tenant", label}})};
   state.bias_gauge.set(1.0);
   return tenants_.emplace(tenant, std::move(state)).first->second;
-}
-
-bool QueryScheduler::legacy_bucket_wait(TenantState& state, double cost,
-                                        double deadline) {
-  std::unique_lock<std::mutex> lock{mu_};
-  for (;;) {
-    state.bucket.refill(clock_->now());
-    if (state.bucket.try_consume(cost)) return true;
-    const double need = state.bucket.seconds_until(cost);
-    // Unpayable (cost > burst) or won't accrue before the deadline:
-    // stop waiting and fall through to degrade-or-shed.
-    if (need == kInf || clock_->now() + need > deadline) return false;
-    ++state.queue_depth;
-    state.depth_gauge.set(static_cast<double>(state.queue_depth));
-    lock.unlock();
-    // VirtualClock advances here instead of sleeping; either way refills
-    // resume from a later now(). Another thread may drain the tokens we
-    // waited for, so loop (the deadline bounds the retries). The floor
-    // matters: after contended consumes the deficit can be so small that
-    // `now + need` rounds back to `now`, and an unfloored wait would spin
-    // forever without minting a single token.
-    clock_->wait(std::max(need, kMinWaitSeconds));
-    lock.lock();
-    --state.queue_depth;
-    state.depth_gauge.set(static_cast<double>(state.queue_depth));
-  }
 }
 
 void QueryScheduler::record_outcome_locked(const std::string& tenant,
@@ -378,32 +345,28 @@ ScheduledResult QueryScheduler::submit_impl(const std::string& tenant,
 
   bool acquired = false;
   if (!short_circuit) {
-    if (queue_ != nullptr) {
-      {
-        const std::lock_guard<std::mutex> lock{mu_};
-        ++state->queue_depth;
-        state->depth_gauge.set(static_cast<double>(state->queue_depth));
-      }
-      // Lock ordering: the queue holds FairQueue::mu_ while calling this
-      // closure, which takes QueryScheduler::mu_ — never the reverse.
-      const FairQueue::WaitReport out =
-          queue_->wait_reported(admission_deadline, [&](double now) -> double {
-            const std::lock_guard<std::mutex> lock{mu_};
-            state->bucket.refill(now);
-            if (state->bucket.try_consume(cost)) return 0.0;
-            return state->bucket.seconds_until(cost);
-          });
-      {
-        const std::lock_guard<std::mutex> lock{mu_};
-        --state->queue_depth;
-        state->depth_gauge.set(static_cast<double>(state->queue_depth));
-      }
-      acquired = out.outcome == FairQueue::Outcome::kAcquired;
-      queued = out.parked;
-      unpayable = out.outcome == FairQueue::Outcome::kUnpayable;
-    } else {
-      acquired = legacy_bucket_wait(*state, cost, admission_deadline);
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      ++state->queue_depth;
+      state->depth_gauge.set(static_cast<double>(state->queue_depth));
     }
+    // Lock ordering: the queue holds FairQueue::mu_ while calling this
+    // closure, which takes QueryScheduler::mu_ — never the reverse.
+    const FairQueue::WaitReport out =
+        queue_->wait_reported(admission_deadline, [&](double now) -> double {
+          const std::lock_guard<std::mutex> lock{mu_};
+          state->bucket.refill(now);
+          if (state->bucket.try_consume(cost)) return 0.0;
+          return state->bucket.seconds_until(cost);
+        });
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      --state->queue_depth;
+      state->depth_gauge.set(static_cast<double>(state->queue_depth));
+    }
+    acquired = out.outcome == FairQueue::Outcome::kAcquired;
+    queued = out.parked;
+    unpayable = out.outcome == FairQueue::Outcome::kUnpayable;
   }
   result.wait_seconds = clock_->now() - start;
   wait_seconds_.observe(result.wait_seconds);
@@ -490,8 +453,7 @@ ScheduledResult QueryScheduler::submit_impl(const std::string& tenant,
 SchedulerStats QueryScheduler::stats() const {
   // Queue stats first: FairQueue::mu_ must never be taken after mu_
   // (the queue's sweep holds its lock while calling into ours).
-  const FairQueue::Stats fq =
-      queue_ != nullptr ? queue_->stats() : FairQueue::Stats{};
+  const FairQueue::Stats fq = queue_->stats();
   const std::lock_guard<std::mutex> lock{mu_};
   SchedulerStats out = totals_;
   out.fair_queue = fq;

@@ -15,11 +15,9 @@
 //     slow-query history, falling back to the summary-vs-scan fan-out
 //     predictor, then scaled by the tenant's cost bias (see below);
 //   * queues saturated submissions in ONE deadline-ordered cross-tenant
-//     FairQueue (earliest admission deadline wakes first), instead of
-//     PR 7's per-tenant private bucket sleeps — weighting stays in each
-//     bucket's rate, ordering under contention becomes global EDF. The
-//     legacy per-bucket loop survives behind `fair_queue = false` for
-//     A/B benching;
+//     FairQueue (earliest admission deadline wakes first) — weighting
+//     stays in each bucket's rate, ordering under contention is global
+//     EDF;
 //   * propagates the caller's remaining budget into QueryService::run as
 //     a RunBudget, so a request that expires mid-computation is
 //     abandoned at the next phase boundary (AdmissionOutcome::kExpired)
@@ -102,10 +100,6 @@ struct SchedulerConfig {
   /// cache hit < summary-answerable month < scanned month.
   double scan_month_cost{4.0};
   double seconds_per_token{1e-3};
-  /// EDF cross-tenant wait queue (usaas/fair_queue.h). false reverts to
-  /// PR 7's per-tenant private bucket sleeps — kept for A/B benching the
-  /// queueing policy; production keeps this on.
-  bool fair_queue{true};
   /// Per-tenant circuit breaker; failure_threshold 0 disables it.
   CircuitBreaker::Config breaker;
   /// Degrade feedback: after this many CONSECUTIVE stale serves, a
@@ -190,7 +184,7 @@ struct SchedulerStats {
   std::uint64_t breaker_short_circuits{0};
   /// Times a tenant's cost bias was bumped by the degrade feedback loop.
   std::uint64_t degrade_feedback_bumps{0};
-  /// EDF wait-queue counters (all-zero when fair_queue is off).
+  /// EDF wait-queue counters.
   FairQueue::Stats fair_queue;
   std::map<std::string, TenantSnapshot> tenants;
 
@@ -253,11 +247,6 @@ class QueryScheduler {
   /// stay valid forever: tenants are never erased and std::map nodes do
   /// not move.
   [[nodiscard]] TenantState& tenant_state_locked(const std::string& tenant);
-  /// PR 7's private-bucket wait loop (fair_queue = false). Returns true
-  /// when the tokens were consumed before `deadline`. Takes and releases
-  /// mu_ internally.
-  [[nodiscard]] bool legacy_bucket_wait(TenantState& state, double cost,
-                                        double deadline);
   /// Tally one outcome into totals_ + telemetry and stamp the breaker /
   /// feedback state; breaker transitions and cost-bias moves are also
   /// journaled (with `trace_id` as the causal back-link). Caller holds
@@ -278,7 +267,8 @@ class QueryScheduler {
   std::unique_ptr<core::SteadyClock> owned_clock_;
   core::SchedulerClock* clock_{nullptr};
   core::telemetry::Registry* telemetry_{nullptr};
-  std::unique_ptr<FairQueue> queue_;  ///< set iff config_.fair_queue
+  /// The EDF wait queue every saturated submission parks in.
+  std::unique_ptr<FairQueue> queue_;
 
   core::telemetry::Counter submitted_total_;
   core::telemetry::Counter admitted_total_;

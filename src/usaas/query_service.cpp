@@ -59,13 +59,11 @@ QueryService::QueryService(QueryServiceConfig config)
       pool_{config.threads >= 2
                 ? std::make_unique<core::ThreadPool>(config.threads)
                 : nullptr},
-      engine_{config.sharding},
       telemetry_{config.telemetry != nullptr
                      ? config.telemetry
                      : &core::telemetry::Registry::global()} {
   engine_.set_thread_pool(pool_.get());
-  if (config_.shard_summaries &&
-      config_.sharding == ShardingPolicy::kMonthPlatform) {
+  if (config_.shard_summaries) {
     engine_.configure_summaries(config_.summary_layout);
   }
   register_telemetry();
@@ -132,9 +130,6 @@ void QueryService::ingest_posts(std::span<const social::Post> posts) {
   if (posts.empty()) return;
   const auto guard = sync_->lock.write();
   const auto t0 = std::chrono::steady_clock::now();
-  const auto key_for = [&](const core::Date& d) {
-    return config_.sharding == ShardingPolicy::kSingleShard ? 0 : month_key(d);
-  };
 
   // Two-pass counted ingest, like CorrelationEngine::ingest — but the
   // scatter is destination-major: pass 1 counts per (chunk, month key);
@@ -161,7 +156,7 @@ void QueryService::ingest_posts(std::span<const social::Post> posts) {
       pool_.get(), chunks, [&](std::size_t cb, std::size_t ce) {
         for (std::size_t c = cb; c < ce; ++c) {
           for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-            counts[c].add(key_for(posts[i].date));
+            counts[c].add(month_key(posts[i].date));
           }
         }
       });
@@ -186,12 +181,7 @@ void QueryService::ingest_posts(std::span<const social::Post> posts) {
       // spill-to-disk eviction signal). Null handles stay null under the
       // kill switch, so a disabled registry registers nothing.
       char label[16];
-      if (config_.sharding == ShardingPolicy::kSingleShard) {
-        std::snprintf(label, sizeof label, "flat");
-      } else {
-        std::snprintf(label, sizeof label, "%04d-%02d", mk / 12,
-                      mk % 12 + 1);
-      }
+      std::snprintf(label, sizeof label, "%04d-%02d", mk / 12, mk % 12 + 1);
       const auto touch = [&](const char* source) {
         return telemetry_->counter(
             "usaas_shard_touches_total",
@@ -222,14 +212,13 @@ void QueryService::ingest_posts(std::span<const social::Post> posts) {
         for (std::size_t c = cb; c < ce; ++c) {
           std::vector<std::size_t> cursor = plan.chunk_cursor(c);
           for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-            const auto k = static_cast<std::size_t>(key_for(posts[i].date) -
-                                                    plan.min_key);
+            const auto k = static_cast<std::size_t>(
+                month_key(posts[i].date) - plan.min_key);
             order[key_base[k] + cursor[k]++] = i;
           }
         }
       });
-  const bool fold = config_.shard_summaries &&
-                    config_.sharding == ShardingPolicy::kMonthPlatform;
+  const bool fold = config_.shard_summaries;
   const std::vector<core::ShardRange> tasks =
       core::plan_shard_ranges(plan.totals, parallelism, kGrainPosts);
   struct SummaryPartial {
@@ -359,7 +348,7 @@ bool QueryService::train_predictor() {
   const auto guard = sync_->lock.write();
   predictor_trained_ = false;
   // Canonical (month, platform, ingest) collection order: the fitted model
-  // is bit-identical whichever ShardingPolicy stores the sessions.
+  // is bit-identical at any thread count and batch split.
   const auto rated = engine_.rated_sessions_canonical();
   if (rated.size() < MosPredictor::kMinRatedSessions) {
     predictor_.reset();
@@ -541,26 +530,19 @@ QueryCostEstimate QueryService::estimate_query(const Query& query) const {
     est.cached = sync_->cache.contains(make_cache_key(query, version));
   }
 
-  // Mirror compute_insight's month rule without visiting any shard: only
-  // the window's first and last months can be boundary-cut, and only a
-  // cut month forces a rescan when summaries are on.
+  // Apply the shards' month rule without visiting any shard: only the
+  // window's first and last months can be boundary-cut, and only a cut
+  // month forces a rescan when summaries are on.
   const int mk_first = month_key(query.first);
   const int mk_last = month_key(query.last);
   const auto window_months =
       static_cast<std::uint64_t>(mk_last - mk_first + 1);
-  const bool summaries = config_.shard_summaries &&
-                         config_.sharding == ShardingPolicy::kMonthPlatform;
-  if (summaries) {
-    const bool first_cuts = query.first.day() > 1;
-    const bool last_cuts =
-        query.last.day() <
-        core::Date::days_in_month(query.last.year(), query.last.month());
-    if (mk_first == mk_last) {
-      est.scan_months = (first_cuts || last_cuts) ? 1 : 0;
-    } else {
-      est.scan_months = static_cast<std::uint64_t>(first_cuts) +
-                        static_cast<std::uint64_t>(last_cuts);
-    }
+  if (config_.shard_summaries) {
+    const auto cuts = [&](int mk) -> std::uint64_t {
+      return core::window_cuts_month(query.first, query.last, mk) ? 1 : 0;
+    };
+    est.scan_months = cuts(mk_first);
+    if (mk_last != mk_first) est.scan_months += cuts(mk_last);
     est.summary_months = window_months - est.scan_months;
   } else {
     est.scan_months = window_months;
@@ -687,28 +669,18 @@ Insight QueryService::compute_insight(const Query& query,
     bool check_dates{false};
     bool use_summary{false};
   };
-  const bool post_summaries = config_.shard_summaries &&
-                              config_.sharding == ShardingPolicy::kMonthPlatform;
   std::vector<SelectedPosts> selected;
   const int mk_first = month_key(query.first);
   const int mk_last = month_key(query.last);
   for (const auto& [mk, shard] : post_shards_) {
-    if (config_.sharding == ShardingPolicy::kSingleShard) {
-      selected.push_back({&shard, mk, true, false});
-      continue;
-    }
     if (mk < mk_first || mk > mk_last) continue;
-    // A boundary month only needs per-post date checks when the window
-    // boundary actually cuts into it; a whole-covered month can answer
-    // from its pre-aggregates instead of rescanning.
-    const bool first_cuts = mk == mk_first && query.first.day() > 1;
-    const bool last_cuts =
-        mk == mk_last &&
-        query.last.day() <
-            core::Date::days_in_month(query.last.year(), query.last.month());
-    const bool check_dates = first_cuts || last_cuts;
-    selected.push_back({&shard, mk, check_dates,
-                        post_summaries && !check_dates});
+    // The session shards' rule: only a month the window cuts into needs
+    // per-post date checks; a whole-covered month answers from its
+    // pre-aggregates.
+    const bool check_dates =
+        core::window_cuts_month(query.first, query.last, mk);
+    selected.push_back(
+        {&shard, mk, check_dates, config_.shard_summaries && !check_dates});
   }
   for (const SelectedPosts& sel : selected) {
     if (sel.use_summary) {
@@ -727,58 +699,46 @@ Insight QueryService::compute_insight(const Query& query,
     std::vector<std::pair<core::Date, double>> keyword_adds;
   };
   std::vector<SocialPartial> partials(selected.size());
-  // Cooperative cancellation inside the scan fan-out: each worker checks
-  // the budget per shard and, once anyone sees it expired, the remaining
-  // shards are skipped (relaxed is enough — the flag only widens, and
-  // the partials of a flagged run are discarded wholesale below).
-  std::atomic<bool> out_of_time{false};
-  core::parallel_for(
-      pool_.get(), selected.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          if (out_of_time.load(std::memory_order_relaxed)) break;
-          if (budget.expired()) {
-            out_of_time.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const SelectedPosts& sel = selected[i];
-          SocialPartial& part = partials[i];
-          if (sel.use_summary) {
-            // Whole-shard pre-aggregates; per-day keyword sums replay the
-            // scan's in-order accumulation (each date receives adds from
-            // exactly one month shard), so the reduction is bit-identical.
-            part.posts += sel.shard->posts.size();
-            part.strong_pos += sel.shard->strong_pos;
-            part.strong_neg += sel.shard->strong_neg;
-            const int year = sel.month_key / 12;
-            const int month = sel.month_key % 12 + 1;
-            for (int d = 0; d < 31; ++d) {
-              const double hits = sel.shard->day_hits[static_cast<std::size_t>(d)];
-              if (hits > 0.0) {
-                part.keyword_adds.emplace_back(core::Date{year, month, d + 1},
-                                               hits);
-              }
+  // The engine's cancellable shard loop: the budget is polled per shard,
+  // and a cancelled run's partials are discarded wholesale.
+  const bool finished = for_each_shard(
+      pool_.get(), selected.size(), deadline_probe,
+      [&](std::size_t i, ShardScratch&) {
+        const SelectedPosts& sel = selected[i];
+        SocialPartial& part = partials[i];
+        if (sel.use_summary) {
+          // Whole-shard pre-aggregates; per-day keyword sums replay the
+          // scan's in-order accumulation (each date receives adds from
+          // exactly one month shard), so the reduction is bit-identical.
+          part.posts += sel.shard->posts.size();
+          part.strong_pos += sel.shard->strong_pos;
+          part.strong_neg += sel.shard->strong_neg;
+          const int year = sel.month_key / 12;
+          const int month = sel.month_key % 12 + 1;
+          for (int d = 0; d < 31; ++d) {
+            const double hits = sel.shard->day_hits[static_cast<std::size_t>(d)];
+            if (hits > 0.0) {
+              part.keyword_adds.emplace_back(core::Date{year, month, d + 1},
+                                             hits);
             }
+          }
+          return;
+        }
+        for (const ScoredPost& post : sel.shard->posts) {
+          if (sel.check_dates &&
+              (post.date < query.first || query.last < post.date)) {
             continue;
           }
-          for (const ScoredPost& post : sel.shard->posts) {
-            if (sel.check_dates &&
-                (post.date < query.first || query.last < post.date)) {
-              continue;
-            }
-            ++part.posts;
-            if (post.sentiment.strong_positive()) ++part.strong_pos;
-            if (post.sentiment.strong_negative()) ++part.strong_neg;
-            if (post.outage_hits > 0 && post.sentiment.negative >= 0.4) {
-              part.keyword_adds.emplace_back(
-                  post.date, static_cast<double>(post.outage_hits));
-            }
+          ++part.posts;
+          if (post.sentiment.strong_positive()) ++part.strong_pos;
+          if (post.sentiment.strong_negative()) ++part.strong_neg;
+          if (post.outage_hits > 0 && post.sentiment.negative >= 0.4) {
+            part.keyword_adds.emplace_back(
+                post.date, static_cast<double>(post.outage_hits));
           }
         }
       });
-
-  if (out_of_time.load(std::memory_order_relaxed)) {
-    return expired_skeleton();
-  }
+  if (!finished) return expired_skeleton();
 
   core::DailySeries keyword_days{query.first, query.last};
   std::size_t strong_pos = 0;

@@ -11,9 +11,12 @@
 // per-month (x per-platform, for sessions) shards at ingest; queries prune
 // shards on the date window / platform filter and fan the remaining shards
 // across a thread pool, merging partial accumulators in shard-key order so
-// results never depend on the thread count. Social posts are sentiment- and
-// outage-keyword-scored ONCE at ingest and stored pre-scored — repeated
-// queries no longer re-run the analyzer over the whole corpus.
+// results never depend on the thread count. Both corpora share one month
+// rule (core::window_cuts_month: a whole-covered month answers from its
+// summary, a cut month rescans) and one cancellable shard loop
+// (for_each_shard). Social posts are sentiment- and outage-keyword-scored
+// ONCE at ingest and stored pre-scored — repeated queries never re-run the
+// analyzer over the whole corpus.
 #pragma once
 
 #include <array>
@@ -257,9 +260,6 @@ struct QueryCostEstimate {
 };
 
 struct QueryServiceConfig {
-  /// kMonthPlatform partitions both corpora; kSingleShard keeps the flat
-  /// sequential layout (the shard-equivalence reference path).
-  ShardingPolicy sharding{ShardingPolicy::kMonthPlatform};
   /// Worker threads for ingest partitioning and query fan-out; <= 1 runs
   /// everything on the calling thread. Results are identical either way.
   std::size_t threads{0};
@@ -270,8 +270,7 @@ struct QueryServiceConfig {
   std::size_t insight_cache_entries{128};
   /// Tier 2: maintain mergeable per-shard summaries so matching cold
   /// queries merge O(shards) precomputed accumulators instead of
-  /// rescanning O(sessions) records. Only effective under kMonthPlatform
-  /// (a single flat shard has nothing to prune or merge).
+  /// rescanning O(sessions) records.
   bool shard_summaries{true};
   /// Layout the summaries precompute; queries must match an axis (and the
   /// grid) exactly to be summary-answerable.
@@ -595,7 +594,7 @@ class QueryService {
   PostIngestTelemetry post_ingest_tel_;
   /// queries_total{path=...}, indexed by ServedBy.
   std::array<core::telemetry::Counter, 6> queries_by_path_;
-  // month_key -> shard, ordered; a single key 0 under kSingleShard.
+  // month_key -> shard, ordered.
   std::map<int, PostShard> post_shards_;
   std::size_t post_count_{0};
   IngestStats post_ingest_stats_;

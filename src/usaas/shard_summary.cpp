@@ -30,35 +30,6 @@ ShardSummary::ShardSummary(const SummaryConfig& config)
   }
 }
 
-void ShardSummary::fold(const confsim::ParticipantRecord& rec) {
-  if (!enabled_) return;
-  const auto access = static_cast<std::size_t>(rec.access);
-  const netsim::NetworkConditions cond = rec.network.mean_conditions();
-  const std::array<double, kNumEngagementMetrics> eng{
-      rec.presence_pct, rec.cam_on_pct, rec.mic_on_pct};
-  for (std::size_t a = 0; a < axes_.size(); ++a) {
-    const double x = netsim::metric_value(cond, axes_[a].metric);
-    for (std::size_t m = 0; m < eng.size(); ++m) {
-      binners_[binner_index(a, m, access)].add(x, eng[m]);
-    }
-  }
-  const double latency = cond.latency.ms();
-  const double loss = cond.loss.percent();
-  for (std::size_t m = 0; m < grids_.size(); ++m) {
-    grids_[m].add(latency, loss, eng[m]);
-  }
-  ++all_.sessions;
-  ++by_access_[access].sessions;
-  if (rec.mos) {
-    const double score = rec.mos->score();
-    all_.observed_mos_sum += score;
-    ++all_.rated;
-    by_access_[access].observed_mos_sum += score;
-    ++by_access_[access].rated;
-    rated_.push_back({eng, score});
-  }
-}
-
 void ShardSummary::fold(const SessionColumns& cols, std::size_t begin,
                         std::size_t end) {
   if (!enabled_) return;
@@ -71,8 +42,8 @@ void ShardSummary::fold(const SessionColumns& cols, std::size_t begin,
   const std::uint8_t* valid = cols.mos_valid.data();
   const double* mos_col = cols.mos.data();
   // Hoist the per-axis mean columns: metric_value(mean_conditions(), m)
-  // row-wise is exactly mean_column(m)[i], so the add sequence below is
-  // value-for-value the same as fold(rec) over the same rows.
+  // row-wise is exactly mean_column(m)[i], so every add below feeds the
+  // value a row scan of the same axis would bin.
   std::vector<const double*> axis_cols(axes_.size());
   for (std::size_t a = 0; a < axes_.size(); ++a) {
     axis_cols[a] = cols.mean_column(axes_[a].metric);

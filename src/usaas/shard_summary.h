@@ -1,8 +1,8 @@
 // Mergeable per-shard summaries: the tier-2 query accelerator.
 //
 // Every (month x platform) session shard maintains a ShardSummary folded
-// incrementally at ingest (batch pass 3, per-record append, and every
-// StreamIngestor flush — all of which go through CorrelationEngine). A
+// incrementally at ingest (batch pass 3, which every StreamIngestor flush
+// also goes through), straight from the shard's new column rows. A
 // summary holds, per access technology:
 //   * one core::Binner1D per (configured sweep axis x engagement metric) —
 //     count / mean / M2 moments per bin, accumulated in ingest order;
@@ -110,12 +110,9 @@ class ShardSummary {
 
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Folds one participant record (must be called in shard ingest order).
-  void fold(const confsim::ParticipantRecord& rec);
-
-  /// Folds rows [begin, end) of a column store in order. Replays exactly
-  /// the per-record fold sequence (same values, same add order), reading
-  /// only the columns the summary consumes.
+  /// Folds rows [begin, end) of a column store in order (callers fold
+  /// each shard's rows in ingest order), reading only the columns the
+  /// summary consumes.
   void fold(const SessionColumns& cols, std::size_t begin, std::size_t end);
 
   /// Exact combine of two summaries with identical layouts (axes + grid);

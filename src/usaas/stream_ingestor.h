@@ -27,11 +27,11 @@
 //     paths above are testable — including under TSan/ASan.
 //
 // Determinism: flush slicing is a pure function of the push sequence and
-// the watermark, and the batch pipeline is bit-identical to one-by-one
-// ingest, so a single-producer stream yields query results bit-identical
-// to one-shot batch ingest of the same records — at any watermark, any
-// thread count, either ShardingPolicy (test_usaas_streaming holds it to
-// that). push() is thread-safe; with multiple producers the interleaving
+// the watermark, and the two-pass batch pipeline keeps sequential ingest
+// order for any batch split (a one-record flush is a batch of one), so a
+// single-producer stream yields query results bit-identical to one-shot
+// batch ingest of the same records — at any watermark and any thread
+// count (test_usaas_streaming holds it to that). push() is thread-safe; with multiple producers the interleaving
 // (not the per-producer order) is scheduler-dependent, as in any real feed.
 //
 // Health (accepted/staged/flushed/quarantined/dropped/rejected/failure

@@ -156,5 +156,27 @@ TEST(Date, WeekdayCycles) {
   }
 }
 
+TEST(Date, WindowCutsMonthOnlyWhereABoundaryFallsInside) {
+  const int jan = month_key(Date(2022, 1, 1));
+  const int feb = jan + 1;
+  const int mar = jan + 2;
+  // Whole months: a window starting on the 1st and ending on the last day
+  // (leap-aware) cuts nothing.
+  EXPECT_FALSE(window_cuts_month(Date(2022, 1, 1), Date(2022, 2, 28), jan));
+  EXPECT_FALSE(window_cuts_month(Date(2022, 1, 1), Date(2022, 2, 28), feb));
+  EXPECT_TRUE(window_cuts_month(Date(2024, 2, 1), Date(2024, 2, 28),
+                                month_key(Date(2024, 2, 1))));
+  // Mid-month boundaries cut only their own month.
+  EXPECT_TRUE(window_cuts_month(Date(2022, 1, 15), Date(2022, 3, 20), jan));
+  EXPECT_FALSE(window_cuts_month(Date(2022, 1, 15), Date(2022, 3, 20), feb));
+  EXPECT_TRUE(window_cuts_month(Date(2022, 1, 15), Date(2022, 3, 20), mar));
+  // Both boundaries inside one month.
+  EXPECT_TRUE(window_cuts_month(Date(2022, 2, 1), Date(2022, 2, 27), feb));
+  // Unset bounds never cut.
+  EXPECT_FALSE(window_cuts_month(std::nullopt, std::nullopt, jan));
+  EXPECT_TRUE(window_cuts_month(Date(2022, 1, 2), std::nullopt, jan));
+  EXPECT_FALSE(window_cuts_month(std::nullopt, Date(2022, 1, 31), jan));
+}
+
 }  // namespace
 }  // namespace usaas::core

@@ -157,7 +157,7 @@ Query window_query() {
 }
 
 TEST(FaultInjection, FlushFailureIsRetriedWithBackoffThenSucceeds) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   core::FaultInjector::Config fcfg;
   fcfg.fail_first_flushes = 2;
   core::FaultInjector faults{fcfg};
@@ -224,7 +224,7 @@ TEST(FaultInjection, BackoffStaysCappedAndObservedPastSixtyThreeAttempts) {
 }
 
 TEST(FaultInjection, ExhaustedRetriesDegradeButQueriesServeLastSnapshot) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   // First flush round succeeds (no faults yet armed via first-N), later
   // flushes always fail: the service must keep answering queries from the
   // last good snapshot while the stream reports degradation.
@@ -277,7 +277,7 @@ TEST(FaultInjection, ExhaustedRetriesDegradeButQueriesServeLastSnapshot) {
 }
 
 TEST(FaultInjection, CorruptRecordsAreQuarantinedNotIngested) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   core::FaultInjector::Config fcfg;
   fcfg.corrupt_record_p = 1.0;  // every record is mangled in flight
   core::FaultInjector faults{fcfg};
@@ -310,7 +310,7 @@ TEST(FaultInjection, CorruptRecordsAreQuarantinedNotIngested) {
 }
 
 TEST(FaultInjection, PartialCorruptionStillDeliversTheCleanRecords) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   core::FaultInjector::Config fcfg;
   fcfg.seed = 17;
   fcfg.corrupt_record_p = 0.3;
@@ -331,7 +331,7 @@ TEST(FaultInjection, PartialCorruptionStillDeliversTheCleanRecords) {
 }
 
 TEST(FaultInjection, SlowFlushesDelayButDoNotFail) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   core::FaultInjector::Config fcfg;
   fcfg.slow_flush_p = 1.0;
   fcfg.slow_flush_delay = std::chrono::milliseconds{2};

@@ -5,12 +5,11 @@
 // RowReference below is a frozen copy of the pre-columnar engine's scan
 // path: vector-of-structs shards keyed exactly like the engine (packed
 // (month_key, platform), std::map key order), the same shard pruning, the
-// same per-record predicate order (dates -> platform -> access -> opaque
-// filter -> confounder control), the same per-shard partials merged in
+// same per-record predicate order (dates -> access -> opaque filter ->
+// confounder control), the same per-shard partials merged in
 // key order. Every query result the engine produces from columns is
 // compared against this reference across metrics x axes x access filters
-// x date cuts, thread counts 1/2/8, both sharding policies, and summaries
-// on/off.
+// x date cuts, thread counts 1/2/8, and summaries on/off.
 //
 // One documented exception: whole-population curves on a summary-
 // configured axis merge per-access Welford buckets (~1e-12 relative, per
@@ -38,6 +37,7 @@
 #include "core/correlation.h"
 #include "core/date.h"
 #include "core/histogram.h"
+#include "core/telemetry/metrics.h"
 #include "core/thread_pool.h"
 #include "netsim/conditions.h"
 #include "netsim/profiles.h"
@@ -140,7 +140,7 @@ struct RowShard {
 /// contract), row-wise predicates, partials merged in shard-key order.
 class RowReference {
  public:
-  explicit RowReference(ShardingPolicy sharding) : sharding_{sharding} {
+  RowReference() {
     for (const confsim::CallRecord& call : corpus()) {
       for (const confsim::ParticipantRecord& p : call.participants) {
         RowShard& shard = shard_for(call.start.date, p.platform);
@@ -153,7 +153,6 @@ class RowReference {
   struct Selected {
     const RowShard* shard{nullptr};
     bool check_dates{false};
-    bool check_platform{false};
   };
 
   [[nodiscard]] std::vector<Selected> select(
@@ -162,28 +161,22 @@ class RowReference {
     for (const auto& [key, shard] : shards_) {
       Selected sel;
       sel.shard = &shard;
-      if (sharding_ == ShardingPolicy::kSingleShard) {
-        sel.check_dates =
-            selector.first.has_value() || selector.last.has_value();
-        sel.check_platform = selector.platform.has_value();
-      } else {
-        if (selector.platform && shard.platform != *selector.platform) continue;
-        if (selector.first && shard.month_key < month_key(*selector.first)) {
-          continue;
-        }
-        if (selector.last && shard.month_key > month_key(*selector.last)) {
-          continue;
-        }
-        const bool first_cuts =
-            selector.first && month_key(*selector.first) == shard.month_key &&
-            selector.first->day() > 1;
-        const bool last_cuts =
-            selector.last && month_key(*selector.last) == shard.month_key &&
-            selector.last->day() <
-                Date::days_in_month(selector.last->year(),
-                                    selector.last->month());
-        sel.check_dates = first_cuts || last_cuts;
+      if (selector.platform && shard.platform != *selector.platform) continue;
+      if (selector.first && shard.month_key < month_key(*selector.first)) {
+        continue;
       }
+      if (selector.last && shard.month_key > month_key(*selector.last)) {
+        continue;
+      }
+      const bool first_cuts =
+          selector.first && month_key(*selector.first) == shard.month_key &&
+          selector.first->day() > 1;
+      const bool last_cuts =
+          selector.last && month_key(*selector.last) == shard.month_key &&
+          selector.last->day() <
+              Date::days_in_month(selector.last->year(),
+                                  selector.last->month());
+      sel.check_dates = first_cuts || last_cuts;
       out.push_back(sel);
     }
     return out;
@@ -196,7 +189,6 @@ class RowReference {
       if (selector.first && date < *selector.first) return false;
       if (selector.last && *selector.last < date) return false;
     }
-    if (sel.check_platform && rec.platform != *selector.platform) return false;
     if (selector.access && rec.access != *selector.access) return false;
     return true;
   }
@@ -352,27 +344,22 @@ class RowReference {
 
  private:
   RowShard& shard_for(const Date& date, confsim::Platform platform) {
-    const int key = sharding_ == ShardingPolicy::kSingleShard
-                        ? 0
-                        : month_key(date) * confsim::kNumPlatforms +
-                              static_cast<int>(platform);
+    const int key =
+        month_key(date) * confsim::kNumPlatforms + static_cast<int>(platform);
     RowShard& shard = shards_[key];
     if (shard.dates.empty()) {
-      shard.month_key =
-          sharding_ == ShardingPolicy::kSingleShard ? 0 : month_key(date);
+      shard.month_key = month_key(date);
       shard.platform = platform;
     }
     return shard;
   }
 
-  ShardingPolicy sharding_;
   std::map<int, RowShard> shards_;
 };
 
-const RowReference& reference(ShardingPolicy sharding) {
-  static const RowReference flat{ShardingPolicy::kSingleShard};
-  static const RowReference sharded{ShardingPolicy::kMonthPlatform};
-  return sharding == ShardingPolicy::kSingleShard ? flat : sharded;
+const RowReference& reference() {
+  static const RowReference sharded;
+  return sharded;
 }
 
 // ---- Comparators (EXPECT_EQ on doubles: bit-identity, not closeness) ---
@@ -445,10 +432,11 @@ void expect_record_eq(const confsim::ParticipantRecord& got,
 // gtest names each instance after the parameter's raw bytes, so the padding
 // is spelled out as zeroed members: left implicit, it holds stack garbage
 // (pointer halves under ASLR) and the test names change from build to build.
+// `layout` is the word the instances were first named with (1 = month x
+// platform shards); it stays so every instance keeps its name.
 struct Config {
-  Config(ShardingPolicy s, std::size_t t, bool sum)
-      : sharding{s}, threads{t}, summaries{sum} {}
-  ShardingPolicy sharding;
+  Config(std::size_t t, bool sum) : threads{t}, summaries{sum} {}
+  std::uint32_t layout = 1;
   std::uint32_t pad0 = 0;
   std::size_t threads;
   bool summaries;
@@ -457,9 +445,7 @@ struct Config {
 static_assert(sizeof(Config) == 24);
 
 std::string config_name(const ::testing::TestParamInfo<Config>& info) {
-  std::string name = info.param.sharding == ShardingPolicy::kSingleShard
-                         ? "Flat"
-                         : "Sharded";
+  std::string name = "Sharded";
   name += std::to_string(info.param.threads) + "t";
   name += info.param.summaries ? "Summaries" : "NoSummaries";
   return name;
@@ -467,8 +453,7 @@ std::string config_name(const ::testing::TestParamInfo<Config>& info) {
 
 class ColumnarDifferential : public ::testing::TestWithParam<Config> {
  protected:
-  ColumnarDifferential()
-      : engine_{GetParam().sharding}, ref_{reference(GetParam().sharding)} {
+  ColumnarDifferential() : ref_{reference()} {
     if (GetParam().threads > 1) {
       pool_ = std::make_unique<core::ThreadPool>(GetParam().threads);
       engine_.set_thread_pool(pool_.get());
@@ -821,11 +806,10 @@ TEST_P(ColumnarDifferential, MaterializedRowsRoundTrip) {
   for (std::size_t i = 0; i < got.size(); i += 7) {  // stride: keep it fast
     expect_record_eq(got[i], want[i], "session " + std::to_string(i));
   }
-  // Canonical rated order is policy-independent by contract; against the
-  // kMonthPlatform reference it is the rated subsequence in key order.
+  // Canonical rated order is the rated subsequence in shard-key order.
   const auto rated = engine_.rated_sessions_canonical();
   std::vector<confsim::ParticipantRecord> rated_want;
-  for (const auto& rec : reference(ShardingPolicy::kMonthPlatform).sessions()) {
+  for (const auto& rec : ref_.sessions()) {
     if (rec.mos) rated_want.push_back(rec);
   }
   ASSERT_EQ(rated.size(), rated_want.size());
@@ -848,14 +832,8 @@ TEST_P(ColumnarDifferential, EmptyWindowSelectsNothing) {
 INSTANTIATE_TEST_SUITE_P(
     Battery, ColumnarDifferential,
     ::testing::Values(
-        Config{ShardingPolicy::kSingleShard, 1, false},
-        Config{ShardingPolicy::kSingleShard, 2, false},
-        Config{ShardingPolicy::kSingleShard, 8, true},
-        Config{ShardingPolicy::kMonthPlatform, 1, false},
-        Config{ShardingPolicy::kMonthPlatform, 1, true},
-        Config{ShardingPolicy::kMonthPlatform, 2, true},
-        Config{ShardingPolicy::kMonthPlatform, 8, false},
-        Config{ShardingPolicy::kMonthPlatform, 8, true}),
+        Config{1, false}, Config{1, true}, Config{2, true}, Config{8, false},
+        Config{8, true}),
     config_name);
 
 // ---- Fused sweep inside QueryService -----------------------------------
@@ -887,7 +865,7 @@ TEST(FusedSweepExecution, InsightFanoutAndServedByMatchTheSingleCallSequence) {
     config.shard_summaries = c.summaries;
     QueryService service{config};
     service.ingest_calls(corpus());
-    CorrelationEngine engine{ShardingPolicy::kMonthPlatform};
+    CorrelationEngine engine;
     if (c.summaries) engine.configure_summaries(config.summary_layout);
     engine.ingest(std::span<const confsim::CallRecord>{corpus()});
 
@@ -923,14 +901,14 @@ TEST(FusedSweepExecution, InsightFanoutAndServedByMatchTheSingleCallSequence) {
 // ---- Ingest-path equivalence -------------------------------------------
 
 TEST(ColumnarIngest, PerCallAndBatchPathsAgreeBitForBit) {
-  // The per-record append and the permutation scatter must produce the
-  // same columns: same rows, same order, same bytes.
-  CorrelationEngine batch{ShardingPolicy::kMonthPlatform};
+  // One-call batches and one whole batch must produce the same columns:
+  // same rows, same order, same bytes.
+  CorrelationEngine batch;
   core::ThreadPool pool{4};
   batch.set_thread_pool(&pool);
   batch.ingest(std::span<const confsim::CallRecord>{corpus()});
-  CorrelationEngine per_call{ShardingPolicy::kMonthPlatform};
-  for (const confsim::CallRecord& call : corpus()) per_call.ingest(call);
+  CorrelationEngine per_call;
+  for (const confsim::CallRecord& call : corpus()) per_call.ingest({&call, 1});
 
   ASSERT_EQ(batch.session_count(), per_call.session_count());
   const auto a = batch.sessions();
@@ -949,7 +927,7 @@ TEST(ColumnarIngest, PerCallAndBatchPathsAgreeBitForBit) {
 TEST(ColumnarIngest, RepeatedBatchesReuseScratchAndStayOrdered) {
   // Several batches through one engine: scratch reuse across batches must
   // not corrupt slot order or leak rows between shards.
-  CorrelationEngine engine{ShardingPolicy::kMonthPlatform};
+  CorrelationEngine engine;
   core::ThreadPool pool{4};
   engine.set_thread_pool(&pool);
   const auto& calls = corpus();
@@ -960,7 +938,7 @@ TEST(ColumnarIngest, RepeatedBatchesReuseScratchAndStayOrdered) {
   engine.ingest(std::span<const confsim::CallRecord>{
       calls.data() + 2 * third, calls.size() - 2 * third});
 
-  CorrelationEngine once{ShardingPolicy::kMonthPlatform};
+  CorrelationEngine once;
   once.ingest(std::span<const confsim::CallRecord>{calls});
   ASSERT_EQ(engine.session_count(), once.session_count());
   const auto a = engine.sessions();
@@ -969,6 +947,46 @@ TEST(ColumnarIngest, RepeatedBatchesReuseScratchAndStayOrdered) {
   for (std::size_t i = 0; i < a.size(); i += 13) {
     expect_record_eq(a[i], b[i], "batched session " + std::to_string(i));
   }
+}
+
+TEST(ColumnarFanout, DropoffCurveCountsItsShardVisits) {
+  // dropoff_curve plans its shards like every other fan-out, so its visits
+  // reach fanout_stats() and the per-shard scan touch counters — one per
+  // selected shard, all scans (summaries keep no drop-off bins).
+  core::telemetry::Registry registry{true};
+  CorrelationEngine engine;
+  engine.set_telemetry(&registry);
+  engine.configure_summaries(SummaryConfig{});
+  engine.ingest(std::span<const confsim::CallRecord>{corpus()});
+  const auto scan_touches = [&] {
+    std::uint64_t n = 0;
+    for (const core::telemetry::MetricFamily& family : registry.collect()) {
+      if (family.name != "usaas_shard_touches_total") continue;
+      for (const core::telemetry::Sample& sample : family.samples) {
+        if (sample.labels.find("corpus=\"sessions\"") != std::string::npos &&
+            sample.labels.find("source=\"scan\"") != std::string::npos) {
+          n += sample.value_u;
+        }
+      }
+    }
+    return n;
+  };
+  ShardSelector sel;
+  sel.first = Date{2022, 2, 1};
+  sel.last = Date{2022, 3, 31};
+  const std::uint64_t selected = reference().select(sel).size();
+  ASSERT_GT(selected, 0u);
+  ASSERT_LT(selected, engine.shard_count());
+
+  const QueryFanoutStats before = engine.fanout_stats();
+  const std::uint64_t touches_before = scan_touches();
+  const auto curve =
+      engine.dropoff_curve(sweep_for(netsim::Metric::kLoss, 10), nullptr, sel);
+  EXPECT_FALSE(curve.empty());
+  const QueryFanoutStats after = engine.fanout_stats();
+  EXPECT_EQ(after.shards_scanned - before.shards_scanned, selected);
+  EXPECT_EQ(after.shards_from_summary, before.shards_from_summary);
+  EXPECT_EQ(scan_touches() - touches_before, selected);
 }
 
 TEST(ColumnarStore, PackedDayKeyPreservesDateOrder) {

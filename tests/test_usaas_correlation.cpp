@@ -23,8 +23,7 @@ CorrelationEngine engine_for_sweep(netsim::Metric metric, double lo, double hi,
   cfg.sweep_lo = lo;
   cfg.sweep_hi = hi;
   CorrelationEngine engine;
-  CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(CallDatasetGenerator{cfg}.generate());
   return engine;
 }
 
@@ -183,8 +182,7 @@ TEST(CompoundingRecovery, WorstCellRoughlyHalvesPresence) {
   cfg.sweep_hi = 320.0;
   cfg.control_windows.loss_hi_pct = 3.4;
   CorrelationEngine engine;
-  CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(CallDatasetGenerator{cfg}.generate());
 
   const auto grid =
       engine.compounding_grid(EngagementMetric::kPresence, 320.0, 4, 3.4, 4);
@@ -226,8 +224,7 @@ TEST(MosRecovery, EngagementCorrelatesWithMosAndPresenceStrongest) {
   cfg.num_calls = 20000;
   cfg.sampling = confsim::ConditionSampling::kPopulation;
   CorrelationEngine engine;
-  CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(CallDatasetGenerator{cfg}.generate());
 
   const auto presence =
       engine.mos_correlation(EngagementMetric::kPresence);
@@ -253,8 +250,7 @@ TEST(MosRecovery, TooFewSamplesReturnsNullopt) {
   cfg.seed = 1;
   cfg.num_calls = 50;  // ~250 sessions -> ~1 rated
   CorrelationEngine engine;
-  CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(CallDatasetGenerator{cfg}.generate());
   EXPECT_FALSE(
       engine.mos_correlation(EngagementMetric::kPresence, 50).has_value());
 }

@@ -79,7 +79,6 @@ struct Fixture {
   }
   static QueryServiceConfig make_config(core::telemetry::Registry* reg) {
     QueryServiceConfig cfg;
-    cfg.sharding = ShardingPolicy::kMonthPlatform;
     cfg.threads = 1;
     cfg.telemetry = reg;
     return cfg;

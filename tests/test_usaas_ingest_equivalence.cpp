@@ -1,7 +1,6 @@
 // Ingest-equivalence property tests for the two-pass counted batch
 // pipeline: batch ingest must be indistinguishable from one-record-at-a-
-// time ingest — bit-identical query results — for every ShardingPolicy,
-// at every thread count, including batches whose calls/posts straddle
+// time ingest — bit-identical query results — at every thread count, including batches whose calls/posts straddle
 // month and year boundaries, and for empty batches.
 //
 // Registered under the `sanitize` ctest label: with -DUSAAS_SANITIZE=thread
@@ -225,24 +224,17 @@ QueryService one_by_one_service(const Corpus& corpus,
 
 TEST(IngestEquivalence, BatchMatchesOneByOneAcrossPoliciesAndThreads) {
   const Corpus corpus = make_corpus(1234);
-  for (const ShardingPolicy policy :
-       {ShardingPolicy::kSingleShard, ShardingPolicy::kMonthPlatform}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      SCOPED_TRACE(testing::Message()
-                   << "policy "
-                   << (policy == ShardingPolicy::kSingleShard ? "single"
-                                                              : "month")
-                   << ", threads " << threads);
-      const QueryService batched = batch_service(corpus, {policy, threads});
-      const QueryService serial = one_by_one_service(corpus, {policy, 1});
-      ASSERT_EQ(batched.ingested_sessions(), serial.ingested_sessions());
-      ASSERT_EQ(batched.ingested_posts(), serial.ingested_posts());
-      ASSERT_EQ(batched.session_shards(), serial.session_shards());
-      ASSERT_EQ(batched.post_shards(), serial.post_shards());
-      for (const Query& q : battery()) {
-        expect_identical(batched.run(q), serial.run(q));
-      }
+  const QueryService serial = one_by_one_service(corpus, {.threads = 1});
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    const QueryService batched = batch_service(corpus, {.threads = threads});
+    ASSERT_EQ(batched.ingested_sessions(), serial.ingested_sessions());
+    ASSERT_EQ(batched.ingested_posts(), serial.ingested_posts());
+    ASSERT_EQ(batched.session_shards(), serial.session_shards());
+    ASSERT_EQ(batched.post_shards(), serial.post_shards());
+    for (const Query& q : battery()) {
+      expect_identical(batched.run(q), serial.run(q));
     }
   }
 }
@@ -252,8 +244,8 @@ TEST(IngestEquivalence, SplitBatchesMatchOneBigBatch) {
   // appends to existing shards exactly like a single batch would.
   const Corpus corpus = make_corpus(77);
   const QueryService whole =
-      batch_service(corpus, {ShardingPolicy::kMonthPlatform, 4});
-  QueryService sliced{{ShardingPolicy::kMonthPlatform, 4}};
+      batch_service(corpus, {.threads = 4});
+  QueryService sliced{{.threads = 4}};
   const std::span<const confsim::CallRecord> calls{corpus.calls};
   const std::size_t cut1 = calls.size() / 3;
   sliced.ingest_calls(calls.subspan(0, cut1));
@@ -272,31 +264,28 @@ TEST(IngestEquivalence, SplitBatchesMatchOneBigBatch) {
 
 TEST(IngestEquivalence, EmptyBatchIsANoOp) {
   const Corpus corpus = make_corpus(9);
-  for (const ShardingPolicy policy :
-       {ShardingPolicy::kSingleShard, ShardingPolicy::kMonthPlatform}) {
-    QueryService with_empties{{policy, 2}};
-    with_empties.ingest_calls({});  // before any data
-    with_empties.ingest_posts({});
-    with_empties.ingest_calls(corpus.calls);
-    with_empties.ingest_calls({});  // between batches
-    with_empties.ingest_posts(corpus.posts);
-    with_empties.ingest_posts({});
-    with_empties.train_predictor();
-    EXPECT_EQ(with_empties.ingested_sessions(),
-              [&] {
-                std::size_t n = 0;
-                for (const auto& c : corpus.calls) n += c.participants.size();
-                return n;
-              }());
-    EXPECT_EQ(with_empties.ingested_posts(), corpus.posts.size());
-    const QueryService clean = batch_service(corpus, {policy, 2});
-    for (const Query& q : battery()) {
-      expect_identical(with_empties.run(q), clean.run(q));
-    }
+  QueryService with_empties{{.threads = 2}};
+  with_empties.ingest_calls({});  // before any data
+  with_empties.ingest_posts({});
+  with_empties.ingest_calls(corpus.calls);
+  with_empties.ingest_calls({});  // between batches
+  with_empties.ingest_posts(corpus.posts);
+  with_empties.ingest_posts({});
+  with_empties.train_predictor();
+  EXPECT_EQ(with_empties.ingested_sessions(),
+            [&] {
+              std::size_t n = 0;
+              for (const auto& c : corpus.calls) n += c.participants.size();
+              return n;
+            }());
+  EXPECT_EQ(with_empties.ingested_posts(), corpus.posts.size());
+  const QueryService clean = batch_service(corpus, {.threads = 2});
+  for (const Query& q : battery()) {
+    expect_identical(with_empties.run(q), clean.run(q));
   }
   // A service that only ever saw empty batches answers queries without
   // crashing and reports nothing.
-  QueryService empty{{ShardingPolicy::kMonthPlatform, 2}};
+  QueryService empty{{.threads = 2}};
   empty.ingest_calls({});
   empty.ingest_posts({});
   EXPECT_FALSE(empty.train_predictor());
@@ -310,7 +299,7 @@ TEST(IngestEquivalence, BoundaryWindowCountsMatchBruteForce) {
   // year boundaries equals a direct scan of the raw corpus.
   const Corpus corpus = make_corpus(4321);
   const QueryService svc =
-      batch_service(corpus, {ShardingPolicy::kMonthPlatform, 8});
+      batch_service(corpus, {.threads = 8});
   for (const Query& q : battery()) {
     std::size_t expected_sessions = 0;
     for (const auto& call : corpus.calls) {
@@ -390,28 +379,16 @@ std::vector<Query> hot_shard_battery() {
 
 TEST(IngestEquivalence, HotShardSplitMatchesSingleThreadAcrossPolicies) {
   const auto posts = hot_month_posts(0x407, 4000);
-  for (const ShardingPolicy policy :
-       {ShardingPolicy::kSingleShard, ShardingPolicy::kMonthPlatform}) {
-    QueryServiceConfig ref_config;
-    ref_config.sharding = policy;
-    ref_config.threads = 1;
-    QueryService reference{ref_config};
-    reference.ingest_posts(posts);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      SCOPED_TRACE(testing::Message()
-                   << "policy "
-                   << (policy == ShardingPolicy::kSingleShard ? "single"
-                                                              : "month")
-                   << ", threads " << threads);
-      QueryServiceConfig config = ref_config;
-      config.threads = threads;
-      QueryService parallel{config};
-      parallel.ingest_posts(posts);
-      ASSERT_EQ(parallel.ingested_posts(), reference.ingested_posts());
-      ASSERT_EQ(parallel.post_shards(), reference.post_shards());
-      for (const Query& q : hot_shard_battery()) {
-        expect_identical(parallel.run(q), reference.run(q));
-      }
+  QueryService reference{{.threads = 1}};
+  reference.ingest_posts(posts);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    QueryService parallel{{.threads = threads}};
+    parallel.ingest_posts(posts);
+    ASSERT_EQ(parallel.ingested_posts(), reference.ingested_posts());
+    ASSERT_EQ(parallel.post_shards(), reference.post_shards());
+    for (const Query& q : hot_shard_battery()) {
+      expect_identical(parallel.run(q), reference.run(q));
     }
   }
 }
@@ -423,7 +400,6 @@ TEST(IngestEquivalence, HotShardSummariesMatchSingleThreadExactly) {
   // contract floor, EXPECT_DOUBLE_EQ is what we actually hold.
   const auto posts = hot_month_posts(99, 4000);
   QueryServiceConfig base;
-  base.sharding = ShardingPolicy::kMonthPlatform;
   base.threads = 1;
   QueryService reference{base};
   reference.ingest_posts(posts);
@@ -457,7 +433,7 @@ TEST(IngestEquivalence, HotShardSummariesMatchSingleThreadExactly) {
 
 TEST(IngestEquivalence, IngestStatsTrackRecordsAndShards) {
   const Corpus corpus = make_corpus(5);
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 2}};
+  QueryService svc{{.threads = 2}};
   svc.ingest_calls(corpus.calls);
   svc.ingest_posts(corpus.posts);
   const QueryService::ServiceStats stats = svc.stats();

@@ -140,11 +140,8 @@ Corpus make_corpus(std::uint64_t seed) {
 }
 
 QueryServiceConfig service_config(std::size_t threads, std::size_t cache,
-                                  bool summaries,
-                                  ShardingPolicy policy =
-                                      ShardingPolicy::kMonthPlatform) {
+                                  bool summaries) {
   QueryServiceConfig cfg;
-  cfg.sharding = policy;
   cfg.threads = threads;
   cfg.insight_cache_entries = cache;
   cfg.shard_summaries = summaries;
@@ -367,7 +364,7 @@ TEST(InsightBytes, GrowsWithTheEngagementVectorBuffer) {
 }
 
 TEST(InsightCache, ByteGaugeCoversEveryOwnedBuffer) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   const auto calls = boundary_calls(11, 4);
   svc.ingest_calls(calls);
   Query q;
@@ -540,13 +537,8 @@ TEST(ShardSummaries, SummaryAnsweredInsightsMatchRescansWithin1e9) {
         make_service(corpus, service_config(threads, 0, true));
     QueryService scanning =
         make_service(corpus, service_config(threads, 0, false));
-    QueryService flat = make_service(
-        corpus,
-        service_config(threads, 0, false, ShardingPolicy::kSingleShard));
     for (const Query& q : battery()) {
-      const Insight fast = summarized.run(q);
-      expect_close(fast, scanning.run(q));
-      expect_close(fast, flat.run(q));
+      expect_close(summarized.run(q), scanning.run(q));
     }
     const QueryService::ServiceStats fast_stats = summarized.stats();
     const QueryService::ServiceStats scan_stats = scanning.stats();
@@ -567,23 +559,22 @@ TEST(ShardSummaries, MergeMatchesRescan) {
   // record stream into two summaries and merging must agree with folding
   // the whole stream into one (integer counts exactly; floating-point
   // aggregates within the 1e-9 budget — merge re-associates the sums).
-  std::vector<confsim::ParticipantRecord> records;
+  SessionColumns rows;
   for (const confsim::CallRecord& call : boundary_calls(31337, 12)) {
     for (const confsim::ParticipantRecord& rec : call.participants) {
-      records.push_back(rec);
+      rows.append(call.start.date, rec);
     }
   }
-  ASSERT_GT(records.size(), 100u);
+  ASSERT_GT(rows.size(), 100u);
 
   const SummaryConfig cfg;
   ShardSummary whole{cfg};
   ShardSummary left{cfg};
   ShardSummary right{cfg};
-  const std::size_t half = records.size() / 2;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    whole.fold(records[i]);
-    (i < half ? left : right).fold(records[i]);
-  }
+  const std::size_t half = rows.size() / 2;
+  whole.fold(rows, 0, rows.size());
+  left.fold(rows, 0, half);
+  right.fold(rows, half, rows.size());
   ShardSummary merged = left;
   merged.merge(right);
 
@@ -659,7 +650,7 @@ TEST(ShardSummaries, MergeMatchesRescan) {
   EXPECT_THROW(mismatched.merge(whole), std::invalid_argument);
   ShardSummary disabled;
   EXPECT_FALSE(disabled.enabled());
-  disabled.fold(records.front());  // no-op, must not crash
+  disabled.fold(rows, 0, 1);  // no-op, must not crash
   EXPECT_EQ(disabled.sessions(), 0u);
 }
 
@@ -667,7 +658,7 @@ TEST(ShardSummaries, ConfigureAfterIngestThrows) {
   // The engine-level contract: summaries cannot be bolted onto a corpus
   // they did not see from record zero.
   const auto calls = boundary_calls(1, 1);
-  CorrelationEngine engine{ShardingPolicy::kMonthPlatform};
+  CorrelationEngine engine;
   engine.ingest(calls);
   EXPECT_THROW(engine.configure_summaries(SummaryConfig{}),
                std::logic_error);
@@ -758,7 +749,7 @@ std::vector<confsim::CallRecord> noisy_calls(std::uint64_t seed,
 /// Insight::mos_spearman as a freshly built engine computes it over
 /// `calls` (same layout as service_config's engine).
 Spearman fresh_spearman(std::span<const confsim::CallRecord> calls) {
-  CorrelationEngine engine{ShardingPolicy::kMonthPlatform};
+  CorrelationEngine engine;
   engine.configure_summaries(SummaryConfig{});
   engine.ingest(calls);
   Spearman out;
@@ -836,7 +827,7 @@ TEST(MosMemo, EngineCopyKeepsItsOwnMemo) {
   const auto calls = noisy_calls(818, 24);
   const std::span<const confsim::CallRecord> all{calls};
   const std::size_t half = calls.size() / 2;
-  CorrelationEngine original{ShardingPolicy::kMonthPlatform};
+  CorrelationEngine original;
   original.configure_summaries(SummaryConfig{});
   original.ingest(all.first(half));
   const auto before = original.mos_correlation(EngagementMetric::kCamOn);
@@ -857,7 +848,7 @@ TEST(MosMemo, EngineCopyKeepsItsOwnMemo) {
   expect_corr_eq(*copy.mos_correlation(EngagementMetric::kCamOn), *before);
   copy.ingest(all.subspan(half));
 
-  CorrelationEngine fresh{ShardingPolicy::kMonthPlatform};
+  CorrelationEngine fresh;
   fresh.configure_summaries(SummaryConfig{});
   fresh.ingest(all);
   const auto grown = copy.mos_correlation(EngagementMetric::kCamOn);

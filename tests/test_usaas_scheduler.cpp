@@ -93,7 +93,6 @@ struct Fixture {
   }
   static QueryServiceConfig make_config(core::telemetry::Registry* reg) {
     QueryServiceConfig cfg;
-    cfg.sharding = ShardingPolicy::kMonthPlatform;
     cfg.threads = 1;
     cfg.telemetry = reg;
     return cfg;
@@ -627,28 +626,25 @@ TEST(QueryScheduler, ConsecutiveStaleServesBumpCostBiasAndAdmitsDecayIt) {
 // ---- Budget propagation and the expired outcome ------------------------
 
 TEST(QueryScheduler, ZeroBudgetExpiresUnderBothQueueImplementations) {
-  for (const bool fair : {true, false}) {
-    Fixture fx;
-    core::VirtualClock clock;
-    SchedulerConfig cfg;
-    cfg.fair_queue = fair;
-    cfg.clock = &clock;
-    QueryScheduler sched{fx.svc, cfg};
-    // Tokens are freely available, but the caller's patience is already
-    // gone when admission finishes: expired, not admitted — and the run
-    // never starts.
-    const ScheduledResult r = sched.submit("t", whole_months_query(), 0.0);
-    EXPECT_EQ(r.outcome, AdmissionOutcome::kExpired) << "fair=" << fair;
-    EXPECT_EQ(r.insight.sessions, 0u);
-    const SchedulerStats stats = sched.stats();
-    EXPECT_EQ(stats.expired, 1u);
-    EXPECT_TRUE(stats.reconciles());
-    EXPECT_EQ(fx.svc.telemetry_registry()
-                  .counter("usaas_admission_queries_total", "",
-                           {{"outcome", "expired"}})
-                  .value(),
-              1u);
-  }
+  Fixture fx;
+  core::VirtualClock clock;
+  SchedulerConfig cfg;
+  cfg.clock = &clock;
+  QueryScheduler sched{fx.svc, cfg};
+  // Tokens are freely available, but the caller's patience is already
+  // gone when admission finishes: expired, not admitted — and the run
+  // never starts.
+  const ScheduledResult r = sched.submit("t", whole_months_query(), 0.0);
+  EXPECT_EQ(r.outcome, AdmissionOutcome::kExpired);
+  EXPECT_EQ(r.insight.sessions, 0u);
+  const SchedulerStats stats = sched.stats();
+  EXPECT_EQ(stats.expired, 1u);
+  EXPECT_TRUE(stats.reconciles());
+  EXPECT_EQ(fx.svc.telemetry_registry()
+                .counter("usaas_admission_queries_total", "",
+                         {{"outcome", "expired"}})
+                .value(),
+            1u);
 }
 
 TEST(QueryScheduler, InfiniteBudgetReproducesPreBudgetSemantics) {

@@ -1,18 +1,26 @@
 // Shard-equivalence property tests: the per-month x per-platform,
-// multi-threaded ingest/query path must answer every query exactly like
-// the flat single-shard sequential path — bit-identical for counts, dates
-// and ratio aggregates, within 1e-9 for floating-point reductions (whose
-// summation order legitimately differs between shard layouts).
+// multi-threaded ingest/query path must answer every query exactly like a
+// test-local brute force over the raw corpus (plain loops in corpus order,
+// no shards, no summaries) — bit-identical for counts, dates and ratio
+// aggregates, within 1e-9 for floating-point reductions (whose summation
+// order legitimately differs from one flat pass).
 //
 // Also registered under the `sanitize` ctest label: with
 // -DUSAAS_SANITIZE=thread this is the ThreadSanitizer workload for the
 // whole ingest/fan-out/merge machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "confsim/dataset.h"
+#include "core/correlation.h"
+#include "core/histogram.h"
+#include "core/timeseries.h"
+#include "nlp/post_scorer.h"
 #include "social/subreddit.h"
+#include "usaas/mos_predictor.h"
 #include "usaas/query_service.h"
 
 namespace usaas::service {
@@ -95,6 +103,128 @@ std::vector<Query> query_battery() {
   return queries;
 }
 
+constexpr EngagementMetric kEngagements[] = {EngagementMetric::kPresence,
+                                             EngagementMetric::kCamOn,
+                                             EngagementMetric::kMicOn};
+
+/// The whole Insight the service promises, computed by brute force: plain
+/// loops over the raw corpus in corpus order. Mirrors the service's
+/// contract, not its code — the window/platform/access predicate per
+/// session, one Binner1D per curve, corpus-wide Spearman over the rated
+/// sessions (>= 50), a predictor trained on rated sessions stable-sorted
+/// by (month, platform), posts scored with nlp::PostScorer, and the
+/// 3x-mean / >= 5 outage alert rule.
+Insight brute_force(const Corpus& corpus, const Query& q) {
+  Insight out;
+  std::vector<const confsim::ParticipantRecord*> matching;
+  struct Rated {
+    int month_key;
+    confsim::Platform platform;
+    const confsim::ParticipantRecord* rec;
+  };
+  std::vector<Rated> rated;
+  for (const confsim::CallRecord& call : corpus.calls) {
+    const Date date = call.start.date;
+    for (const confsim::ParticipantRecord& rec : call.participants) {
+      if (rec.mos) rated.push_back({core::month_key(date), rec.platform, &rec});
+      if (date < q.first || q.last < date) continue;
+      if (q.platform && rec.platform != *q.platform) continue;
+      if (q.access && rec.access != *q.access) continue;
+      matching.push_back(&rec);
+    }
+  }
+
+  for (const EngagementMetric e : kEngagements) {
+    core::Binner1D binner{q.metric_lo, q.metric_hi, q.bins};
+    for (const confsim::ParticipantRecord* rec : matching) {
+      binner.add(netsim::metric_value(rec->network.mean_conditions(), q.metric),
+                 engagement_value(*rec, e));
+    }
+    EngagementCurve curve;
+    curve.network_metric = q.metric;
+    curve.engagement_metric = e;
+    for (const core::Bin& b : binner.bins()) {
+      curve.points.push_back({b.center(), b.mean_y, b.count});
+    }
+    out.engagement.push_back(curve);
+  }
+
+  for (const EngagementMetric e : kEngagements) {
+    std::vector<double> eng;
+    std::vector<double> mos;
+    for (const Rated& r : rated) {
+      eng.push_back(engagement_value(*r.rec, e));
+      mos.push_back(r.rec->mos->score());
+    }
+    if (eng.size() >= 50) out.mos_spearman.emplace_back(e, core::spearman(eng, mos));
+  }
+
+  std::stable_sort(rated.begin(), rated.end(),
+                   [](const Rated& a, const Rated& b) {
+                     if (a.month_key != b.month_key) {
+                       return a.month_key < b.month_key;
+                     }
+                     return a.platform < b.platform;
+                   });
+  std::vector<confsim::ParticipantRecord> training;
+  for (const Rated& r : rated) training.push_back(*r.rec);
+  MosPredictor predictor;
+  const bool trained = training.size() >= MosPredictor::kMinRatedSessions;
+  if (trained) predictor.train(training);
+
+  double observed = 0.0;
+  double predicted = 0.0;
+  for (const confsim::ParticipantRecord* rec : matching) {
+    ++out.sessions;
+    if (rec->mos) {
+      observed += rec->mos->score();
+      ++out.rated_sessions;
+    }
+    if (trained) predicted += predictor.predict(*rec);
+  }
+  if (out.rated_sessions > 0) {
+    out.observed_mean_mos = observed / static_cast<double>(out.rated_sessions);
+  }
+  if (trained && out.sessions > 0) {
+    out.predicted_mean_mos = predicted / static_cast<double>(out.sessions);
+  }
+
+  const nlp::PostScorer scorer;
+  core::DailySeries keyword_days{q.first, q.last};
+  std::size_t strong_pos = 0;
+  std::size_t strong_neg = 0;
+  for (const social::Post& post : corpus.posts) {
+    if (post.date < q.first || q.last < post.date) continue;
+    ++out.posts;
+    const nlp::PostScorer::Result res =
+        scorer.score(post.title + " " + post.body);
+    if (res.sentiment.strong_positive()) ++strong_pos;
+    if (res.sentiment.strong_negative()) ++strong_neg;
+    if (res.keyword_hits > 0 && res.sentiment.negative >= 0.4) {
+      keyword_days.add(post.date, static_cast<double>(res.keyword_hits));
+    }
+  }
+  if (strong_pos + strong_neg > 0) {
+    out.strong_positive_share = static_cast<double>(strong_pos) /
+                                static_cast<double>(strong_pos + strong_neg);
+  }
+  double day_total = 0.0;
+  for (const double v : keyword_days.values()) {
+    day_total += v;
+    if (v > 0.0) ++out.outage_mention_days;
+  }
+  const double day_mean =
+      keyword_days.size() == 0
+          ? 0.0
+          : day_total / static_cast<double>(keyword_days.size());
+  for (const auto& [date, value] : keyword_days.entries()) {
+    if (day_mean > 0.0 && value > 3.0 * day_mean && value >= 5.0) {
+      out.outage_alert_days.push_back(date);
+    }
+  }
+  return out;
+}
+
 void expect_equivalent(const Insight& a, const Insight& b, bool bit_exact) {
   EXPECT_EQ(a.sessions, b.sessions);
   EXPECT_EQ(a.rated_sessions, b.rated_sessions);
@@ -142,16 +272,16 @@ TEST(ShardEquivalence, ShardedParallelMatchesFlatSequential) {
   for (const std::uint64_t seed : {11u, 97u, 2023u}) {
     SCOPED_TRACE(testing::Message() << "corpus seed " << seed);
     const Corpus corpus = make_corpus(seed);
-    const QueryService reference =
-        build_service(corpus, {ShardingPolicy::kSingleShard, 0});
-    const QueryService sharded =
-        build_service(corpus, {ShardingPolicy::kMonthPlatform, 4});
-    ASSERT_EQ(reference.ingested_sessions(), sharded.ingested_sessions());
-    ASSERT_EQ(reference.ingested_posts(), sharded.ingested_posts());
-    EXPECT_EQ(reference.session_shards(), 1u);
+    const QueryService sharded = build_service(corpus, {.threads = 4});
+    std::size_t sessions = 0;
+    for (const confsim::CallRecord& call : corpus.calls) {
+      sessions += call.participants.size();
+    }
+    ASSERT_EQ(sharded.ingested_sessions(), sessions);
+    ASSERT_EQ(sharded.ingested_posts(), corpus.posts.size());
     EXPECT_GT(sharded.session_shards(), 1u);
     for (const Query& q : query_battery()) {
-      expect_equivalent(reference.run(q), sharded.run(q),
+      expect_equivalent(brute_force(corpus, q), sharded.run(q),
                         /*bit_exact=*/false);
     }
   }
@@ -162,9 +292,8 @@ TEST(ShardEquivalence, ResultsIndependentOfThreadCount) {
   // by shard keys, so results must be bit-identical — not merely close.
   const Corpus corpus = make_corpus(7);
   const QueryService sequential =
-      build_service(corpus, {ShardingPolicy::kMonthPlatform, 0});
-  const QueryService threaded =
-      build_service(corpus, {ShardingPolicy::kMonthPlatform, 8});
+      build_service(corpus, {.threads = 0});
+  const QueryService threaded = build_service(corpus, {.threads = 8});
   ASSERT_EQ(sequential.session_shards(), threaded.session_shards());
   for (const Query& q : query_battery()) {
     const Insight a = sequential.run(q);
@@ -183,7 +312,7 @@ TEST(ShardEquivalence, ResultsIndependentOfThreadCount) {
 TEST(ShardEquivalence, MonthPlatformPartitioningIsComplete) {
   const Corpus corpus = make_corpus(3);
   const QueryService sharded =
-      build_service(corpus, {ShardingPolicy::kMonthPlatform, 2});
+      build_service(corpus, {.threads = 2});
   // 3 months x up to 4 platforms, and every session landed in some shard.
   EXPECT_LE(sharded.session_shards(), 12u);
   EXPECT_GE(sharded.session_shards(), 3u);

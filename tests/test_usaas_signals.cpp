@@ -145,8 +145,7 @@ TEST(P95Aggregation, LatencyTrendsHoldOnP95) {
   cfg.sweep_lo = 0.0;
   cfg.sweep_hi = 300.0;
   CorrelationEngine engine;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
-      [&](const confsim::CallRecord& call) { engine.ingest(call); });
+  engine.ingest(confsim::CallDatasetGenerator{cfg}.generate());
 
   SweepSpec spec;
   spec.metric = netsim::Metric::kLatency;

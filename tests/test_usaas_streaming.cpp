@@ -1,7 +1,7 @@
 // Streaming-ingest property tests: StreamIngestor must be a transparent
 // front-end — a stream of pushes, flushed at any watermark, yields query
-// results bit-identical to one-shot batch ingest of the same records, for
-// every ShardingPolicy and thread count. Backpressure policies, poison
+// results bit-identical to one-shot batch ingest of the same records, at
+// every thread count. Backpressure policies, poison
 // quarantine, and reader/writer concurrency (queries racing a live
 // producer) are exercised on top.
 //
@@ -235,47 +235,40 @@ confsim::CallRecord poison_call(QuarantineReason reason, std::uint64_t id) {
 
 TEST(Streaming, MatchesBatchAtAnyWatermarkPolicyAndThreadCount) {
   const Corpus corpus = make_corpus(1234);
-  for (const ShardingPolicy policy :
-       {ShardingPolicy::kSingleShard, ShardingPolicy::kMonthPlatform}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      const QueryService batched = batch_service(corpus, {policy, threads});
-      for (const std::size_t watermark :
-           {std::size_t{1}, std::size_t{7}, std::size_t{64},
-            corpus.calls.size() + corpus.posts.size()}) {
-        SCOPED_TRACE(testing::Message()
-                     << "policy "
-                     << (policy == ShardingPolicy::kSingleShard ? "single"
-                                                                : "month")
-                     << ", threads " << threads << ", watermark "
-                     << watermark);
-        QueryService streamed{{policy, threads}};
-        StreamIngestorConfig cfg;
-        cfg.call_capacity = cfg.post_capacity =
-            corpus.calls.size() + corpus.posts.size();
-        cfg.call_flush_watermark = cfg.post_flush_watermark = watermark;
-        StreamIngestor ingestor{streamed, cfg};
-        for (const auto& call : corpus.calls) {
-          ASSERT_EQ(ingestor.push(call), PushOutcome::kAccepted);
-        }
-        for (const auto& post : corpus.posts) {
-          ASSERT_EQ(ingestor.push(post), PushOutcome::kAccepted);
-        }
-        ASSERT_TRUE(ingestor.flush());
-        streamed.train_predictor();
-        ASSERT_EQ(streamed.ingested_sessions(), batched.ingested_sessions());
-        ASSERT_EQ(streamed.ingested_posts(), batched.ingested_posts());
-        ASSERT_EQ(streamed.session_shards(), batched.session_shards());
-        ASSERT_EQ(streamed.post_shards(), batched.post_shards());
-        const StreamIngestor::Stats stats = ingestor.stats();
-        EXPECT_EQ(stats.health.accepted,
-                  corpus.calls.size() + corpus.posts.size());
-        EXPECT_EQ(stats.health.flushed, stats.health.accepted);
-        EXPECT_EQ(stats.health.staged, 0u);
-        EXPECT_EQ(stats.health.quarantined, 0u);
-        for (const Query& q : battery()) {
-          expect_identical(streamed.run(q), batched.run(q));
-        }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    const QueryService batched = batch_service(corpus, {.threads = threads});
+    for (const std::size_t watermark :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64},
+          corpus.calls.size() + corpus.posts.size()}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads
+                                      << ", watermark " << watermark);
+      QueryService streamed{{.threads = threads}};
+      StreamIngestorConfig cfg;
+      cfg.call_capacity = cfg.post_capacity =
+          corpus.calls.size() + corpus.posts.size();
+      cfg.call_flush_watermark = cfg.post_flush_watermark = watermark;
+      StreamIngestor ingestor{streamed, cfg};
+      for (const auto& call : corpus.calls) {
+        ASSERT_EQ(ingestor.push(call), PushOutcome::kAccepted);
+      }
+      for (const auto& post : corpus.posts) {
+        ASSERT_EQ(ingestor.push(post), PushOutcome::kAccepted);
+      }
+      ASSERT_TRUE(ingestor.flush());
+      streamed.train_predictor();
+      ASSERT_EQ(streamed.ingested_sessions(), batched.ingested_sessions());
+      ASSERT_EQ(streamed.ingested_posts(), batched.ingested_posts());
+      ASSERT_EQ(streamed.session_shards(), batched.session_shards());
+      ASSERT_EQ(streamed.post_shards(), batched.post_shards());
+      const StreamIngestor::Stats stats = ingestor.stats();
+      EXPECT_EQ(stats.health.accepted,
+                corpus.calls.size() + corpus.posts.size());
+      EXPECT_EQ(stats.health.flushed, stats.health.accepted);
+      EXPECT_EQ(stats.health.staged, 0u);
+      EXPECT_EQ(stats.health.quarantined, 0u);
+      for (const Query& q : battery()) {
+        expect_identical(streamed.run(q), batched.run(q));
       }
     }
   }
@@ -284,8 +277,8 @@ TEST(Streaming, MatchesBatchAtAnyWatermarkPolicyAndThreadCount) {
 TEST(Streaming, ChunkPushMatchesRecordPush) {
   const Corpus corpus = make_corpus(77);
   const QueryService batched =
-      batch_service(corpus, {ShardingPolicy::kMonthPlatform, 2});
-  QueryService streamed{{ShardingPolicy::kMonthPlatform, 2}};
+      batch_service(corpus, {.threads = 2});
+  QueryService streamed{{.threads = 2}};
   StreamIngestorConfig cfg;
   cfg.call_flush_watermark = 16;
   cfg.post_flush_watermark = 16;
@@ -316,9 +309,9 @@ TEST(Streaming, PushManyMatchesRecordPushBitIdentically) {
   cfg.call_flush_watermark = 16;
   cfg.post_flush_watermark = 16;
 
-  QueryService looped{{ShardingPolicy::kMonthPlatform, 2}};
+  QueryService looped{{.threads = 2}};
   StreamIngestor one_by_one{looped, cfg};
-  QueryService chunked{{ShardingPolicy::kMonthPlatform, 2}};
+  QueryService chunked{{.threads = 2}};
   StreamIngestor many{chunked, cfg};
 
   // Interleave a poison call every 11 records so quarantine bookkeeping
@@ -371,7 +364,7 @@ TEST(Streaming, PushManyMatchesRecordPushBitIdentically) {
 }
 
 TEST(Streaming, PushManyStopsAtTheFirstRejection) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   core::FaultInjector::Config fcfg;
   fcfg.fail_first_flushes = 1u << 20;  // every flush fails
   core::FaultInjector faults{fcfg};
@@ -401,7 +394,7 @@ core::FaultInjector always_failing_flushes() {
 }
 
 TEST(Streaming, RejectPolicyRefusesWhenFullAndStuck) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   core::FaultInjector faults = always_failing_flushes();
   StreamIngestorConfig cfg;
   cfg.call_capacity = 8;
@@ -430,7 +423,7 @@ TEST(Streaming, RejectPolicyRefusesWhenFullAndStuck) {
 }
 
 TEST(Streaming, DropOldestPolicyKeepsTheFreshestRecords) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   core::FaultInjector faults = always_failing_flushes();
   StreamIngestorConfig cfg;
   cfg.call_capacity = 4;
@@ -452,7 +445,7 @@ TEST(Streaming, DropOldestPolicyKeepsTheFreshestRecords) {
 }
 
 TEST(Streaming, BlockPolicyRetriesUntilTheFlushRecovers) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   // Fails the first 3 flush attempts, then heals: a full-buffer push under
   // kBlock must retry the flush inline and eventually accept.
   core::FaultInjector::Config fcfg;
@@ -494,74 +487,70 @@ TEST(Streaming, BlockPolicyRetriesUntilTheFlushRecovers) {
 
 TEST(Streaming, QuarantineCountsPerReasonAndShieldsShards) {
   const Corpus good = make_corpus(11);
-  for (const ShardingPolicy policy :
-       {ShardingPolicy::kSingleShard, ShardingPolicy::kMonthPlatform}) {
-    SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy));
-    const QueryService clean = batch_service(good, {policy, 2});
-    QueryService dirty{{policy, 2}};
-    StreamIngestor ingestor{dirty};
-    // Interleave poison with the good corpus: 2 of each call-side reason
-    // plus 3 empty-text posts and 2 bad-date posts.
-    constexpr QuarantineReason kCallReasons[] = {
-        QuarantineReason::kDateOutOfRange, QuarantineReason::kNanMetric,
-        QuarantineReason::kNegativeMetric,
-        QuarantineReason::kEngagementOutOfRange,
-        QuarantineReason::kMosOutOfRange};
-    std::uint64_t poison_id = 900000;
-    for (std::size_t i = 0; i < good.calls.size(); ++i) {
-      if (i % 7 == 0) {
-        const QuarantineReason reason = kCallReasons[(i / 7) % 5];
-        EXPECT_EQ(ingestor.push(poison_call(reason, poison_id++)),
-                  PushOutcome::kQuarantined);
-      }
-      ASSERT_EQ(ingestor.push(good.calls[i]), PushOutcome::kAccepted);
+  const QueryService clean = batch_service(good, {.threads = 2});
+  QueryService dirty{{.threads = 2}};
+  StreamIngestor ingestor{dirty};
+  // Interleave poison with the good corpus: 2 of each call-side reason
+  // plus 3 empty-text posts and 2 bad-date posts.
+  constexpr QuarantineReason kCallReasons[] = {
+      QuarantineReason::kDateOutOfRange, QuarantineReason::kNanMetric,
+      QuarantineReason::kNegativeMetric,
+      QuarantineReason::kEngagementOutOfRange,
+      QuarantineReason::kMosOutOfRange};
+  std::uint64_t poison_id = 900000;
+  for (std::size_t i = 0; i < good.calls.size(); ++i) {
+    if (i % 7 == 0) {
+      const QuarantineReason reason = kCallReasons[(i / 7) % 5];
+      EXPECT_EQ(ingestor.push(poison_call(reason, poison_id++)),
+                PushOutcome::kQuarantined);
     }
-    const std::size_t call_poison = (good.calls.size() + 6) / 7;
-    for (std::size_t i = 0; i < 3; ++i) {
-      social::Post empty = good_post(poison_id++);
-      empty.title = "  ";
-      empty.body = "\t\n";
-      EXPECT_EQ(ingestor.push(empty), PushOutcome::kQuarantined);
-    }
-    for (std::size_t i = 0; i < 2; ++i) {
-      social::Post undated = good_post(poison_id++);
-      undated.date = Date{};
-      EXPECT_EQ(ingestor.push(undated), PushOutcome::kQuarantined);
-    }
-    EXPECT_EQ(ingestor.push_posts(good.posts), good.posts.size());
-    ASSERT_TRUE(ingestor.flush());
-    dirty.train_predictor();
+    ASSERT_EQ(ingestor.push(good.calls[i]), PushOutcome::kAccepted);
+  }
+  const std::size_t call_poison = (good.calls.size() + 6) / 7;
+  for (std::size_t i = 0; i < 3; ++i) {
+    social::Post empty = good_post(poison_id++);
+    empty.title = "  ";
+    empty.body = "\t\n";
+    EXPECT_EQ(ingestor.push(empty), PushOutcome::kQuarantined);
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    social::Post undated = good_post(poison_id++);
+    undated.date = Date{};
+    EXPECT_EQ(ingestor.push(undated), PushOutcome::kQuarantined);
+  }
+  EXPECT_EQ(ingestor.push_posts(good.posts), good.posts.size());
+  ASSERT_TRUE(ingestor.flush());
+  dirty.train_predictor();
 
-    const StreamIngestor::Stats stats = ingestor.stats();
-    EXPECT_EQ(stats.health.quarantined, call_poison + 5);
-    const auto count = [&](QuarantineReason r) {
-      return stats.quarantined_by_reason[static_cast<std::size_t>(r)];
-    };
-    // 2 of the 5 call reasons appear twice with 10 poison calls, plus the
-    // 2 undated posts on kDateOutOfRange; derive exactly instead.
-    std::array<std::uint64_t, kNumQuarantineReasons> expected{};
-    for (std::size_t i = 0; i < call_poison; ++i) {
-      ++expected[static_cast<std::size_t>(kCallReasons[i % 5])];
-    }
-    expected[static_cast<std::size_t>(QuarantineReason::kDateOutOfRange)] +=
-        2;
-    expected[static_cast<std::size_t>(QuarantineReason::kEmptyPostText)] += 3;
-    for (std::size_t r = 0; r < kNumQuarantineReasons; ++r) {
-      EXPECT_EQ(count(static_cast<QuarantineReason>(r)), expected[r])
-          << to_string(static_cast<QuarantineReason>(r));
-    }
+  const StreamIngestor::Stats stats = ingestor.stats();
+  EXPECT_EQ(stats.health.quarantined, call_poison + 5);
+  const auto count = [&](QuarantineReason r) {
+    return stats.quarantined_by_reason[static_cast<std::size_t>(r)];
+  };
+  // 2 of the 5 call reasons appear twice with 10 poison calls, plus the
+  // 2 undated posts on kDateOutOfRange; derive exactly instead.
+  std::array<std::uint64_t, kNumQuarantineReasons> expected{};
+  for (std::size_t i = 0; i < call_poison; ++i) {
+    ++expected[static_cast<std::size_t>(kCallReasons[i % 5])];
+  }
+  expected[static_cast<std::size_t>(QuarantineReason::kDateOutOfRange)] +=
+      2;
+  expected[static_cast<std::size_t>(QuarantineReason::kEmptyPostText)] += 3;
+  for (std::size_t r = 0; r < kNumQuarantineReasons; ++r) {
+    EXPECT_EQ(count(static_cast<QuarantineReason>(r)), expected[r])
+        << to_string(static_cast<QuarantineReason>(r));
+  }
 
-    // The dead-letter buffer names the poison, and the shard stores never
-    // saw it: results are bit-identical to the clean corpus.
-    EXPECT_EQ(ingestor.quarantine().size(),
-              std::min<std::size_t>(call_poison + 5,
-                                    ingestor.config().quarantine_capacity));
-    EXPECT_EQ(dirty.ingested_sessions(), clean.ingested_sessions());
-    EXPECT_EQ(dirty.ingested_posts(), clean.ingested_posts());
-    EXPECT_EQ(dirty.session_shards(), clean.session_shards());
-    for (const Query& q : battery()) {
-      expect_identical(dirty.run(q), clean.run(q));
-    }
+  // The dead-letter buffer names the poison, and the shard stores never
+  // saw it: results are bit-identical to the clean corpus.
+  EXPECT_EQ(ingestor.quarantine().size(),
+            std::min<std::size_t>(call_poison + 5,
+                                  ingestor.config().quarantine_capacity));
+  EXPECT_EQ(dirty.ingested_sessions(), clean.ingested_sessions());
+  EXPECT_EQ(dirty.ingested_posts(), clean.ingested_posts());
+  EXPECT_EQ(dirty.session_shards(), clean.session_shards());
+  for (const Query& q : battery()) {
+    expect_identical(dirty.run(q), clean.run(q));
   }
 }
 
@@ -604,7 +593,7 @@ TEST(Streaming, ValidatorReasonPriorityIsStable) {
 // ---- Health publication + staleness ----------------------------------
 
 TEST(Streaming, HealthIsPublishedIntoServiceStats) {
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 1}};
+  QueryService svc{{.threads = 1}};
   StreamIngestorConfig cfg;
   cfg.call_flush_watermark = 64;  // large: pushes stay staged
   StreamIngestor ingestor{svc, cfg};
@@ -640,7 +629,7 @@ TEST(Streaming, QueryDuringLiveIngestSeesOnlyFlushedPrefixes) {
     }
   }
 
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 4}};
+  QueryService svc{{.threads = 4}};
   StreamIngestorConfig cfg;
   cfg.call_flush_watermark = kWatermark;
   StreamIngestor ingestor{svc, cfg};
@@ -684,7 +673,7 @@ TEST(Streaming, QueryDuringLiveIngestSeesOnlyFlushedPrefixes) {
 
   // After the producer finishes, the stream is fully queryable and
   // bit-identical to batch ingest of the same records.
-  QueryService batch{{ShardingPolicy::kMonthPlatform, 4}};
+  QueryService batch{{.threads = 4}};
   batch.ingest_calls(calls);
   expect_identical(svc.run(q), batch.run(q));
 }
@@ -700,7 +689,7 @@ TEST(Streaming, IngestStatsAreMonotoneAndThreadCountInvariant) {
   std::vector<QueryService::ServiceStats> per_threads;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
-    QueryService svc{{ShardingPolicy::kMonthPlatform, threads}};
+    QueryService svc{{.threads = threads}};
     svc.ingest_calls(calls);
     svc.ingest_posts(posts);
     per_threads.push_back(svc.stats());
@@ -720,7 +709,7 @@ TEST(Streaming, IngestStatsAreMonotoneAndThreadCountInvariant) {
 
   // Monotonicity while two ingest threads append batches and a sampler
   // polls stats(): cumulative counters never go backwards.
-  QueryService svc{{ShardingPolicy::kMonthPlatform, 2}};
+  QueryService svc{{.threads = 2}};
   std::atomic<bool> done{false};
   std::atomic<int> violations{0};
   std::thread sampler{[&] {

@@ -100,7 +100,6 @@ struct Fixture {
   static QueryServiceConfig make_config(tel::Registry* reg,
                                         tel::TraceSampling sampling) {
     QueryServiceConfig cfg;
-    cfg.sharding = ShardingPolicy::kMonthPlatform;
     cfg.threads = 1;
     cfg.telemetry = reg;
     cfg.trace.sampling = sampling;
