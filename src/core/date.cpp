@@ -109,6 +109,11 @@ bool window_cuts_month(const std::optional<Date>& first,
   return first_cuts || last_cuts;
 }
 
+Date month_key_start(int mk) {
+  const int year = (mk >= 0 ? mk : mk - 11) / 12;
+  return Date(year, mk - year * 12 + 1, 1);
+}
+
 std::int64_t Date::days_until(const Date& other) const {
   return other.days_since_epoch() - days_since_epoch();
 }

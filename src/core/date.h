@@ -90,6 +90,23 @@ class Date {
   return d.year() * 12 + (d.month() - 1);
 }
 
+/// The 1st of month key `mk` — month_key's inverse. Decoded with floored
+/// division, so pre-epoch (negative) keys still land on their real month.
+[[nodiscard]] Date month_key_start(int mk);
+
+/// Order-preserving packed civil-day key: year*512 + month*32 + day
+/// (month*32 + day < 512), so an inclusive date window check becomes two
+/// integer compares. Shared by the column stores and the cache key.
+[[nodiscard]] inline std::int32_t pack_day_key(const Date& d) {
+  return static_cast<std::int32_t>(d.year()) * 512 +
+         static_cast<std::int32_t>(d.month()) * 32 +
+         static_cast<std::int32_t>(d.day());
+}
+[[nodiscard]] inline Date unpack_day_key(std::int32_t key) {
+  return Date(static_cast<int>(key / 512), static_cast<int>((key / 32) % 16),
+              static_cast<int>(key % 32));
+}
+
 /// True when the inclusive window [first, last] covers month `mk`
 /// (month_key units) only in part: `first` falls inside the month after
 /// its 1st, or `last` before its final day. An unset bound never cuts. A

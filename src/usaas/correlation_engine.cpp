@@ -1,9 +1,7 @@
 #include "usaas/correlation_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -11,7 +9,6 @@
 #include <utility>
 
 #include "core/correlation.h"
-#include "core/flat_index.h"
 #include "core/stats.h"
 
 namespace usaas::service {
@@ -19,12 +16,6 @@ namespace usaas::service {
 namespace {
 
 using core::month_key;
-
-[[nodiscard]] double seconds_between(
-    std::chrono::steady_clock::time_point a,
-    std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
 
 // ---------------------------------------------------------------------------
 // Two-phase columnar scan kernels.
@@ -67,8 +58,8 @@ struct Residual {
   if (check_dates) {
     // pack_day_key preserves Date ordering, so the inclusive window check
     // becomes two integer compares.
-    if (selector.first) p.day_lo = SessionColumns::pack_day_key(*selector.first);
-    if (selector.last) p.day_hi = SessionColumns::pack_day_key(*selector.last);
+    if (selector.first) p.day_lo = core::pack_day_key(*selector.first);
+    if (selector.last) p.day_hi = core::pack_day_key(*selector.last);
   }
   if (selector.access) {
     p.access = static_cast<std::uint8_t>(*selector.access);
@@ -277,58 +268,27 @@ void CorrelationEngine::set_telemetry(core::telemetry::Registry* registry,
                                       std::string_view corpus) {
   registry_ = registry;
   corpus_ = std::string{corpus};
-  if (registry == nullptr) {
-    ingest_tel_ = {};
-    mos_memo_hits_ = {};
-    mos_memo_misses_ = {};
-    for (SessionShard& shard : shards_) {
-      shard.summary_touches = {};
-      shard.scan_touches = {};
-    }
-    return;
-  }
-  const auto phase = [&](const char* name) {
-    return registry->histogram(
-        "usaas_ingest_batch_seconds",
-        "Per-batch ingest phase durations (two-pass counted pipeline)",
-        {{"corpus", corpus_}, {"phase", name}});
-  };
-  ingest_tel_ = {phase("count"), phase("plan"), phase("scatter"),
-                 phase("summarize"), phase("total")};
-  const auto memo = [&](const char* result) {
-    return registry->counter(
-        "usaas_mos_correlation_memo_total",
-        "Corpus-wide MOS correlation lookups answered from the memo (hit) "
-        "vs computed after a mutation (miss)",
-        {{"result", result}});
-  };
-  mos_memo_hits_ = memo("hit");
-  mos_memo_misses_ = memo("miss");
+  ingest_.set_telemetry(registry, corpus_);
   // Shards ingested before telemetry was attached get counters now;
   // shards created later register in shard_for_key.
   for (SessionShard& shard : shards_) register_shard_touches(shard);
+  const auto memo = [&](const char* result) {
+    return registry == nullptr
+               ? core::telemetry::Counter{}
+               : registry->counter(
+                     "usaas_mos_correlation_memo_total",
+                     "Corpus-wide MOS correlation lookups answered from the "
+                     "memo (hit) vs computed after a mutation (miss)",
+                     {{"result", result}});
+  };
+  mos_memo_hits_ = memo("hit");
+  mos_memo_misses_ = memo("miss");
 }
 
 void CorrelationEngine::register_shard_touches(SessionShard& shard) {
-  if (registry_ == nullptr || !registry_->enabled()) return;
-  // Floored decode so pre-epoch (negative) month keys render sanely.
-  const int mk = shard.month_key;
-  const int year = (mk >= 0 ? mk : mk - 11) / 12;
-  const int month = mk - year * 12 + 1;
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d/", year, month);
-  std::string label = buf;
-  label += confsim::to_string(shard.platform);
-  const auto touch = [&](const char* source) {
-    return registry_->counter(
-        "usaas_shard_touches_total",
-        "Per-shard query touches by answer source (summary merge vs "
-        "record scan) — the access-frequency signal for spill-to-disk "
-        "eviction",
-        {{"corpus", corpus_}, {"shard", label}, {"source", source}});
-  };
-  shard.summary_touches = touch("summary");
-  shard.scan_touches = touch("scan");
+  shard.touches = ShardTouches::attach(
+      registry_, corpus_, shard.month_key,
+      std::string{"/"} + confsim::to_string(shard.platform));
 }
 
 CorrelationEngine::MosMemo& CorrelationEngine::MosMemo::operator=(
@@ -348,7 +308,7 @@ void CorrelationEngine::MosMemo::clear() {
   for (std::atomic<bool>& r : ready) r.store(false, std::memory_order_relaxed);
 }
 
-CorrelationEngine::SessionShard& CorrelationEngine::shard_for_key(int key) {
+std::size_t CorrelationEngine::shard_for_key(int key) {
   const auto [it, inserted] = shard_index_.try_emplace(key, shards_.size());
   if (inserted) {
     // Unpack with floored semantics so pre-epoch month keys (negative)
@@ -363,237 +323,44 @@ CorrelationEngine::SessionShard& CorrelationEngine::shard_for_key(int key) {
     register_shard_touches(shard);
     shards_.push_back(std::move(shard));
   }
-  return shards_[it->second];
+  return it->second;
 }
 
 void CorrelationEngine::ingest(std::span<const confsim::CallRecord> calls) {
   if (calls.empty()) return;
   predicted_fresh_ = false;
   mos_memo_.clear();
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // Contiguous in-order call chunks. Fan-out is capped by the pool's
-  // *effective* parallelism (1 on a single-core host, where both passes
-  // then run inline with a single chunk) and floored by a grain so chunks
-  // stay large enough to amortize their counting structures.
-  constexpr std::size_t kGrainCalls = 64;
-  const std::size_t parallelism = core::effective_parallelism(pool_);
-  const std::size_t chunks =
-      std::min({calls.size(), parallelism * 4,
-                std::max<std::size_t>(1, calls.size() / kGrainCalls)});
-  const auto chunk_begin = [&](std::size_t c) {
-    return c * calls.size() / chunks;
-  };
-
-  // ---- Pass 1: per-chunk x per-shard-key record counts, in parallel,
-  // over a flat dense key index (no node-based map in the inner loop).
-  // The count arrays persist across batches; clear() keeps their range.
-  scratch_.counts.resize(chunks);
-  for (core::DenseKeyCounts& c : scratch_.counts) c.clear();
-  std::vector<core::DenseKeyCounts>& counts = scratch_.counts;
-  core::parallel_for(pool_, chunks, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      core::DenseKeyCounts& local = counts[c];
-      for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-        const core::Date date = calls[i].start.date;
-        for (const auto& p : calls[i].participants) {
-          local.add(shard_key(date, p.platform));
-        }
-      }
-    }
-  });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  // ---- Prefix-sum the counts into a scatter plan, pre-size every
-  // destination shard's columns for this batch (resize_uninit: no memset,
-  // the scatter writes every new slot exactly once), and lay out the
-  // batch-wide permutation space: key-major, slot order inside each key.
-  const core::ScatterPlan plan = core::build_scatter_plan(counts);
-  IngestStats batch;
-  batch.batches = 1;
-  if (plan.num_keys == 0) {  // every call in the batch was empty
-    batch.total_seconds = seconds_between(t0, t1);
-    batch.count_seconds = batch.total_seconds;
-    ingest_stats_.merge(batch);
-    return;
-  }
-  // Create shards first (growing shards_ may move SessionShard objects),
-  // then size them and capture stable pointers.
-  for (std::size_t k = 0; k < plan.num_keys; ++k) {
-    if (plan.totals[k] > 0) shard_for_key(plan.min_key + static_cast<int>(k));
-  }
+  using Slot = SourceSlot<confsim::ParticipantRecord>;
   struct Slice {
-    SessionShard* shard{nullptr};  // stable: shards_ stops growing above
-    std::size_t base{0};           // first new row in the shard's columns
+    std::size_t shard{0};  // index: shards_ may grow while slices are made
+    std::size_t base{0};   // first new row in the shard's columns
   };
-  std::vector<Slice> slices(plan.num_keys);
-  scratch_.batch_offsets.assign(plan.num_keys, 0);
-  std::size_t batch_rows = 0;
-  for (std::size_t k = 0; k < plan.num_keys; ++k) {
-    scratch_.batch_offsets[k] = batch_rows;
-    if (plan.totals[k] == 0) continue;
-    SessionShard& shard = shard_for_key(plan.min_key + static_cast<int>(k));
-    slices[k] = {&shard, shard.columns.size()};
-    shard.columns.resize_uninit(slices[k].base + plan.totals[k]);
-    batch_rows += plan.totals[k];
-    ++batch.shards_touched;
-  }
-  batch.records = batch_rows;
-  const std::vector<std::size_t>& batch_offsets = scratch_.batch_offsets;
-  scratch_.perm.resize_uninit(batch_rows);
-  SourceSlot* perm = scratch_.perm.data();
-  const auto t2 = std::chrono::steady_clock::now();
-
-  // ---- Pass 2a: build the permutation, in parallel over chunks. A
-  // chunk's cursor row starts at the prefix-sum offsets, so slot order is
-  // (chunk index, in-chunk order) == sequential ingest order, and chunks
-  // write disjoint slots (no synchronization, no merge step).
-  core::parallel_for(pool_, chunks, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      std::vector<std::size_t> cursor = plan.chunk_cursor(c);
-      for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-        const core::Date date = calls[i].start.date;
-        const std::int32_t day = SessionColumns::pack_day_key(date);
-        for (const auto& p : calls[i].participants) {
-          const auto k = static_cast<std::size_t>(
-              shard_key(date, p.platform) - plan.min_key);
-          perm[batch_offsets[k] + cursor[k]++] = {&p, day};
-        }
-      }
+  const auto emit = [](const confsim::CallRecord& call, auto&& sink) {
+    const core::Date date = call.start.date;
+    const std::int32_t day = core::pack_day_key(date);
+    for (const auto& p : call.participants) {
+      sink(shard_key(date, p.platform), Slot{&p, day});
     }
-  });
-
-  // ---- Pass 2b: destination-major scatter. Tasks are contiguous slot
-  // sub-ranges within one shard's slice (hot shards split across
-  // workers), so every column write is sequential per task and tasks
-  // touch disjoint rows. Writing all ~25 columns per slot would cycle
-  // through 25 interleaved store streams — more than the store buffers
-  // can combine — so the scatter runs in small blocks with a handful of
-  // fused per-column passes: each pass writes <= 6 sequential streams,
-  // and the block's source records (pulled into cache by the first pass,
-  // prefetched a few slots ahead) are re-read from L1/L2 by the rest.
-  const std::vector<core::ShardRange> tasks =
-      core::plan_shard_ranges(plan.totals, parallelism, /*min_grain=*/4096);
-  core::parallel_for(pool_, tasks.size(), [&](std::size_t tb, std::size_t te) {
-    constexpr std::size_t kBlock = 256;  // ~47 KB of records per block
-    for (std::size_t t = tb; t < te; ++t) {
-      const core::ShardRange& range = tasks[t];
-      const Slice& slice = slices[range.key];
-      SessionColumns& cols = slice.shard->columns;
-      const SourceSlot* src = perm + batch_offsets[range.key];
-      // Hoisted raw destination pointers: the uint8 column stores could
-      // otherwise alias the PodColumn pointer members themselves, forcing
-      // the compiler to reload every column base after every store.
-      std::int32_t* const day_out = cols.day_key.data() + slice.base;
-      std::uint64_t* const user_out = cols.user_id.data() + slice.base;
-      std::uint8_t* const plat_out = cols.platform.data() + slice.base;
-      std::uint8_t* const acc_out = cols.access.data() + slice.base;
-      std::int32_t* const size_out = cols.meeting_size.data() + slice.base;
-      double* const lat_mean = cols.latency_mean.data() + slice.base;
-      double* const lat_med = cols.latency_median.data() + slice.base;
-      double* const lat_tail = cols.latency_tail.data() + slice.base;
-      double* const loss_mean = cols.loss_mean.data() + slice.base;
-      double* const loss_med = cols.loss_median.data() + slice.base;
-      double* const loss_tail = cols.loss_tail.data() + slice.base;
-      double* const jit_mean = cols.jitter_mean.data() + slice.base;
-      double* const jit_med = cols.jitter_median.data() + slice.base;
-      double* const jit_tail = cols.jitter_tail.data() + slice.base;
-      double* const bw_mean = cols.bandwidth_mean.data() + slice.base;
-      double* const bw_med = cols.bandwidth_median.data() + slice.base;
-      double* const bw_tail = cols.bandwidth_tail.data() + slice.base;
-      double* const dur_out = cols.duration_s.data() + slice.base;
-      std::uint32_t* const samp_out = cols.sample_count.data() + slice.base;
-      double* const pres_out = cols.presence.data() + slice.base;
-      double* const cam_out = cols.cam_on.data() + slice.base;
-      double* const mic_out = cols.mic_on.data() + slice.base;
-      std::uint8_t* const drop_out = cols.dropped_early.data() + slice.base;
-      double* const mos_out = cols.mos.data() + slice.base;
-      std::uint8_t* const valid_out = cols.mos_valid.data() + slice.base;
-      for (std::size_t s = range.begin; s < range.end; s += kBlock) {
-        const std::size_t n = std::min(kBlock, range.end - s);
-        const SourceSlot* blk = src + s;
-        for (std::size_t i = 0; i < n; ++i) {  // header + record warm-up
-          if (i + 8 < n) {
-            const auto* next = reinterpret_cast<const char*>(blk[i + 8].rec);
-            __builtin_prefetch(next);
-            __builtin_prefetch(next + 64);
-            __builtin_prefetch(next + 128);
-          }
-          const confsim::ParticipantRecord& r = *blk[i].rec;
-          day_out[s + i] = blk[i].day;
-          user_out[s + i] = r.user_id;
-          plat_out[s + i] = static_cast<std::uint8_t>(r.platform);
-          acc_out[s + i] = static_cast<std::uint8_t>(r.access);
-          size_out[s + i] = static_cast<std::int32_t>(r.meeting_size);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const netsim::SessionNetworkSummary& net = blk[i].rec->network;
-          lat_mean[s + i] = net.latency_ms.mean;
-          lat_med[s + i] = net.latency_ms.median;
-          lat_tail[s + i] = net.latency_ms.p95;
-          loss_mean[s + i] = net.loss_pct.mean;
-          loss_med[s + i] = net.loss_pct.median;
-          loss_tail[s + i] = net.loss_pct.p95;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const netsim::SessionNetworkSummary& net = blk[i].rec->network;
-          jit_mean[s + i] = net.jitter_ms.mean;
-          jit_med[s + i] = net.jitter_ms.median;
-          jit_tail[s + i] = net.jitter_ms.p95;
-          bw_mean[s + i] = net.bandwidth_mbps.mean;
-          bw_med[s + i] = net.bandwidth_mbps.median;
-          bw_tail[s + i] = net.bandwidth_mbps.p95;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const confsim::ParticipantRecord& r = *blk[i].rec;
-          dur_out[s + i] = r.network.duration_seconds;
-          samp_out[s + i] = static_cast<std::uint32_t>(r.network.sample_count);
-          pres_out[s + i] = r.presence_pct;
-          cam_out[s + i] = r.cam_on_pct;
-          mic_out[s + i] = r.mic_on_pct;
-          drop_out[s + i] = r.dropped_early ? 1 : 0;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::optional<core::Mos>& m = blk[i].rec->mos;
-          valid_out[s + i] = m.has_value() ? 1 : 0;
-          mos_out[s + i] = m ? m->score() : 0.0;
-        }
-      }
-    }
-  });
-  const auto t3 = std::chrono::steady_clock::now();
-
-  // ---- Pass 3 (summaries on): fold each shard's new rows into its
-  // summary, straight from the columns, in slot order == sequential
-  // ingest order. Shards are disjoint, so the fold parallelizes over
-  // keys with no synchronization.
-  if (summary_cfg_) {
-    core::parallel_for(
-        pool_, plan.num_keys, [&](std::size_t kb, std::size_t ke) {
-          for (std::size_t k = kb; k < ke; ++k) {
-            if (plan.totals[k] == 0) continue;
-            slices[k].shard->summary.fold(slices[k].shard->columns,
-                                          slices[k].base,
-                                          slices[k].base + plan.totals[k]);
-          }
-        });
-  }
-  const auto t4 = std::chrono::steady_clock::now();
-
-  batch.bytes_moved = batch.records * SessionColumns::bytes_per_row();
-  batch.count_seconds = seconds_between(t0, t1);
-  batch.plan_seconds = seconds_between(t1, t2);
-  batch.scatter_seconds = seconds_between(t2, t3);
-  batch.summarize_seconds = seconds_between(t3, t4);
-  batch.total_seconds = seconds_between(t0, t4);
-  ingest_stats_.merge(batch);
-  // Telemetry reuses the timestamps already taken for IngestStats — the
-  // instrumented path adds atomic observes, not extra clock reads.
-  ingest_tel_.count.observe(batch.count_seconds);
-  ingest_tel_.plan.observe(batch.plan_seconds);
-  ingest_tel_.scatter.observe(batch.scatter_seconds);
-  ingest_tel_.summarize.observe(batch.summarize_seconds);
-  ingest_tel_.total.observe(batch.total_seconds);
+  };
+  // resize_uninit: no memset, the scatter writes every new slot once.
+  const auto reserve = [this](int key, std::size_t n) {
+    const std::size_t shard = shard_for_key(key);
+    SessionColumns& cols = shards_[shard].columns;
+    const Slice slice{shard, cols.size()};
+    cols.resize_uninit(slice.base + n);
+    return slice;
+  };
+  const auto scatter = [this](const Slice& slice, const Slot* src,
+                              std::size_t begin, std::size_t end) {
+    shards_[slice.shard].columns.write_rows(slice.base + begin, src + begin,
+                                            end - begin);
+  };
+  const auto fold = [this](const Slice& slice, std::size_t n) {
+    SessionShard& shard = shards_[slice.shard];
+    shard.summary.fold(shard.columns, slice.base, slice.base + n);
+  };
+  ingest_.run(pool_, calls, emit, reserve, scatter, fold,
+              summary_cfg_.has_value());
 }
 
 std::size_t CorrelationEngine::session_count() const {
@@ -657,7 +424,7 @@ std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::plan_fanout(
     sel.use_summary =
         summary_capable && !sel.check_dates && shard.summary.enabled();
     n_summary += sel.use_summary ? 1 : 0;
-    (sel.use_summary ? shard.summary_touches : shard.scan_touches).add(visits);
+    shard.touches.note(sel.use_summary, visits);
     plan.push_back(sel);
   }
   note_fanout(visits * n_summary, visits * (plan.size() - n_summary), fanout);

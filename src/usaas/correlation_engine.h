@@ -12,15 +12,13 @@
 // It never reads the behaviour model's parameters: the planted curves
 // must be recovered from data.
 //
-// Storage is sharded per calendar month x client platform (the natural
-// partitioning of the paper's Jan-Apr corpus and Fig 3's platform
-// breakdown): ingest batches are partitioned in parallel, queries fan out
-// across the shards that survive date/platform pruning and reduce partial
-// accumulators (core::Binner1D/Grid2D merge) in shard-key order. Every
-// query runs the same skeleton — plan the shards and whether each answers
-// from its summary or a scan, fill one partial per shard in parallel,
-// merge in shard-key order — so every result is deterministic and
-// independent of the thread count.
+// It is the session shard store (PostStore is the posts' sibling; both
+// run the machinery in usaas/shard_store.h): SessionColumns per calendar
+// month x client platform, the natural partitioning of the paper's
+// Jan-Apr corpus and Fig 3's platform breakdown. Every query plans the
+// shards and whether each answers from its summary or a scan, fills one
+// partial per shard in parallel through for_each_shard, and merges in
+// shard-key order, so results never depend on the thread count.
 #pragma once
 
 #include <array>
@@ -36,12 +34,12 @@
 
 #include "confsim/call.h"
 #include "core/date.h"
-#include "core/flat_index.h"
 #include "core/histogram.h"
 #include "core/telemetry/metrics.h"
 #include "core/thread_pool.h"
 #include "netsim/conditions.h"
 #include "usaas/session_columns.h"
+#include "usaas/shard_store.h"
 #include "usaas/shard_summary.h"
 #include "usaas/signals.h"
 
@@ -90,40 +88,6 @@ struct SweepSpec {
 using ParticipantFilter =
     std::function<bool(const confsim::ParticipantRecord&)>;
 
-/// Cooperative-cancellation probe a shard fan-out polls once per shard
-/// (see CorrelationEngine::engagement_curves).
-using CancelProbe = std::function<bool()>;
-
-/// Per-worker row-index scratch a shard scan selects into.
-using ShardScratch = std::vector<std::uint32_t>;
-
-/// The one cancellable per-shard loop behind every fan-out (the engine's
-/// and QueryService's social side): runs body(i, scratch) for each i in
-/// [0, n) across `pool`, with one scratch buffer per worker chunk.
-/// `cancelled`, when set, is polled once per shard; once a poll answers
-/// true a relaxed stop flag makes every worker skip the shards it has not
-/// started (the flag only widens, so relaxed suffices). Returns false when
-/// the loop was cancelled: the caller must then discard its partials.
-template <typename Body>
-bool for_each_shard(core::ThreadPool* pool, std::size_t n,
-                    const CancelProbe& cancelled, Body&& body) {
-  std::atomic<bool> stop{false};
-  core::parallel_for(pool, n, [&](std::size_t b, std::size_t e) {
-    ShardScratch scratch;
-    for (std::size_t i = b; i < e; ++i) {
-      if (cancelled) {
-        if (stop.load(std::memory_order_relaxed)) return;
-        if (cancelled()) {
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-      body(i, scratch);
-    }
-  });
-  return !stop.load(std::memory_order_relaxed);
-}
-
 /// Kept for source compatibility only: month x platform is the one shard
 /// layout, so the tag selects nothing.
 enum class ShardingPolicy { kMonthPlatform };
@@ -140,14 +104,6 @@ struct ShardSelector {
   std::optional<core::Date> last;
   std::optional<confsim::Platform> platform;
   std::optional<netsim::AccessTechnology> access;
-};
-
-/// How many shard visits queries answered from precomputed summaries vs
-/// full record scans, cumulatively. Snapshot type returned by
-/// CorrelationEngine::fanout_stats().
-struct QueryFanoutStats {
-  std::uint64_t shards_from_summary{0};
-  std::uint64_t shards_scanned{0};
 };
 
 class CorrelationEngine {
@@ -174,26 +130,18 @@ class CorrelationEngine {
   /// Ingests calls (only participants passing the enterprise filter's
   /// per-call requirements are assumed; callers pre-filter calls).
   ///
-  /// Batch ingest is a two-pass counted pipeline: pass 1 counts records
-  /// per (chunk, shard key) in parallel over a flat dense key index;
-  /// a prefix-sum over those counts pre-reserves each destination shard
-  /// and assigns every chunk a contiguous slot range per shard; pass 2
-  /// first writes a (source pointer, packed day) permutation in slot
-  /// order, then scatters straight into the destination columns,
-  /// destination-major and prefetched, in parallel. Slots are ordered by
-  /// (chunk index, in-chunk position), so per-shard record order equals
-  /// sequential ingest order by construction, at any thread count — and
-  /// each record's fields are written to their columns exactly once.
-  /// Counting and permutation scratch persists across batches (the plan
-  /// phase was dominated by allocation churn before it did). A single
-  /// call is a batch of one: `ingest({&call, 1})`.
+  /// Runs the shared two-pass driver (TwoPassIngest): every participant
+  /// emits its packed (month, platform) key, the scatter is
+  /// SessionColumns::write_rows, and pass 3 folds the new rows into the
+  /// shard summary. Per-shard row order equals sequential ingest order at
+  /// any thread count. A single call is a batch of one: `ingest({&call, 1})`.
   void ingest(std::span<const confsim::CallRecord> calls);
 
   [[nodiscard]] std::size_t session_count() const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Cumulative ingest counters + per-phase timings (see IngestStats).
   [[nodiscard]] const IngestStats& ingest_stats() const {
-    return ingest_stats_;
+    return ingest_.stats();
   }
 
   /// Enables per-shard mergeable summaries (the tier-2 query accelerator):
@@ -320,11 +268,7 @@ class CorrelationEngine {
     SessionColumns columns;
     /// Disabled (a no-op) unless configure_summaries() ran.
     ShardSummary summary;
-    /// Per-shard query-touch counters by answer source — the access
-    /// frequency signal a spill-to-disk eviction policy would rank on.
-    /// Null handles (single-branch no-op bumps) when telemetry is off.
-    core::telemetry::Counter summary_touches;
-    core::telemetry::Counter scan_touches;
+    ShardTouches touches;
   };
   /// A shard surviving selector pruning: whether a window boundary cuts
   /// into its month (per-record date checks), and whether the query
@@ -337,7 +281,8 @@ class CorrelationEngine {
 
   /// Finds or creates the shard for a packed (month_key, platform) key —
   /// shards are addressed by key alone, never re-derived from records.
-  SessionShard& shard_for_key(int key);
+  /// Returns its index into shards_.
+  std::size_t shard_for_key(int key);
   /// The fan-out planner every query method starts with: prunes shards on
   /// `selector`'s window and platform, marks each one summary-answered
   /// under the one rule `summary_capable && !check_dates &&
@@ -368,8 +313,8 @@ class CorrelationEngine {
   [[nodiscard]] MosCorrelation correlate_rated(
       const std::vector<SelectedShard>& plan,
       EngagementMetric engagement) const;
-  /// Registers `shard`'s per-shard touch counters when telemetry is
-  /// attached (label "YYYY-MM/<platform>").
+  /// (Re)attaches `shard`'s touch counters to registry_ (label
+  /// "YYYY-MM/<platform>").
   void register_shard_touches(SessionShard& shard);
   /// Bumps the cumulative summary/scan counters and, when `out` is set,
   /// adds the same visits to the caller's per-query stats.
@@ -421,26 +366,10 @@ class CorrelationEngine {
     void clear();
   };
 
-  /// One slot of the batch-ingest permutation: where row data comes from
-  /// (the participant record inside the caller's batch) plus its packed
-  /// day key, precomputed so the scatter never touches CallRecord again.
-  struct SourceSlot {
-    const confsim::ParticipantRecord* rec{nullptr};
-    std::int32_t day{0};
-  };
-  /// Per-batch scratch reused across ingest calls (allocation churn in
-  /// the counting/permutation structures dominated the plan phase).
-  /// Copying an engine copies whatever the scratch happens to hold —
-  /// harmless, it is overwritten wholesale at the start of every batch.
-  struct IngestScratch {
-    std::vector<core::DenseKeyCounts> counts;
-    PodColumn<SourceSlot> perm;
-    std::vector<std::size_t> batch_offsets;  // exclusive prefix of totals
-  };
-
   core::ThreadPool* pool_{nullptr};
-  IngestStats ingest_stats_;
-  IngestScratch scratch_;
+  /// Grains: 64 calls per pass-1 chunk, 4096 rows per scatter task.
+  TwoPassIngest<confsim::ParticipantRecord> ingest_{
+      64, 4096, SessionColumns::bytes_per_row()};
   // packed (month_key, platform) key -> index into shards_; packing is
   // order-preserving, so the map keeps shard-key order for deterministic
   // reduction.
@@ -457,16 +386,6 @@ class CorrelationEngine {
   /// when telemetry is off).
   core::telemetry::Counter mos_memo_hits_;
   core::telemetry::Counter mos_memo_misses_;
-  /// Batch-ingest phase histograms (null handles when telemetry is off or
-  /// set_telemetry never ran — observations are single-branch no-ops).
-  struct IngestTelemetry {
-    core::telemetry::Histogram count;
-    core::telemetry::Histogram plan;
-    core::telemetry::Histogram scatter;
-    core::telemetry::Histogram summarize;
-    core::telemetry::Histogram total;
-  };
-  IngestTelemetry ingest_tel_;
   /// Borrowed registry for lazy per-shard counter registration (copied
   /// engines share it — counter handles point at the same cells, which
   /// keeps cumulative touch counts meaningful across ablation copies).

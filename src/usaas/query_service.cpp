@@ -1,28 +1,12 @@
 #include "usaas/query_service.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
-#include "core/flat_index.h"
 #include "core/telemetry/exposition.h"
-#include "core/timeseries.h"
 
 namespace usaas::service {
-
-namespace {
-
-using core::month_key;
-
-[[nodiscard]] double seconds_between(
-    std::chrono::steady_clock::time_point a,
-    std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-}  // namespace
 
 QueryValidation Query::validate() const {
   if (first > last) {
@@ -59,10 +43,12 @@ QueryService::QueryService(QueryServiceConfig config)
       pool_{config.threads >= 2
                 ? std::make_unique<core::ThreadPool>(config.threads)
                 : nullptr},
+      posts_{config.shard_summaries},
       telemetry_{config.telemetry != nullptr
                      ? config.telemetry
                      : &core::telemetry::Registry::global()} {
   engine_.set_thread_pool(pool_.get());
+  posts_.set_thread_pool(pool_.get());
   if (config_.shard_summaries) {
     engine_.configure_summaries(config_.summary_layout);
   }
@@ -81,6 +67,7 @@ QueryService::QueryService(QueryServiceConfig config)
 
 void QueryService::register_telemetry() {
   engine_.set_telemetry(telemetry_, "sessions");
+  posts_.set_telemetry(telemetry_);
   core::telemetry::Registry& reg = *telemetry_;
   query_seconds_ = reg.histogram("usaas_query_seconds",
                                  "End-to-end QueryService::run latency");
@@ -97,15 +84,6 @@ void QueryService::register_telemetry() {
   retrain_seconds_ = reg.histogram(
       "usaas_retrain_seconds",
       "MOS predictor retrain latency (train + summary tally refresh)");
-  const auto post_phase = [&](const char* name) {
-    return reg.histogram(
-        "usaas_ingest_batch_seconds",
-        "Per-batch ingest phase durations (two-pass counted pipeline)",
-        {{"corpus", "posts"}, {"phase", name}});
-  };
-  post_ingest_tel_ = {post_phase("count"), post_phase("plan"),
-                      post_phase("scatter"), post_phase("summarize"),
-                      post_phase("total")};
   const auto path_counter = [&](ServedBy path) {
     return reg.counter("usaas_queries_total",
                        "Queries answered, by serving path",
@@ -129,187 +107,7 @@ void QueryService::ingest_calls(std::span<const confsim::CallRecord> calls) {
 void QueryService::ingest_posts(std::span<const social::Post> posts) {
   if (posts.empty()) return;
   const auto guard = sync_->lock.write();
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // Two-pass counted ingest, like CorrelationEngine::ingest — but the
-  // scatter is destination-major: pass 1 counts per (chunk, month key);
-  // the plan phase prefix-sums into pre-reserved per-shard slices, builds
-  // the slot -> input permutation, and splits the per-shard slot ranges
-  // into tasks (a hot shard holding most of the batch fans out across
-  // workers instead of serializing); the scatter phase then runs the
-  // fused single-pass scorer straight into the final slots, folding each
-  // task's summary partial as it writes. Slot order == sequential ingest
-  // order, and the summary sums are exact (integer counts / integral
-  // doubles), so any task partition reproduces the 1-thread output
-  // bit-identically.
-  constexpr std::size_t kGrainPosts = 32;
-  const std::size_t parallelism = core::effective_parallelism(pool_.get());
-  const std::size_t chunks =
-      std::min({posts.size(), parallelism * 4,
-                std::max<std::size_t>(1, posts.size() / kGrainPosts)});
-  const auto chunk_begin = [&](std::size_t c) {
-    return c * posts.size() / chunks;
-  };
-
-  std::vector<core::DenseKeyCounts> counts(chunks);
-  core::parallel_for(
-      pool_.get(), chunks, [&](std::size_t cb, std::size_t ce) {
-        for (std::size_t c = cb; c < ce; ++c) {
-          for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-            counts[c].add(month_key(posts[i].date));
-          }
-        }
-      });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  const core::ScatterPlan plan = core::build_scatter_plan(counts);
-  struct Slice {
-    ScoredPost* posts{nullptr};
-    PostShard* shard{nullptr};  // map nodes are stable
-  };
-  std::vector<Slice> slices(plan.num_keys);
-  IngestStats batch;
-  batch.batches = 1;
-  batch.records = posts.size();
-  batch.bytes_moved = posts.size() * sizeof(ScoredPost);
-  for (std::size_t k = 0; k < plan.num_keys; ++k) {
-    if (plan.totals[k] == 0) continue;
-    const int mk = plan.min_key + static_cast<int>(k);
-    PostShard& shard = post_shards_[mk];
-    if (!shard.summary_touches && telemetry_->enabled()) {
-      // First sighting of this shard: register its access counters (the
-      // spill-to-disk eviction signal). Null handles stay null under the
-      // kill switch, so a disabled registry registers nothing.
-      char label[16];
-      std::snprintf(label, sizeof label, "%04d-%02d", mk / 12, mk % 12 + 1);
-      const auto touch = [&](const char* source) {
-        return telemetry_->counter(
-            "usaas_shard_touches_total",
-            "Per-shard query touches by answer source (summary merge vs "
-            "record scan) — the eviction signal for spill-to-disk",
-            {{"corpus", "posts"}, {"shard", label}, {"source", source}});
-      };
-      shard.summary_touches = touch("summary");
-      shard.scan_touches = touch("scan");
-    }
-    const std::size_t base = shard.posts.size();
-    shard.posts.resize(base + plan.totals[k]);
-    slices[k] = {shard.posts.data() + base, &shard};
-    ++batch.shards_touched;
-  }
-
-  // Global slot numbering: key k's slice covers slots [key_base[k],
-  // key_base[k+1]). The permutation maps each slot back to its input
-  // index; chunks write disjoint slot sets (their cursor rows), so the
-  // fill parallelizes without synchronization.
-  std::vector<std::size_t> key_base(plan.num_keys + 1, 0);
-  for (std::size_t k = 0; k < plan.num_keys; ++k) {
-    key_base[k + 1] = key_base[k] + plan.totals[k];
-  }
-  std::vector<std::size_t> order(posts.size());
-  core::parallel_for(
-      pool_.get(), chunks, [&](std::size_t cb, std::size_t ce) {
-        for (std::size_t c = cb; c < ce; ++c) {
-          std::vector<std::size_t> cursor = plan.chunk_cursor(c);
-          for (std::size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-            const auto k = static_cast<std::size_t>(
-                month_key(posts[i].date) - plan.min_key);
-            order[key_base[k] + cursor[k]++] = i;
-          }
-        }
-      });
-  const bool fold = config_.shard_summaries;
-  const std::vector<core::ShardRange> tasks =
-      core::plan_shard_ranges(plan.totals, parallelism, kGrainPosts);
-  struct SummaryPartial {
-    std::size_t strong_pos{0};
-    std::size_t strong_neg{0};
-    std::array<double, 31> day_hits{};
-  };
-  std::vector<SummaryPartial> partials(fold ? tasks.size() : 0);
-  const auto t2 = std::chrono::steady_clock::now();
-
-  // Fused scatter: one scan per post (tokenize + sentiment + keywords in
-  // a single pass; see nlp::PostScorer), writing straight into the final
-  // slot. Each worker reuses one TokenScratch, so the steady state
-  // allocates nothing per post.
-  core::parallel_for(
-      pool_.get(), tasks.size(), 1, [&](std::size_t tb, std::size_t te) {
-        nlp::TokenScratch scratch;
-        for (std::size_t t = tb; t < te; ++t) {
-          const core::ShardRange& range = tasks[t];
-          ScoredPost* const dst = slices[range.key].posts;
-          SummaryPartial* const part = fold ? &partials[t] : nullptr;
-          const std::size_t* const slot = order.data() + key_base[range.key];
-          for (std::size_t s = range.begin; s < range.end; ++s) {
-            // The permutation gather is cache-hostile (the Post structs
-            // land in random order, and the text lives behind another
-            // pointer), so stage the struct a couple dozen slots ahead
-            // and its string buffers a few slots ahead — by then the
-            // struct line is resident and the data pointers are free to
-            // read. Recovers ~2x on batches larger than LLC.
-            if (s + 24 < range.end) __builtin_prefetch(&posts[slot[s + 24]]);
-            if (s + 8 < range.end) {
-              const social::Post& ahead = posts[slot[s + 8]];
-              __builtin_prefetch(ahead.title.data());
-              __builtin_prefetch(ahead.body.data());
-              __builtin_prefetch(ahead.body.data() + 64);
-            }
-            const social::Post& post = posts[slot[s]];
-            ScoredPost& scored = dst[s];
-            scored.date = post.date;
-            scratch.text.assign(post.title);
-            scratch.text.push_back(' ');
-            scratch.text.append(post.body);
-            const nlp::PostScorer::Result res =
-                scorer_.score(scratch.text, scratch);
-            scored.sentiment = res.sentiment;
-            scored.outage_hits = res.keyword_hits;
-            if (part != nullptr) {
-              if (scored.sentiment.strong_positive()) ++part->strong_pos;
-              if (scored.sentiment.strong_negative()) ++part->strong_neg;
-              if (scored.outage_hits > 0 &&
-                  scored.sentiment.negative >= 0.4) {
-                part->day_hits[static_cast<std::size_t>(scored.date.day() -
-                                                        1)] +=
-                    static_cast<double>(scored.outage_hits);
-              }
-            }
-          }
-        }
-      });
-  const auto t3 = std::chrono::steady_clock::now();
-
-  // Stitch the per-task summary partials into the shard pre-aggregates
-  // in task order == slot order == sequential ingest order. Counts are
-  // integers and day_hits sums integral doubles, so the stitched result
-  // is bit-identical to the 1-thread fold regardless of the split.
-  if (fold) {
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      PostShard& shard = *slices[tasks[t].key].shard;
-      shard.strong_pos += partials[t].strong_pos;
-      shard.strong_neg += partials[t].strong_neg;
-      for (std::size_t d = 0; d < partials[t].day_hits.size(); ++d) {
-        shard.day_hits[d] += partials[t].day_hits[d];
-      }
-    }
-  }
-  const auto t4 = std::chrono::steady_clock::now();
-
-  post_count_ += posts.size();
-  batch.count_seconds = seconds_between(t0, t1);
-  batch.plan_seconds = seconds_between(t1, t2);
-  batch.scatter_seconds = seconds_between(t2, t3);
-  batch.summarize_seconds = seconds_between(t3, t4);
-  batch.total_seconds = seconds_between(t0, t4);
-  post_ingest_stats_.merge(batch);
-  // Reuses the timestamps already taken for IngestStats — no extra clock
-  // reads on the instrumented path.
-  post_ingest_tel_.count.observe(batch.count_seconds);
-  post_ingest_tel_.plan.observe(batch.plan_seconds);
-  post_ingest_tel_.scatter.observe(batch.scatter_seconds);
-  post_ingest_tel_.summarize.observe(batch.summarize_seconds);
-  post_ingest_tel_.total.observe(batch.total_seconds);
+  posts_.ingest(posts);
   bump_version();
 }
 
@@ -323,9 +121,9 @@ QueryService::ServiceStats QueryService::stats() const {
   {
     const auto guard = sync_->lock.read();
     out.sessions = engine_.ingest_stats();
-    out.posts = post_ingest_stats_;
+    out.posts = posts_.ingest_stats();
     out.session_shards = engine_.shard_count();
-    out.post_shards = post_shards_.size();
+    out.post_shards = posts_.shard_count();
     out.corpus_version = sync_->version.load(std::memory_order_acquire);
     out.fanout = engine_.fanout_stats();
     out.summary_bytes = engine_.summary_memory_bytes();
@@ -371,14 +169,10 @@ bool QueryService::train_predictor() {
 
 QueryService::CacheKey QueryService::make_cache_key(const Query& query,
                                                     std::uint64_t version) {
-  const auto pack = [](const core::Date& d) {
-    return static_cast<std::int32_t>(d.year() * 512 + d.month() * 32 +
-                                     d.day());
-  };
   CacheKey key;
   key.version = version;
-  key.first = pack(query.first);
-  key.last = pack(query.last);
+  key.first = core::pack_day_key(query.first);
+  key.last = core::pack_day_key(query.last);
   key.platform = query.platform
                      ? static_cast<std::int16_t>(*query.platform)
                      : std::int16_t{-1};
@@ -533,8 +327,8 @@ QueryCostEstimate QueryService::estimate_query(const Query& query) const {
   // Apply the shards' month rule without visiting any shard: only the
   // window's first and last months can be boundary-cut, and only a cut
   // month forces a rescan when summaries are on.
-  const int mk_first = month_key(query.first);
-  const int mk_last = month_key(query.last);
+  const int mk_first = core::month_key(query.first);
+  const int mk_last = core::month_key(query.last);
   const auto window_months =
       static_cast<std::uint64_t>(mk_last - mk_first + 1);
   if (config_.shard_summaries) {
@@ -547,15 +341,6 @@ QueryCostEstimate QueryService::estimate_query(const Query& query) const {
   } else {
     est.scan_months = window_months;
   }
-
-  // Sessions the window plausibly covers: total ingested records scaled
-  // by the window's share of the ingested months (posts shard one-per-
-  // month, so post_shards_ counts distinct corpus months).
-  const auto corpus_months = static_cast<double>(
-      std::max<std::size_t>(post_shards_.size(),
-                            static_cast<std::size_t>(window_months)));
-  est.window_sessions = static_cast<double>(engine_.ingest_stats().records) *
-                        static_cast<double>(window_months) / corpus_months;
   return est;
 }
 
@@ -662,116 +447,17 @@ Insight QueryService::compute_insight(const Query& query,
   }
   if (budget.expired()) return expired_skeleton();
 
-  // ---- Explicit (social) side: pre-scored shards, pruned by month ----
-  struct SelectedPosts {
-    const PostShard* shard{nullptr};
-    int month_key{0};
-    bool check_dates{false};
-    bool use_summary{false};
-  };
-  std::vector<SelectedPosts> selected;
-  const int mk_first = month_key(query.first);
-  const int mk_last = month_key(query.last);
-  for (const auto& [mk, shard] : post_shards_) {
-    if (mk < mk_first || mk > mk_last) continue;
-    // The session shards' rule: only a month the window cuts into needs
-    // per-post date checks; a whole-covered month answers from its
-    // pre-aggregates.
-    const bool check_dates =
-        core::window_cuts_month(query.first, query.last, mk);
-    selected.push_back(
-        {&shard, mk, check_dates, config_.shard_summaries && !check_dates});
-  }
-  for (const SelectedPosts& sel : selected) {
-    if (sel.use_summary) {
-      ++insight.execution.post_shards_from_summary;
-      sel.shard->summary_touches.add();
-    } else {
-      ++insight.execution.post_shards_scanned;
-      sel.shard->scan_touches.add();
-    }
-  }
-
-  struct SocialPartial {
-    std::size_t posts{0};
-    std::size_t strong_pos{0};
-    std::size_t strong_neg{0};
-    std::vector<std::pair<core::Date, double>> keyword_adds;
-  };
-  std::vector<SocialPartial> partials(selected.size());
-  // The engine's cancellable shard loop: the budget is polled per shard,
-  // and a cancelled run's partials are discarded wholesale.
-  const bool finished = for_each_shard(
-      pool_.get(), selected.size(), deadline_probe,
-      [&](std::size_t i, ShardScratch&) {
-        const SelectedPosts& sel = selected[i];
-        SocialPartial& part = partials[i];
-        if (sel.use_summary) {
-          // Whole-shard pre-aggregates; per-day keyword sums replay the
-          // scan's in-order accumulation (each date receives adds from
-          // exactly one month shard), so the reduction is bit-identical.
-          part.posts += sel.shard->posts.size();
-          part.strong_pos += sel.shard->strong_pos;
-          part.strong_neg += sel.shard->strong_neg;
-          const int year = sel.month_key / 12;
-          const int month = sel.month_key % 12 + 1;
-          for (int d = 0; d < 31; ++d) {
-            const double hits = sel.shard->day_hits[static_cast<std::size_t>(d)];
-            if (hits > 0.0) {
-              part.keyword_adds.emplace_back(core::Date{year, month, d + 1},
-                                             hits);
-            }
-          }
-          return;
-        }
-        for (const ScoredPost& post : sel.shard->posts) {
-          if (sel.check_dates &&
-              (post.date < query.first || query.last < post.date)) {
-            continue;
-          }
-          ++part.posts;
-          if (post.sentiment.strong_positive()) ++part.strong_pos;
-          if (post.sentiment.strong_negative()) ++part.strong_neg;
-          if (post.outage_hits > 0 && post.sentiment.negative >= 0.4) {
-            part.keyword_adds.emplace_back(
-                post.date, static_cast<double>(post.outage_hits));
-          }
-        }
-      });
-  if (!finished) return expired_skeleton();
-
-  core::DailySeries keyword_days{query.first, query.last};
-  std::size_t strong_pos = 0;
-  std::size_t strong_neg = 0;
-  for (const SocialPartial& part : partials) {
-    insight.posts += part.posts;
-    strong_pos += part.strong_pos;
-    strong_neg += part.strong_neg;
-    for (const auto& [date, hits] : part.keyword_adds) {
-      keyword_days.add(date, hits);
-    }
-  }
-  if (strong_pos + strong_neg > 0) {
-    insight.strong_positive_share =
-        static_cast<double>(strong_pos) /
-        static_cast<double>(strong_pos + strong_neg);
-  }
-  double day_total = 0.0;
-  std::size_t mention_days = 0;
-  for (const double v : keyword_days.values()) {
-    day_total += v;
-    if (v > 0.0) ++mention_days;
-  }
-  insight.outage_mention_days = mention_days;
-  const double day_mean =
-      keyword_days.size() == 0
-          ? 0.0
-          : day_total / static_cast<double>(keyword_days.size());
-  for (const auto& [date, value] : keyword_days.entries()) {
-    if (day_mean > 0.0 && value > 3.0 * day_mean && value >= 5.0) {
-      insight.outage_alert_days.push_back(date);
-    }
-  }
+  // ---- Explicit (social) side: the post store's month shards ----
+  QueryFanoutStats post_fanout;
+  std::optional<SocialAggregates> social =
+      posts_.aggregate(query.first, query.last, &post_fanout, deadline_probe);
+  if (!social) return expired_skeleton();
+  insight.execution.post_shards_from_summary = post_fanout.shards_from_summary;
+  insight.execution.post_shards_scanned = post_fanout.shards_scanned;
+  insight.posts = social->posts;
+  insight.strong_positive_share = social->strong_positive_share;
+  insight.outage_mention_days = social->outage_mention_days;
+  insight.outage_alert_days = std::move(social->outage_alert_days);
   if (span != nullptr) {
     insight.execution.social_seconds = span->lap(phase_social_);
   }

@@ -7,22 +7,18 @@
 // never individual posts or sessions — matching the paper's privacy
 // stance ("the social media user feedback insights should be aggregated").
 //
-// Scale-out (§5's ~150-200 M sessions): both corpora are partitioned into
-// per-month (x per-platform, for sessions) shards at ingest; queries prune
-// shards on the date window / platform filter and fan the remaining shards
-// across a thread pool, merging partial accumulators in shard-key order so
-// results never depend on the thread count. Both corpora share one month
-// rule (core::window_cuts_month: a whole-covered month answers from its
+// QueryService is the façade over two shard stores — CorrelationEngine
+// (sessions per month x platform) and PostStore (pre-scored posts per
+// month), which share one two-pass ingest driver, one month rule
+// (core::window_cuts_month: a whole-covered month answers from its
 // summary, a cut month rescans) and one cancellable shard loop
-// (for_each_shard). Social posts are sentiment- and outage-keyword-scored
-// ONCE at ingest and stored pre-scored — repeated queries never re-run the
-// analyzer over the whole corpus.
+// (usaas/shard_store.h). It owns the corpus RW lock and version, the
+// insight cache, the run budget, the slow-query log and the exposition.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -42,12 +38,10 @@
 #include "core/telemetry/slow_query_log.h"
 #include "core/telemetry/trace.h"
 #include "core/thread_pool.h"
-#include "nlp/keywords.h"
-#include "nlp/post_scorer.h"
-#include "nlp/sentiment.h"
 #include "social/post.h"
 #include "usaas/correlation_engine.h"
 #include "usaas/mos_predictor.h"
+#include "usaas/post_store.h"
 #include "usaas/shard_summary.h"
 #include "usaas/signals.h"
 
@@ -254,9 +248,6 @@ struct QueryCostEstimate {
   /// Worst observed latency for this fingerprint, < 0 when the slow-query
   /// log has no history.
   double slow_log_seconds{-1.0};
-  /// Sessions a scan would touch, scaled by the window's share of the
-  /// ingested months.
-  double window_sessions{0.0};
 };
 
 struct QueryServiceConfig {
@@ -312,7 +303,8 @@ class QueryService {
   QueryService& operator=(QueryService&&) = default;
 
   /// Ingests implicit + explicit corpora. May be called repeatedly.
-  /// Posts are sentiment- and outage-keyword-scored here, in parallel.
+  /// Posts are sentiment- and outage-keyword-scored here, in parallel
+  /// (PostStore::ingest).
   void ingest_calls(std::span<const confsim::CallRecord> calls);
   void ingest_posts(std::span<const social::Post> posts);
 
@@ -361,7 +353,7 @@ class QueryService {
   }
   [[nodiscard]] std::size_t ingested_posts() const {
     const auto guard = sync_->lock.read();
-    return post_count_;
+    return posts_.post_count();
   }
   [[nodiscard]] std::size_t session_shards() const {
     const auto guard = sync_->lock.read();
@@ -369,7 +361,7 @@ class QueryService {
   }
   [[nodiscard]] std::size_t post_shards() const {
     const auto guard = sync_->lock.read();
-    return post_shards_.size();
+    return posts_.shard_count();
   }
 
   /// Number of successful mutating operations absorbed so far. Monotone;
@@ -462,38 +454,13 @@ class QueryService {
   }
   [[nodiscard]] IngestStats post_ingest_stats() const {
     const auto guard = sync_->lock.read();
-    return post_ingest_stats_;
+    return posts_.ingest_stats();
   }
 
  private:
-  /// A post reduced to what queries need — scored once at ingest.
-  struct ScoredPost {
-    core::Date date;
-    nlp::SentimentScores sentiment;
-    std::uint32_t outage_hits{0};
-  };
-  struct PostShard {
-    std::vector<ScoredPost> posts;
-    /// Whole-shard pre-aggregates, folded at ingest in slot order (the
-    /// social-side tier-2 summary). Only maintained when shard summaries
-    /// are on; a query whose window covers this month whole reads these
-    /// instead of rescanning `posts`, bit-identically.
-    std::size_t strong_pos{0};
-    std::size_t strong_neg{0};
-    /// Outage-keyword hits summed per day of month (index day-1), over
-    /// posts passing the alerting filter, accumulated in ingest order.
-    std::array<double, 31> day_hits{};
-    /// Per-shard access counters (registered at shard creation): how
-    /// often queries answered from this shard's summary vs rescanned its
-    /// posts — the spill-to-disk eviction signal (ROADMAP). Null no-ops
-    /// when telemetry is disabled.
-    core::telemetry::Counter summary_touches;
-    core::telemetry::Counter scan_touches;
-  };
-
   /// The canonical insight-cache key: corpus version + every query field
-  /// in normalized scalar form. Packed dates y*512+m*32+d; -1 encodes an
-  /// unset optional. metric_lo/hi are canonicalized (-0.0 -> 0.0) so
+  /// in normalized scalar form. Dates packed by core::pack_day_key; -1
+  /// encodes an unset optional. metric_lo/hi are canonicalized (-0.0 -> 0.0) so
   /// operator== and the fingerprint hash agree.
   struct CacheKey {
     std::uint64_t version{0};
@@ -569,6 +536,7 @@ class QueryService {
   std::unique_ptr<Sync> sync_;
   std::unique_ptr<core::ThreadPool> pool_;  // set iff config_.threads >= 2
   CorrelationEngine engine_;
+  PostStore posts_;
   /// Resolved telemetry sink (config's registry or the global; never
   /// null). Handles below are null no-ops when the registry is disabled.
   core::telemetry::Registry* telemetry_{nullptr};
@@ -584,23 +552,8 @@ class QueryService {
   core::telemetry::Histogram phase_implicit_;
   core::telemetry::Histogram phase_social_;
   core::telemetry::Histogram retrain_seconds_;
-  struct PostIngestTelemetry {
-    core::telemetry::Histogram count;
-    core::telemetry::Histogram plan;
-    core::telemetry::Histogram scatter;
-    core::telemetry::Histogram summarize;
-    core::telemetry::Histogram total;
-  };
-  PostIngestTelemetry post_ingest_tel_;
   /// queries_total{path=...}, indexed by ServedBy.
   std::array<core::telemetry::Counter, 6> queries_by_path_;
-  // month_key -> shard, ordered.
-  std::map<int, PostShard> post_shards_;
-  std::size_t post_count_{0};
-  IngestStats post_ingest_stats_;
-  /// The fused single-pass scorer (builtin lexicon + outage dictionary);
-  /// immutable after construction, shared by all scatter workers.
-  nlp::PostScorer scorer_;
   MosPredictor predictor_;
   bool predictor_trained_{false};
 };

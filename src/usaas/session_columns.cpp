@@ -1,5 +1,7 @@
 #include "usaas/session_columns.h"
 
+#include <algorithm>
+
 namespace usaas::service {
 
 namespace {
@@ -42,45 +44,103 @@ void SessionColumns::resize_uninit(std::size_t n) {
   for_each_column(*this, [n](auto& col) { col.resize_uninit(n); });
 }
 
-void SessionColumns::reserve(std::size_t n) {
-  for_each_column(*this, [n](auto& col) { col.reserve(n); });
-}
-
 void SessionColumns::append(const core::Date& date,
                             const confsim::ParticipantRecord& rec) {
   const std::size_t i = size();
   resize_uninit(i + 1);
-  set(i, pack_day_key(date), rec);
+  const SourceSlot<confsim::ParticipantRecord> slot{&rec,
+                                                    core::pack_day_key(date)};
+  write_rows(i, &slot, 1);
 }
 
-void SessionColumns::set(std::size_t i, std::int32_t packed_day,
-                         const confsim::ParticipantRecord& rec) {
-  day_key[i] = packed_day;
-  user_id[i] = rec.user_id;
-  platform[i] = static_cast<std::uint8_t>(rec.platform);
-  access[i] = static_cast<std::uint8_t>(rec.access);
-  meeting_size[i] = static_cast<std::int32_t>(rec.meeting_size);
-  const netsim::SessionNetworkSummary& net = rec.network;
-  latency_mean[i] = net.latency_ms.mean;
-  latency_median[i] = net.latency_ms.median;
-  latency_tail[i] = net.latency_ms.p95;
-  loss_mean[i] = net.loss_pct.mean;
-  loss_median[i] = net.loss_pct.median;
-  loss_tail[i] = net.loss_pct.p95;
-  jitter_mean[i] = net.jitter_ms.mean;
-  jitter_median[i] = net.jitter_ms.median;
-  jitter_tail[i] = net.jitter_ms.p95;
-  bandwidth_mean[i] = net.bandwidth_mbps.mean;
-  bandwidth_median[i] = net.bandwidth_mbps.median;
-  bandwidth_tail[i] = net.bandwidth_mbps.p95;
-  duration_s[i] = net.duration_seconds;
-  sample_count[i] = static_cast<std::uint32_t>(net.sample_count);
-  presence[i] = rec.presence_pct;
-  cam_on[i] = rec.cam_on_pct;
-  mic_on[i] = rec.mic_on_pct;
-  dropped_early[i] = rec.dropped_early ? 1 : 0;
-  mos_valid[i] = rec.mos.has_value() ? 1 : 0;
-  mos[i] = rec.mos ? rec.mos->score() : 0.0;
+// Writing all ~25 columns per slot would cycle through 25 interleaved
+// store streams — more than the store buffers can combine — so the
+// scatter runs in small blocks with a handful of fused per-column
+// passes: each pass writes <= 6 sequential streams, and the block's
+// source records (pulled into cache by the first pass, prefetched a few
+// slots ahead) are re-read from L1/L2 by the rest.
+void SessionColumns::write_rows(
+    std::size_t row, const SourceSlot<confsim::ParticipantRecord>* src,
+    std::size_t count) {
+  constexpr std::size_t kBlock = 256;  // ~47 KB of records per block
+  // Hoisted raw destination pointers: the uint8 column stores could
+  // otherwise alias the PodColumn pointer members themselves, forcing
+  // the compiler to reload every column base after every store.
+  std::int32_t* const day_out = day_key.data() + row;
+  std::uint64_t* const user_out = user_id.data() + row;
+  std::uint8_t* const plat_out = platform.data() + row;
+  std::uint8_t* const acc_out = access.data() + row;
+  std::int32_t* const size_out = meeting_size.data() + row;
+  double* const lat_mean = latency_mean.data() + row;
+  double* const lat_med = latency_median.data() + row;
+  double* const lat_tail = latency_tail.data() + row;
+  double* const pl_mean = loss_mean.data() + row;
+  double* const pl_med = loss_median.data() + row;
+  double* const pl_tail = loss_tail.data() + row;
+  double* const jit_mean = jitter_mean.data() + row;
+  double* const jit_med = jitter_median.data() + row;
+  double* const jit_tail = jitter_tail.data() + row;
+  double* const bw_mean = bandwidth_mean.data() + row;
+  double* const bw_med = bandwidth_median.data() + row;
+  double* const bw_tail = bandwidth_tail.data() + row;
+  double* const dur_out = duration_s.data() + row;
+  std::uint32_t* const samp_out = sample_count.data() + row;
+  double* const pres_out = presence.data() + row;
+  double* const cam_out = cam_on.data() + row;
+  double* const mic_out = mic_on.data() + row;
+  std::uint8_t* const drop_out = dropped_early.data() + row;
+  double* const mos_out = mos.data() + row;
+  std::uint8_t* const valid_out = mos_valid.data() + row;
+  for (std::size_t s = 0; s < count; s += kBlock) {
+    const std::size_t n = std::min(kBlock, count - s);
+    const SourceSlot<confsim::ParticipantRecord>* blk = src + s;
+    for (std::size_t i = 0; i < n; ++i) {  // header + record warm-up
+      if (i + 8 < n) {
+        const auto* next = reinterpret_cast<const char*>(blk[i + 8].rec);
+        __builtin_prefetch(next);
+        __builtin_prefetch(next + 64);
+        __builtin_prefetch(next + 128);
+      }
+      const confsim::ParticipantRecord& r = *blk[i].rec;
+      day_out[s + i] = blk[i].day;
+      user_out[s + i] = r.user_id;
+      plat_out[s + i] = static_cast<std::uint8_t>(r.platform);
+      acc_out[s + i] = static_cast<std::uint8_t>(r.access);
+      size_out[s + i] = static_cast<std::int32_t>(r.meeting_size);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const netsim::SessionNetworkSummary& net = blk[i].rec->network;
+      lat_mean[s + i] = net.latency_ms.mean;
+      lat_med[s + i] = net.latency_ms.median;
+      lat_tail[s + i] = net.latency_ms.p95;
+      pl_mean[s + i] = net.loss_pct.mean;
+      pl_med[s + i] = net.loss_pct.median;
+      pl_tail[s + i] = net.loss_pct.p95;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const netsim::SessionNetworkSummary& net = blk[i].rec->network;
+      jit_mean[s + i] = net.jitter_ms.mean;
+      jit_med[s + i] = net.jitter_ms.median;
+      jit_tail[s + i] = net.jitter_ms.p95;
+      bw_mean[s + i] = net.bandwidth_mbps.mean;
+      bw_med[s + i] = net.bandwidth_mbps.median;
+      bw_tail[s + i] = net.bandwidth_mbps.p95;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const confsim::ParticipantRecord& r = *blk[i].rec;
+      dur_out[s + i] = r.network.duration_seconds;
+      samp_out[s + i] = static_cast<std::uint32_t>(r.network.sample_count);
+      pres_out[s + i] = r.presence_pct;
+      cam_out[s + i] = r.cam_on_pct;
+      mic_out[s + i] = r.mic_on_pct;
+      drop_out[s + i] = r.dropped_early ? 1 : 0;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::optional<core::Mos>& m = blk[i].rec->mos;
+      valid_out[s + i] = m.has_value() ? 1 : 0;
+      mos_out[s + i] = m ? m->score() : 0.0;
+    }
+  }
 }
 
 confsim::ParticipantRecord SessionColumns::record(std::size_t i) const {

@@ -112,46 +112,40 @@ class PodColumn {
   std::size_t capacity_{0};
 };
 
+/// One slot of a batch-ingest permutation: the source row inside the
+/// caller's batch plus its packed day key (core::pack_day_key), computed
+/// once so the scatter never re-derives it.
+template <typename Rec>
+struct SourceSlot {
+  const Rec* rec{nullptr};
+  std::int32_t day{0};
+};
+
 /// The column store for one session shard. All columns are parallel: row
 /// i of every column belongs to the same (date, ParticipantRecord).
 class SessionColumns {
  public:
-  /// Order-preserving packed civil-day key: year*512 + month*32 + day.
-  /// month*32 + day < 512, so (year, month, day) lexicographic order —
-  /// i.e. core::Date's operator<=> — is preserved exactly, and the date
-  /// window residual check becomes two integer compares per row.
-  [[nodiscard]] static std::int32_t pack_day_key(const core::Date& d) {
-    return static_cast<std::int32_t>(d.year()) * 512 +
-           static_cast<std::int32_t>(d.month()) * 32 +
-           static_cast<std::int32_t>(d.day());
-  }
-  [[nodiscard]] static core::Date unpack_day_key(std::int32_t key) {
-    const std::int32_t day = key % 32;
-    const std::int32_t month = (key / 32) % 16;
-    return core::Date(static_cast<int>(key / 512), static_cast<int>(month),
-                      static_cast<int>(day));
-  }
-
   [[nodiscard]] std::size_t size() const { return day_key.size(); }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
   /// Grows every column to `n` rows without initializing the new slots
   /// (the ingest scatter fills them); keeps columns in lock-step.
   void resize_uninit(std::size_t n);
-  void reserve(std::size_t n);
 
-  /// Appends one row (the per-record ingest path).
+  /// Appends one row.
   void append(const core::Date& date, const confsim::ParticipantRecord& rec);
 
-  /// Overwrites row `i` from a source row (the batch-scatter path).
-  /// Row `i` must already exist (resize_uninit first).
-  void set(std::size_t i, std::int32_t packed_day,
-           const confsim::ParticipantRecord& rec);
+  /// Writes rows [row, row + count) from `src` (the batch-scatter path:
+  /// each field lands in its column exactly once). The rows must already
+  /// exist (resize_uninit first).
+  void write_rows(std::size_t row,
+                  const SourceSlot<confsim::ParticipantRecord>* src,
+                  std::size_t count);
 
   /// Materializes row `i` back into the exact original record / date.
   [[nodiscard]] confsim::ParticipantRecord record(std::size_t i) const;
   [[nodiscard]] core::Date date(std::size_t i) const {
-    return unpack_day_key(day_key[i]);
+    return core::unpack_day_key(day_key[i]);
   }
 
   /// The session-mean column for `m` — the array metric_value(
@@ -179,7 +173,7 @@ class SessionColumns {
   [[nodiscard]] std::size_t memory_bytes() const;
 
   // ---- Columns (parallel arrays; see class comment) -------------------
-  PodColumn<std::int32_t> day_key;     // pack_day_key(call date)
+  PodColumn<std::int32_t> day_key;     // core::pack_day_key(call date)
   PodColumn<std::uint64_t> user_id;
   PodColumn<std::uint8_t> platform;    // confsim::Platform
   PodColumn<std::uint8_t> access;      // netsim::AccessTechnology

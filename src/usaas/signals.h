@@ -80,9 +80,7 @@ struct SocialSignal {
 using UserSignal = std::variant<ImplicitSignal, MosSignal, SocialSignal>;
 
 /// Cumulative ingest-side counters for one corpus (sessions or posts),
-/// maintained by the two-pass counted ingest pipeline. Phase timings
-/// cover batch ingest only; the per-record convenience path adds to the
-/// record/byte counters but not the phase clocks.
+/// maintained by the two-pass counted ingest driver (TwoPassIngest).
 struct IngestStats {
   std::size_t batches{0};
   std::size_t records{0};
@@ -94,8 +92,9 @@ struct IngestStats {
   double count_seconds{0.0};
   /// Prefix-sum over counts + pre-reserving the destination slices.
   double plan_seconds{0.0};
-  /// Pass 2: scoring/partitioning records into their final slots (for
-  /// posts this includes sentiment + keyword scoring, the dominant cost).
+  /// Pass 2: the slot permutation, then scoring/partitioning records into
+  /// their final slots (for posts this includes sentiment + keyword
+  /// scoring, the dominant cost).
   double scatter_seconds{0.0};
   /// Pass 3 (when summaries are enabled): folding the batch's new records
   /// into their shards' mergeable summaries.

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -513,12 +514,51 @@ TEST(QueryExecutionReport, SummaryMergeThenCacheHit) {
 TEST(QueryExecutionReport, BoundaryWindowIsMixedAndNoSummariesIsScan) {
   Registry reg{true};
   const QueryService with_summaries = make_service(&reg);
+  // The post shards' touch counters, keyed by their exact label bytes.
+  const auto post_touches = [&] {
+    std::map<std::string, std::uint64_t> out;
+    for (const core::telemetry::MetricFamily& family : reg.collect()) {
+      if (family.name != "usaas_shard_touches_total") continue;
+      for (const core::telemetry::Sample& sample : family.samples) {
+        if (sample.labels.starts_with("corpus=\"posts\",")) {
+          out[sample.labels] = sample.value_u;
+        }
+      }
+    }
+    return out;
+  };
+  const std::map<std::string, std::uint64_t> before = post_touches();
   Query cut = summary_query();
   cut.first = Date(2022, 1, 15);  // cuts January: its shards must scan
   const Insight mixed = with_summaries.run(cut);
   EXPECT_EQ(mixed.execution.served_by, ServedBy::kMixed);
   EXPECT_GT(mixed.execution.shards_scanned, 0u);
   EXPECT_GT(mixed.execution.shards_from_summary, 0u);
+
+  // One run raises the cut month's scan counter and the two whole months'
+  // summary counters by exactly one each, and nothing else.
+  const std::map<std::string, std::uint64_t> after = post_touches();
+  const auto label = [](const char* shard, const char* source) {
+    return std::string{"corpus=\"posts\",shard=\""} + shard +
+           "\",source=\"" + source + "\"";
+  };
+  const std::map<std::string, std::uint64_t> expected_delta = {
+      {label("2022-01", "scan"), 1},    {label("2022-01", "summary"), 0},
+      {label("2022-02", "scan"), 0},    {label("2022-02", "summary"), 1},
+      {label("2022-03", "scan"), 0},    {label("2022-03", "summary"), 1}};
+  ASSERT_EQ(after.size(), expected_delta.size());
+  std::uint64_t scan_total = 0;
+  std::uint64_t summary_total = 0;
+  for (const auto& [labels, want] : expected_delta) {
+    ASSERT_TRUE(after.contains(labels)) << labels;
+    const std::uint64_t delta =
+        after.at(labels) - (before.contains(labels) ? before.at(labels) : 0);
+    EXPECT_EQ(delta, want) << labels;
+    const bool scan = labels.ends_with("source=\"scan\"");
+    (scan ? scan_total : summary_total) += after.at(labels);
+  }
+  EXPECT_EQ(scan_total, mixed.execution.post_shards_scanned);
+  EXPECT_EQ(summary_total, mixed.execution.post_shards_from_summary);
 
   Registry reg2{true};
   const QueryService no_summaries = make_service(&reg2, false);

@@ -996,12 +996,10 @@ TEST(ColumnarStore, PackedDayKeyPreservesDateOrder) {
                         Date{2022, 1, 31},  Date{2022, 2, 1},
                         Date{2022, 12, 31}, Date{2023, 1, 1}};
   for (std::size_t i = 1; i < std::size(dates); ++i) {
-    EXPECT_LT(SessionColumns::pack_day_key(dates[i - 1]),
-              SessionColumns::pack_day_key(dates[i]));
+    EXPECT_LT(core::pack_day_key(dates[i - 1]), core::pack_day_key(dates[i]));
   }
   for (const Date& d : dates) {
-    const Date back = SessionColumns::unpack_day_key(
-        SessionColumns::pack_day_key(d));
+    const Date back = core::unpack_day_key(core::pack_day_key(d));
     EXPECT_EQ(back.year(), d.year());
     EXPECT_EQ(back.month(), d.month());
     EXPECT_EQ(back.day(), d.day());

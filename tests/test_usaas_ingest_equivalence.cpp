@@ -294,6 +294,26 @@ TEST(IngestEquivalence, EmptyBatchIsANoOp) {
   EXPECT_EQ(insight.posts, 0u);
 }
 
+TEST(IngestEquivalence, CallsWithoutParticipantsCountABatchButNoRows) {
+  // A non-empty batch whose calls emit no rows runs the whole driver:
+  // one batch in the stats and the phase histograms, no shard, no row.
+  core::telemetry::Registry reg{true};
+  CorrelationEngine engine;
+  engine.set_telemetry(&reg);
+  const std::vector<confsim::CallRecord> calls(3);
+  engine.ingest(calls);
+  EXPECT_EQ(engine.shard_count(), 0u);
+  EXPECT_EQ(engine.session_count(), 0u);
+  EXPECT_EQ(engine.ingest_stats().batches, 1u);
+  EXPECT_EQ(engine.ingest_stats().records, 0u);
+  EXPECT_EQ(engine.ingest_stats().shards_touched, 0u);
+  EXPECT_EQ(reg.histogram("usaas_ingest_batch_seconds", "",
+                          {{"corpus", "sessions"}, {"phase", "total"}})
+                .snapshot()
+                .count,
+            1u);
+}
+
 TEST(IngestEquivalence, BoundaryWindowCountsMatchBruteForce) {
   // The sharded engine's answer on windows that slice shards at month and
   // year boundaries equals a direct scan of the raw corpus.

@@ -17,6 +17,7 @@
 #include "confsim/dataset.h"
 #include "core/correlation.h"
 #include "core/histogram.h"
+#include "core/rng.h"
 #include "core/timeseries.h"
 #include "nlp/post_scorer.h"
 #include "social/subreddit.h"
@@ -113,114 +114,192 @@ constexpr EngagementMetric kEngagements[] = {EngagementMetric::kPresence,
 /// session, one Binner1D per curve, corpus-wide Spearman over the rated
 /// sessions (>= 50), a predictor trained on rated sessions stable-sorted
 /// by (month, platform), posts scored with nlp::PostScorer, and the
-/// 3x-mean / >= 5 outage alert rule.
-Insight brute_force(const Corpus& corpus, const Query& q) {
-  Insight out;
-  std::vector<const confsim::ParticipantRecord*> matching;
-  struct Rated {
-    int month_key;
-    confsim::Platform platform;
-    const confsim::ParticipantRecord* rec;
-  };
-  std::vector<Rated> rated;
-  for (const confsim::CallRecord& call : corpus.calls) {
-    const Date date = call.start.date;
-    for (const confsim::ParticipantRecord& rec : call.participants) {
-      if (rec.mos) rated.push_back({core::month_key(date), rec.platform, &rec});
+/// 3x-mean / >= 5 outage alert rule. The window-independent pieces (the
+/// correlations, the predictor, every post's score) are computed once per
+/// corpus.
+class BruteForce {
+ public:
+  explicit BruteForce(const Corpus& corpus) : corpus_{corpus} {
+    struct Rated {
+      int month_key;
+      confsim::Platform platform;
+      const confsim::ParticipantRecord* rec;
+    };
+    std::vector<Rated> rated;
+    for (const confsim::CallRecord& call : corpus.calls) {
+      for (const confsim::ParticipantRecord& rec : call.participants) {
+        if (!rec.mos) continue;
+        rated.push_back({core::month_key(call.start.date), rec.platform, &rec});
+      }
+    }
+    for (const EngagementMetric e : kEngagements) {
+      std::vector<double> eng;
+      std::vector<double> mos;
+      for (const Rated& r : rated) {
+        eng.push_back(engagement_value(*r.rec, e));
+        mos.push_back(r.rec->mos->score());
+      }
+      if (eng.size() >= 50) {
+        mos_spearman_.emplace_back(e, core::spearman(eng, mos));
+      }
+    }
+
+    std::stable_sort(rated.begin(), rated.end(),
+                     [](const Rated& a, const Rated& b) {
+                       if (a.month_key != b.month_key) {
+                         return a.month_key < b.month_key;
+                       }
+                       return a.platform < b.platform;
+                     });
+    std::vector<confsim::ParticipantRecord> training;
+    for (const Rated& r : rated) training.push_back(*r.rec);
+    trained_ = training.size() >= MosPredictor::kMinRatedSessions;
+    if (trained_) predictor_.train(training);
+
+    const nlp::PostScorer scorer;
+    for (const social::Post& post : corpus.posts) {
+      scores_.push_back(scorer.score(post.title + " " + post.body));
+    }
+  }
+
+  [[nodiscard]] Insight run(const Query& q) const {
+    Insight out;
+    std::vector<const confsim::ParticipantRecord*> matching;
+    for (const confsim::CallRecord& call : corpus_.calls) {
+      const Date date = call.start.date;
       if (date < q.first || q.last < date) continue;
-      if (q.platform && rec.platform != *q.platform) continue;
-      if (q.access && rec.access != *q.access) continue;
-      matching.push_back(&rec);
+      for (const confsim::ParticipantRecord& rec : call.participants) {
+        if (q.platform && rec.platform != *q.platform) continue;
+        if (q.access && rec.access != *q.access) continue;
+        matching.push_back(&rec);
+      }
     }
-  }
 
-  for (const EngagementMetric e : kEngagements) {
-    core::Binner1D binner{q.metric_lo, q.metric_hi, q.bins};
+    for (const EngagementMetric e : kEngagements) {
+      core::Binner1D binner{q.metric_lo, q.metric_hi, q.bins};
+      for (const confsim::ParticipantRecord* rec : matching) {
+        binner.add(
+            netsim::metric_value(rec->network.mean_conditions(), q.metric),
+            engagement_value(*rec, e));
+      }
+      EngagementCurve curve;
+      curve.network_metric = q.metric;
+      curve.engagement_metric = e;
+      for (const core::Bin& b : binner.bins()) {
+        curve.points.push_back({b.center(), b.mean_y, b.count});
+      }
+      out.engagement.push_back(curve);
+    }
+    out.mos_spearman = mos_spearman_;
+
+    double observed = 0.0;
+    double predicted = 0.0;
     for (const confsim::ParticipantRecord* rec : matching) {
-      binner.add(netsim::metric_value(rec->network.mean_conditions(), q.metric),
-                 engagement_value(*rec, e));
+      ++out.sessions;
+      if (rec->mos) {
+        observed += rec->mos->score();
+        ++out.rated_sessions;
+      }
+      if (trained_) predicted += predictor_.predict(*rec);
     }
-    EngagementCurve curve;
-    curve.network_metric = q.metric;
-    curve.engagement_metric = e;
-    for (const core::Bin& b : binner.bins()) {
-      curve.points.push_back({b.center(), b.mean_y, b.count});
+    if (out.rated_sessions > 0) {
+      out.observed_mean_mos =
+          observed / static_cast<double>(out.rated_sessions);
     }
-    out.engagement.push_back(curve);
+    if (trained_ && out.sessions > 0) {
+      out.predicted_mean_mos = predicted / static_cast<double>(out.sessions);
+    }
+
+    core::DailySeries keyword_days{q.first, q.last};
+    std::size_t strong_pos = 0;
+    std::size_t strong_neg = 0;
+    for (std::size_t i = 0; i < corpus_.posts.size(); ++i) {
+      const social::Post& post = corpus_.posts[i];
+      if (post.date < q.first || q.last < post.date) continue;
+      ++out.posts;
+      const nlp::PostScorer::Result& res = scores_[i];
+      if (res.sentiment.strong_positive()) ++strong_pos;
+      if (res.sentiment.strong_negative()) ++strong_neg;
+      if (res.keyword_hits > 0 && res.sentiment.negative >= 0.4) {
+        keyword_days.add(post.date, static_cast<double>(res.keyword_hits));
+      }
+    }
+    if (strong_pos + strong_neg > 0) {
+      out.strong_positive_share = static_cast<double>(strong_pos) /
+                                  static_cast<double>(strong_pos + strong_neg);
+    }
+    double day_total = 0.0;
+    for (const double v : keyword_days.values()) {
+      day_total += v;
+      if (v > 0.0) ++out.outage_mention_days;
+    }
+    const double day_mean =
+        keyword_days.size() == 0
+            ? 0.0
+            : day_total / static_cast<double>(keyword_days.size());
+    for (const auto& [date, value] : keyword_days.entries()) {
+      if (day_mean > 0.0 && value > 3.0 * day_mean && value >= 5.0) {
+        out.outage_alert_days.push_back(date);
+      }
+    }
+    return out;
   }
 
-  for (const EngagementMetric e : kEngagements) {
-    std::vector<double> eng;
-    std::vector<double> mos;
-    for (const Rated& r : rated) {
-      eng.push_back(engagement_value(*r.rec, e));
-      mos.push_back(r.rec->mos->score());
-    }
-    if (eng.size() >= 50) out.mos_spearman.emplace_back(e, core::spearman(eng, mos));
-  }
+ private:
+  const Corpus& corpus_;
+  std::vector<std::pair<EngagementMetric, double>> mos_spearman_;
+  MosPredictor predictor_;
+  bool trained_{false};
+  std::vector<nlp::PostScorer::Result> scores_;
+};
 
-  std::stable_sort(rated.begin(), rated.end(),
-                   [](const Rated& a, const Rated& b) {
-                     if (a.month_key != b.month_key) {
-                       return a.month_key < b.month_key;
-                     }
-                     return a.platform < b.platform;
-                   });
-  std::vector<confsim::ParticipantRecord> training;
-  for (const Rated& r : rated) training.push_back(*r.rec);
-  MosPredictor predictor;
-  const bool trained = training.size() >= MosPredictor::kMinRatedSessions;
-  if (trained) predictor.train(training);
-
-  double observed = 0.0;
-  double predicted = 0.0;
-  for (const confsim::ParticipantRecord* rec : matching) {
-    ++out.sessions;
-    if (rec->mos) {
-      observed += rec->mos->score();
-      ++out.rated_sessions;
+/// `n` seeded random date windows over the battery's base query, cycling
+/// through five shapes around the Jan-Mar 2022 corpus: a mid-month cut
+/// of up to two months, whole months, a window crossing the 2021/2022
+/// year edge, a single day, and a window wholly outside the corpus.
+std::vector<Query> random_windows(std::uint64_t seed, std::size_t n) {
+  core::Rng rng{seed};
+  const auto day_in = [&](const Date& lo, const Date& hi) {
+    return lo.plus_days(rng.uniform_int(0, lo.days_until(hi)));
+  };
+  const Date corpus_first{2022, 1, 1};
+  const Date corpus_last{2022, 3, 31};
+  std::vector<Query> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    Query q = query_battery().front();
+    switch (i % 5) {
+      case 0:  // mid-month cut, possibly spanning months
+        q.first = day_in(Date{2021, 12, 2}, Date{2022, 3, 30});
+        q.last = q.first.plus_days(rng.uniform_int(0, 60));
+        break;
+      case 1: {  // whole months
+        q.first = Date{2021, 12, 1}.plus_months(
+            static_cast<int>(rng.uniform_int(0, 4)));
+        const Date end_month =
+            q.first.plus_months(static_cast<int>(rng.uniform_int(0, 2)));
+        q.last = Date{end_month.year(), end_month.month(),
+                      end_month.days_in_month()};
+        break;
+      }
+      case 2:  // crossing the year edge
+        q.first = day_in(Date{2021, 12, 1}, Date{2021, 12, 31});
+        q.last = day_in(Date{2022, 1, 1}, corpus_last);
+        break;
+      case 3:  // a single day
+        q.first = day_in(corpus_first.plus_days(-7), corpus_last.plus_days(7));
+        q.last = q.first;
+        break;
+      default:  // outside the corpus, before or after it
+        if (rng.uniform_int(0, 1) == 0) {
+          q.first = day_in(Date{2021, 6, 1}, Date{2021, 11, 30});
+          q.last = day_in(q.first, Date{2021, 12, 31});
+        } else {
+          q.first = day_in(Date{2022, 4, 1}, Date{2022, 12, 31});
+          q.last = day_in(q.first, Date{2023, 2, 28});
+        }
+        break;
     }
-    if (trained) predicted += predictor.predict(*rec);
-  }
-  if (out.rated_sessions > 0) {
-    out.observed_mean_mos = observed / static_cast<double>(out.rated_sessions);
-  }
-  if (trained && out.sessions > 0) {
-    out.predicted_mean_mos = predicted / static_cast<double>(out.sessions);
-  }
-
-  const nlp::PostScorer scorer;
-  core::DailySeries keyword_days{q.first, q.last};
-  std::size_t strong_pos = 0;
-  std::size_t strong_neg = 0;
-  for (const social::Post& post : corpus.posts) {
-    if (post.date < q.first || q.last < post.date) continue;
-    ++out.posts;
-    const nlp::PostScorer::Result res =
-        scorer.score(post.title + " " + post.body);
-    if (res.sentiment.strong_positive()) ++strong_pos;
-    if (res.sentiment.strong_negative()) ++strong_neg;
-    if (res.keyword_hits > 0 && res.sentiment.negative >= 0.4) {
-      keyword_days.add(post.date, static_cast<double>(res.keyword_hits));
-    }
-  }
-  if (strong_pos + strong_neg > 0) {
-    out.strong_positive_share = static_cast<double>(strong_pos) /
-                                static_cast<double>(strong_pos + strong_neg);
-  }
-  double day_total = 0.0;
-  for (const double v : keyword_days.values()) {
-    day_total += v;
-    if (v > 0.0) ++out.outage_mention_days;
-  }
-  const double day_mean =
-      keyword_days.size() == 0
-          ? 0.0
-          : day_total / static_cast<double>(keyword_days.size());
-  for (const auto& [date, value] : keyword_days.entries()) {
-    if (day_mean > 0.0 && value > 3.0 * day_mean && value >= 5.0) {
-      out.outage_alert_days.push_back(date);
-    }
+    out.push_back(q);
   }
   return out;
 }
@@ -280,8 +359,13 @@ TEST(ShardEquivalence, ShardedParallelMatchesFlatSequential) {
     ASSERT_EQ(sharded.ingested_sessions(), sessions);
     ASSERT_EQ(sharded.ingested_posts(), corpus.posts.size());
     EXPECT_GT(sharded.session_shards(), 1u);
-    for (const Query& q : query_battery()) {
-      expect_equivalent(brute_force(corpus, q), sharded.run(q),
+    const BruteForce brute_force{corpus};
+    std::vector<Query> queries = query_battery();
+    for (const Query& q : random_windows(seed, 64)) queries.push_back(q);
+    for (const Query& q : queries) {
+      SCOPED_TRACE(testing::Message() << "window " << q.first.to_string()
+                                      << " .. " << q.last.to_string());
+      expect_equivalent(brute_force.run(q), sharded.run(q),
                         /*bit_exact=*/false);
     }
   }
