@@ -8,15 +8,20 @@
 // Registered under the `sanitize` ctest label with USAAS_PARALLEL_FORCE=1:
 // MixedTenantStressReconcilesExactly hammers submit() from multiple
 // tenants while a producer bumps the corpus version, and is the TSan
-// workload for the scheduler mutex + bucket state + outcome counters.
+// workload for the scheduler mutex + bucket state + outcome counters; its
+// second case drives a real-clock open loop and checks the ledger in
+// stats() and in the JSON scrape, the staleness bound, and the
+// degrade-before-shed tripwire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "confsim/call.h"
@@ -358,7 +363,8 @@ TEST(QueryScheduler, DisabledDegradeTripsTheShedWithDegradableTripwire) {
             AdmissionOutcome::kAdmitted);
   // Same query, same version, saturated: a perfectly fresh cached answer
   // exists, degrade is off, so the shed is recorded as a discarded
-  // opportunity — the condition scripts/check.sh fails the build on.
+  // opportunity — the condition MixedTenantStressReconcilesExactly's
+  // open-loop case requires to stay 0.
   const ScheduledResult r = sched.submit("t", whole_months_query());
   EXPECT_EQ(r.outcome, AdmissionOutcome::kShed);
   const SchedulerStats stats = sched.stats();
@@ -431,6 +437,99 @@ TEST(QueryScheduler, MixedTenantStressReconcilesExactly) {
   for (const auto& [tenant, snap] : stats.tenants) {
     EXPECT_EQ(snap.queue_depth, 0u) << tenant;
   }
+
+  // The same contracts under the real clock, from an open loop: 400
+  // arrivals/s for 2 s, each scheduled at i / rate (a submit that falls
+  // behind fires the next arrivals at once). Dashboards repeat
+  // month-aligned windows; analysts repeat eight boundary-cut windows,
+  // warmed into the cache a corpus version ago, under a tight bucket, so
+  // saturation degrades them to cached answers; a starved batch lane asks
+  // never-cached windows, so it sheds. No timing is asserted, only the
+  // ledger, in stats() and in the JSON scrape.
+  Fixture open;
+  for (int month = 1; month <= 12; ++month) {
+    std::vector<confsim::CallRecord> calls;
+    for (int day : {3, 12, 21, 27}) {
+      calls.push_back(
+          sample_call(static_cast<std::uint64_t>(100 * month + day),
+                      Date(2022, month, day)));
+    }
+    open.svc.ingest_calls(calls);
+  }
+  const Query year;  // the default window: all of 2022
+  std::vector<Query> dashboards(4, year);
+  for (int quarter = 0; quarter < 4; ++quarter) {
+    dashboards[quarter].first = Date(2022, 3 * quarter + 1, 1);
+    dashboards[quarter].last = Date(
+        2022, 3 * quarter + 3, Date::days_in_month(2022, 3 * quarter + 3));
+  }
+  dashboards.push_back(year);
+  std::vector<Query> analytics(8, year);
+  for (int k = 0; k < 8; ++k) {
+    analytics[k].first = Date(2022, 1, 10 + k);
+    analytics[k].last = Date(2022, 10, 20 - k);
+  }
+  for (const Query& q : dashboards) (void)open.svc.run(q);
+  for (const Query& q : analytics) (void)open.svc.run(q);
+  const auto bump = quarter_calls(5000);
+  open.svc.ingest_calls(bump);
+
+  constexpr auto kInterval = std::chrono::microseconds{2500};  // 400/s
+  constexpr std::uint64_t kArrivals = 801;  // scheduled at 0 .. 2 s
+  SchedulerConfig ocfg;
+  ocfg.max_wait_seconds = 0.01;
+  ocfg.max_versions_behind = 2;
+  ocfg.seconds_per_token = 1e-4;
+  ocfg.tenant_qos["dashboard"] = {800.0, 100.0};
+  ocfg.tenant_qos["analytics"] = {4.0, 60.0};
+  ocfg.tenant_qos["batch"] = {0.5, 4.0};
+  QueryScheduler front{open.svc, ocfg};
+  std::uint64_t max_staleness = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < kArrivals; ++i) {
+    std::this_thread::sleep_until(start + i * kInterval);
+    const std::uint64_t lane = i % 10;
+    ScheduledResult r;
+    if (lane < 6) {
+      r = front.submit("dashboard", dashboards[i % dashboards.size()], 0.25);
+    } else if (lane < 9) {
+      r = front.submit("analytics", analytics[i % analytics.size()], 0.5);
+    } else {
+      Query q = year;  // a fresh window every time: never cached
+      q.first = Date(2022, 1, 2 + static_cast<int>(i % 25));
+      q.last = Date(2022, 11, 2 + static_cast<int>((i / 25) % 25));
+      q.bins = 7 + i % 5;
+      r = front.submit("batch", q);
+    }
+    if (r.outcome == AdmissionOutcome::kDegraded) {
+      max_staleness = std::max(max_staleness, r.insight.staleness);
+    }
+  }
+  const SchedulerStats ostats = front.stats();
+  EXPECT_EQ(ostats.submitted, kArrivals);
+  EXPECT_TRUE(ostats.reconciles());
+  EXPECT_LE(max_staleness, ocfg.max_versions_behind);
+  EXPECT_EQ(ostats.shed_with_degradable, 0u);
+  const std::string scraped = open.svc.metrics_json();
+  const auto carries = [&](const std::string& key, std::uint64_t value) {
+    return scraped.find("\"" + key + "\": " + std::to_string(value)) !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(carries("usaas_admission_submitted_total", ostats.submitted));
+  const std::pair<const char*, std::uint64_t> outcomes[] = {
+      {"admitted", ostats.admitted},
+      {"degraded", ostats.degraded},
+      {"shed", ostats.shed},
+      {"expired", ostats.expired}};
+  for (const auto& [outcome, count] : outcomes) {
+    EXPECT_TRUE(carries(std::string{"usaas_admission_queries_total{outcome="
+                                     "\\\""} +
+                            outcome + "\\\"}",
+                        count))
+        << outcome;
+  }
+  EXPECT_TRUE(carries("usaas_admission_shed_with_degradable_total",
+                      ostats.shed_with_degradable));
 }
 
 // ---- Circuit breaker: the state machine alone --------------------------

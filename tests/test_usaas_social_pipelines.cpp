@@ -57,6 +57,16 @@ class Fig5 : public ::testing::Test {
   }
 };
 
+TEST_F(Fig5, PostVolumeIsNearThePapers372PerWeek) {
+  // The simulated corpus averages 389 posts/week over its two years; the
+  // paper observes 372. Band: within 10 % of the paper's figure.
+  const double weeks =
+      static_cast<double>(corpus().first.days_until(corpus().last) + 1) / 7.0;
+  const double per_week = static_cast<double>(corpus().posts.size()) / weeks;
+  EXPECT_GE(per_week, 372.0 * 0.9);
+  EXPECT_LE(per_week, 372.0 * 1.1);
+}
+
 TEST_F(Fig5, TopThreePeaksAreThePaperDates) {
   ASSERT_EQ(peaks().size(), 3u);
   std::vector<Date> dates;
