@@ -419,9 +419,7 @@ bool telemetry_gates(std::span<const confsim::CallRecord> calls,
     off.train_predictor();
     service::SchedulerConfig cfg;
     cfg.default_qos = {1e9, 1e9};
-    cfg.telemetry = &reg_on;
     service::QueryScheduler sched_on{on, cfg};
-    cfg.telemetry = &reg_off;
     service::QueryScheduler sched_off{off, cfg};
     const auto submit = [&](service::QueryScheduler& sched, std::size_t g) {
       const service::Query& q = queries[g % queries.size()];

@@ -13,14 +13,8 @@
 // per shard) is deliberate: per-shard locks cannot give a query a
 // consistent cross-shard snapshot, and the writer path is a handful of
 // batch appends per second at most.
-//
-// The acquisition counters exist for tests and operational introspection
-// (how read-heavy is this service?); they are relaxed atomics and impose
-// no ordering of their own.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <shared_mutex>
 
 namespace usaas::core {
@@ -34,30 +28,16 @@ class RwLock {
   /// Shared (reader) guard: any number of concurrent holders, excluded
   /// only by a writer. Blocks while a writer holds the lock.
   [[nodiscard]] std::shared_lock<std::shared_mutex> read() {
-    std::shared_lock<std::shared_mutex> guard{mu_};
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    return guard;
+    return std::shared_lock<std::shared_mutex>{mu_};
   }
 
   /// Exclusive (writer) guard. Blocks until every reader released.
   [[nodiscard]] std::unique_lock<std::shared_mutex> write() {
-    std::unique_lock<std::shared_mutex> guard{mu_};
-    writes_.fetch_add(1, std::memory_order_relaxed);
-    return guard;
-  }
-
-  /// Cumulative successful acquisitions (for tests / stats; relaxed).
-  [[nodiscard]] std::uint64_t read_acquisitions() const {
-    return reads_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t write_acquisitions() const {
-    return writes_.load(std::memory_order_relaxed);
+    return std::unique_lock<std::shared_mutex>{mu_};
   }
 
  private:
   std::shared_mutex mu_;
-  std::atomic<std::uint64_t> reads_{0};
-  std::atomic<std::uint64_t> writes_{0};
 };
 
 }  // namespace usaas::core

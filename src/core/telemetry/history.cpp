@@ -15,28 +15,25 @@ std::string series_key(const std::string& name, const std::string& labels) {
 
 }  // namespace
 
-TelemetryHistory::TelemetryHistory(Registry* registry,
-                                   const HistoryConfig& cfg, bool enabled)
-    : registry_{registry},
-      cfg_{cfg},
-      enabled_{enabled && registry != nullptr && cfg.slots > 0} {}
+TelemetryHistory::TelemetryHistory(const HistoryConfig& cfg, bool enabled)
+    : cfg_{cfg}, enabled_{enabled && cfg.slots > 0} {}
 
-bool TelemetryHistory::tick(double now_seconds) {
+bool TelemetryHistory::tick(double now_seconds, const Source& source) {
   if (!enabled_) return false;
   if (now_seconds < next_due_.load(std::memory_order_relaxed)) return false;
   std::lock_guard<std::mutex> lock{mu_};
   // Re-check under the lock: another thread may have folded this tick.
   if (now_seconds < next_due_.load(std::memory_order_relaxed)) return false;
-  fold_locked(now_seconds);
+  fold_locked(now_seconds, source);
   next_due_.store(now_seconds + cfg_.interval_seconds,
                   std::memory_order_relaxed);
   return true;
 }
 
-void TelemetryHistory::force_tick(double now_seconds) {
+void TelemetryHistory::force_tick(double now_seconds, const Source& source) {
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock{mu_};
-  fold_locked(now_seconds);
+  fold_locked(now_seconds, source);
   next_due_.store(now_seconds + cfg_.interval_seconds,
                   std::memory_order_relaxed);
 }
@@ -56,18 +53,21 @@ void TelemetryHistory::append_point_locked(const std::string& key,
   if (is_delta) {
     // First observation of a delta series reports the full cumulative
     // value: the series was born this interval, so the lifetime total IS
-    // this interval's delta.
-    data.values.push_back(cumulative_or_value - data.prev);
+    // this interval's delta. A drop means a merged source left: this
+    // interval's delta is unknown, not the whole remaining total.
+    data.values.push_back(cumulative_or_value < data.prev
+                              ? kNaN
+                              : cumulative_or_value - data.prev);
     data.prev = cumulative_or_value;
   } else {
     data.values.push_back(cumulative_or_value);
   }
 }
 
-void TelemetryHistory::fold_locked(double now_seconds) {
+void TelemetryHistory::fold_locked(double now_seconds, const Source& source) {
   times_.push_back(now_seconds);
   ++ticks_;
-  const std::vector<MetricFamily> families = registry_->collect();
+  const std::vector<MetricFamily> families = source();
   for (const MetricFamily& family : families) {
     for (const Sample& sample : family.samples) {
       const std::string key = series_key(family.name, sample.labels);
@@ -99,11 +99,13 @@ void TelemetryHistory::fold_locked(double now_seconds) {
       }
     }
   }
-  // A series whose metric vanished from collect() cannot happen today
-  // (registries never unregister), but stay aligned anyway: pad any
-  // series that missed this tick.
+  // A series missing from this tick (its component detached) pads with
+  // NaN and restarts.
   for (auto& [key, data] : series_) {
-    if (data.values.size() < times_.size()) data.values.push_back(kNaN);
+    if (data.values.size() < times_.size()) {
+      data.values.push_back(kNaN);
+      data.prev = 0.0;
+    }
   }
   // Bound the rings.
   if (times_.size() > cfg_.slots) {

@@ -1,9 +1,10 @@
-// Fixed-interval telemetry history: folds the registry's families into
-// bounded per-series rings so "what was this tenant's shed rate / breaker
-// state / cost bias over the last hour" is a query, not a guess.
+// Fixed-interval telemetry history: folds a family source passed in at
+// tick time (the service's collect_families(), what /metrics renders)
+// into bounded per-series rings so "what was this tenant's shed rate /
+// breaker state / cost bias over the last hour" is a query, not a guess.
 //
-// Each tick (default every 10 s, 360 slots = one hour) walks
-// Registry::collect() and appends one point per series:
+// Each tick (default every 10 s, 360 slots = one hour) calls the source
+// and appends one point per series:
 //
 //   counter    -> delta since the previous tick (a rate, not a lifetime
 //                 total — the thing a dashboard actually plots);
@@ -14,9 +15,10 @@
 //
 // Series are keyed `name{labels}` exactly as the exposition layer keys
 // samples, so a point here is joinable against /metrics.json by string
-// equality. A series that appears mid-flight (a new tenant) is
-// back-filled with NaN for the ticks before it existed; the JSON
-// renderer emits those as null.
+// equality. A series reads NaN (JSON null) while absent (before a new
+// tenant, after its component detaches); a counter that reappears counts
+// from zero. A counter that drops (a merged source detached) reads NaN
+// for that tick: its delta is unknown.
 //
 // Ticks are driven by callers that already hold "now" (the HTTP listener
 // per request, tests explicitly with virtual time) — the history never
@@ -28,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -45,9 +48,10 @@ struct HistoryConfig {
 
 class TelemetryHistory {
  public:
+  using Source = std::function<std::vector<MetricFamily>()>;
+
   TelemetryHistory() = default;  ///< Disabled.
-  TelemetryHistory(Registry* registry, const HistoryConfig& cfg,
-                   bool enabled);
+  TelemetryHistory(const HistoryConfig& cfg, bool enabled);
 
   TelemetryHistory(const TelemetryHistory&) = delete;
   TelemetryHistory& operator=(const TelemetryHistory&) = delete;
@@ -55,12 +59,13 @@ class TelemetryHistory {
   [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] const HistoryConfig& config() const { return cfg_; }
 
-  /// Takes a snapshot iff `interval_seconds` have elapsed since the last
-  /// one (the first call always snapshots). Returns whether it folded.
-  bool tick(double now_seconds);
+  /// Folds `source`'s families iff `interval_seconds` have elapsed since
+  /// the last snapshot (the first call always snapshots); `source` is not
+  /// called otherwise. Returns whether it folded.
+  bool tick(double now_seconds, const Source& source);
 
   /// Unconditional snapshot (tests, shutdown flush).
-  void force_tick(double now_seconds);
+  void force_tick(double now_seconds, const Source& source);
 
   struct Series {
     std::string key;  ///< `name{labels}` (+ `:count`/`:p50`/... suffix).
@@ -87,11 +92,10 @@ class TelemetryHistory {
     std::vector<double> values;  ///< Aligned with times_.
   };
 
-  void fold_locked(double now_seconds);
+  void fold_locked(double now_seconds, const Source& source);
   void append_point_locked(const std::string& key, MetricKind kind,
                            double cumulative_or_value, bool is_delta);
 
-  Registry* registry_{nullptr};
   HistoryConfig cfg_{};
   bool enabled_{false};
   std::atomic<double> next_due_{-std::numeric_limits<double>::infinity()};

@@ -105,18 +105,6 @@ std::uint64_t Counter::value() const {
   return total;
 }
 
-void Gauge::set(double v) const {
-  if (cell_ != nullptr) cell_->v.store(v, std::memory_order_relaxed);
-}
-
-void Gauge::add(double v) const {
-  if (cell_ != nullptr) atomic_add(cell_->v, v);
-}
-
-double Gauge::value() const {
-  return cell_ != nullptr ? cell_->v.load(std::memory_order_relaxed) : 0.0;
-}
-
 void Histogram::observe(double v) const {
   if (cells_ == nullptr) return;
   detail::HistogramShard& shard = cells_->shards[thread_shard()];
@@ -213,16 +201,10 @@ Registry::Metric& Registry::get_or_create(std::string_view name,
     metric->labels = std::move(rendered);
     metric->help = help;
     metric->kind = kind;
-    switch (kind) {
-      case MetricKind::kCounter:
-        metric->counter = std::make_unique<detail::CounterCells>();
-        break;
-      case MetricKind::kGauge:
-        metric->gauge = std::make_unique<detail::GaugeCell>();
-        break;
-      case MetricKind::kHistogram:
-        metric->histogram = std::make_unique<detail::HistogramCells>();
-        break;
+    if (kind == MetricKind::kCounter) {
+      metric->counter = std::make_unique<detail::CounterCells>();
+    } else {
+      metric->histogram = std::make_unique<detail::HistogramCells>();
     }
     metrics_.push_back(std::move(metric));
   }
@@ -235,14 +217,6 @@ Counter Registry::counter(std::string_view name, std::string_view help,
   const std::lock_guard<std::mutex> lock{mu_};
   return Counter{
       get_or_create(name, help, labels, MetricKind::kCounter).counter.get()};
-}
-
-Gauge Registry::gauge(std::string_view name, std::string_view help,
-                      const Labels& labels) {
-  if (!enabled_) return Gauge{};
-  const std::lock_guard<std::mutex> lock{mu_};
-  return Gauge{
-      get_or_create(name, help, labels, MetricKind::kGauge).gauge.get()};
 }
 
 Histogram Registry::histogram(std::string_view name, std::string_view help,
@@ -273,17 +247,10 @@ std::vector<MetricFamily> Registry::collect() const {
     MetricFamily& family = families[it->second];
     Sample sample;
     sample.labels = metric->labels;
-    switch (metric->kind) {
-      case MetricKind::kCounter:
-        sample.value_u = Counter{metric->counter.get()}.value();
-        break;
-      case MetricKind::kGauge:
-        sample.floating = true;
-        sample.value_d = Gauge{metric->gauge.get()}.value();
-        break;
-      case MetricKind::kHistogram:
-        sample.histogram = Histogram{metric->histogram.get()}.snapshot();
-        break;
+    if (metric->kind == MetricKind::kCounter) {
+      sample.value_u = Counter{metric->counter.get()}.value();
+    } else {
+      sample.histogram = Histogram{metric->histogram.get()}.snapshot();
     }
     family.samples.push_back(std::move(sample));
   }

@@ -1,5 +1,7 @@
-// Process-wide, low-overhead metrics: counters, gauges and log2-bucketed
-// latency histograms behind a named registry.
+// Process-wide, low-overhead metrics: event counters and log2-bucketed
+// latency histograms behind a named registry. State (queue depth, breaker
+// state, staged records) is not mirrored here: the component that holds
+// it renders its gauges from its own stats() at scrape time.
 //
 // The §5 USaaS service is operator-facing: ingest lag, query latency,
 // cache efficacy and degradation must be visible at a glance (the
@@ -77,10 +79,6 @@ struct CounterCells {
   std::array<PaddedCount, kMetricShards> shards{};
 };
 
-struct GaugeCell {
-  std::atomic<double> v{0.0};
-};
-
 struct alignas(64) HistogramShard {
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> counts{};
   std::atomic<double> sum{0.0};
@@ -140,6 +138,17 @@ struct MetricFamily {
   std::vector<Sample> samples;
 };
 
+/// Samples for families rendered from a component's own stats() ledger:
+/// an exact integer (counters), or a floating value (gauges, cumulative
+/// seconds) that both exposition formats print with format_double.
+[[nodiscard]] inline Sample integer_sample(std::string labels,
+                                           std::uint64_t value) {
+  return {std::move(labels), false, value, 0.0, {}};
+}
+[[nodiscard]] inline Sample floating_sample(std::string labels, double value) {
+  return {std::move(labels), true, 0, value, {}};
+}
+
 /// Label set at registration time, rendered in the given order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
@@ -157,21 +166,6 @@ class Counter {
   friend class Registry;
   explicit Counter(detail::CounterCells* cells) : cells_{cells} {}
   detail::CounterCells* cells_{nullptr};
-};
-
-/// Last-writer-wins instantaneous value.
-class Gauge {
- public:
-  Gauge() = default;
-  void set(double v) const;
-  void add(double v) const;
-  [[nodiscard]] double value() const;
-  [[nodiscard]] explicit operator bool() const { return cell_ != nullptr; }
-
- private:
-  friend class Registry;
-  explicit Gauge(detail::GaugeCell* cell) : cell_{cell} {}
-  detail::GaugeCell* cell_{nullptr};
 };
 
 /// Log2-bucketed distribution (typically seconds).
@@ -207,8 +201,6 @@ class Registry {
 
   Counter counter(std::string_view name, std::string_view help = {},
                   const Labels& labels = {});
-  Gauge gauge(std::string_view name, std::string_view help = {},
-              const Labels& labels = {});
   Histogram histogram(std::string_view name, std::string_view help = {},
                       const Labels& labels = {});
 
@@ -231,7 +223,6 @@ class Registry {
     std::string help;
     MetricKind kind{MetricKind::kCounter};
     std::unique_ptr<detail::CounterCells> counter;
-    std::unique_ptr<detail::GaugeCell> gauge;
     std::unique_ptr<detail::HistogramCells> histogram;
   };
 

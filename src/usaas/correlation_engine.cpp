@@ -415,14 +415,13 @@ std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::plan_fanout(
     if (selector.last && shard.month_key > month_key(*selector.last)) {
       continue;
     }
-    // Only a boundary month the window actually cuts into needs per-record
-    // date checks; a whole-covered month stays summary-answerable.
     SelectedShard sel;
     sel.shard = &shard;
     sel.check_dates =
         core::window_cuts_month(selector.first, selector.last, shard.month_key);
     sel.use_summary =
-        summary_capable && !sel.check_dates && shard.summary.enabled();
+        answers_from_summary(summary_capable && shard.summary.enabled(),
+                             selector.first, selector.last, shard.month_key);
     n_summary += sel.use_summary ? 1 : 0;
     shard.touches.note(sel.use_summary, visits);
     plan.push_back(sel);

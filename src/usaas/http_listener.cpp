@@ -779,7 +779,7 @@ void HttpListener::handle_connection(int fd) {
     // due-check is one relaxed atomic load, and a disabled history
     // performs no clock read at all.
     if (service_.history().enabled()) {
-      service_.history().tick(scheduler_.clock().now());
+      service_.tick_history(scheduler_.clock().now());
     }
     if (path == "/metrics") {
       status = 200;

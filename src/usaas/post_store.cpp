@@ -92,8 +92,7 @@ void PostStore::ingest(std::span<const social::Post> posts) {
 std::optional<SocialAggregates> PostStore::aggregate(
     const core::Date& first, const core::Date& last,
     QueryFanoutStats* fanout, const CancelProbe& cancelled) const {
-  // Plan with the engine's rule: only a month the window cuts needs
-  // per-post date checks; a whole one answers from its summary.
+  // Plan with the engine's summary rule (shard_store.h).
   struct Selected {
     int month_key{0};
     const PostShard* shard{nullptr};
@@ -102,8 +101,9 @@ std::optional<SocialAggregates> PostStore::aggregate(
   std::vector<Selected> plan;
   for (auto it = shards_.lower_bound(core::month_key(first));
        it != shards_.end() && it->first <= core::month_key(last); ++it) {
-    const bool check_dates = core::window_cuts_month(first, last, it->first);
-    const Selected sel{it->first, &it->second, summaries_ && !check_dates};
+    const Selected sel{it->first, &it->second,
+                       answers_from_summary(summaries_, first, last,
+                                            it->first)};
     sel.shard->touches.note(sel.use_summary);
     if (fanout != nullptr) {
       ++(sel.use_summary ? fanout->shards_from_summary

@@ -50,45 +50,20 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 QueryScheduler::QueryScheduler(QueryService& service, SchedulerConfig config)
-    : service_{service}, config_{std::move(config)} {
-  if (config_.clock != nullptr) {
-    clock_ = config_.clock;
-  } else {
-    owned_clock_ = std::make_unique<core::SteadyClock>();
-    clock_ = owned_clock_.get();
-  }
-  telemetry_ = config_.telemetry != nullptr ? config_.telemetry
-                                            : &service_.telemetry_registry();
-  queue_ = std::make_unique<FairQueue>(*clock_);
-  core::telemetry::Registry& reg = *telemetry_;
-  submitted_total_ = reg.counter("usaas_admission_submitted_total",
-                                 "Queries entering admission control");
-  const auto outcome_counter = [&](const char* outcome) {
-    return reg.counter("usaas_admission_queries_total",
-                       "Admission outcomes (admitted: ran fresh; degraded: "
-                       "served a stale cached insight; shed: rejected; "
-                       "expired: the caller's budget ran out)",
-                       {{"outcome", outcome}});
-  };
-  admitted_total_ = outcome_counter("admitted");
-  degraded_total_ = outcome_counter("degraded");
-  shed_total_ = outcome_counter("shed");
-  expired_total_ = outcome_counter("expired");
-  shed_with_degradable_total_ = reg.counter(
-      "usaas_admission_shed_with_degradable_total",
-      "Tripwire: queries shed while a degradable cached insight existed");
-  breaker_short_circuits_total_ = reg.counter(
-      "usaas_admission_breaker_short_circuits_total",
-      "Submissions an open circuit breaker sent straight to "
-      "degrade-or-shed without waiting for tokens");
-  degrade_feedback_total_ = reg.counter(
-      "usaas_admission_degrade_feedback_total",
-      "Cost-bias bumps from consecutive stale serves (the degraded-"
-      "outcome feedback loop into the cost estimator)");
-  wait_seconds_ = reg.histogram(
-      "usaas_admission_wait_seconds",
-      "Time a submission spent waiting for tokens before resolution");
-}
+    : service_{service},
+      config_{std::move(config)},
+      owned_clock_{config_.clock == nullptr
+                       ? std::make_unique<core::SteadyClock>()
+                       : nullptr},
+      clock_{config_.clock != nullptr ? config_.clock : owned_clock_.get()},
+      queue_{std::make_unique<FairQueue>(*clock_)},
+      wait_seconds_{service.telemetry_registry().histogram(
+          "usaas_admission_wait_seconds",
+          "Time a submission spent waiting for tokens before resolution")},
+      families_{service.attach_families(
+          [this](std::vector<core::telemetry::MetricFamily>& families) {
+            append_families(families);
+          })} {}
 
 double QueryScheduler::cost_tokens(const QueryCostEstimate& est) const {
   // A current-version cache hit is O(1) no matter how wide the window:
@@ -118,30 +93,9 @@ QueryScheduler::TenantState& QueryScheduler::tenant_state_locked(
   const TenantQos qos = qos_it != config_.tenant_qos.end()
                             ? qos_it->second
                             : config_.default_qos;
-  // Tenant names arrive from the wire; sanitize before they become
-  // label values (control bytes and unbounded length would otherwise
-  // pollute the exposition). Sanitized collisions share a label series —
-  // a safe failure mode for hostile names.
-  const std::string label = core::telemetry::sanitize_label_value(tenant);
   TenantState state{
-      core::TokenBucket{qos.rate_per_sec, qos.burst, clock_->now()},
-      0,
-      telemetry_->gauge("usaas_admission_queue_depth",
-                        "Submissions currently waiting for tokens",
-                        {{"tenant", label}}),
-      CircuitBreaker{config_.breaker},
-      telemetry_->gauge("usaas_admission_breaker_state",
-                        "Circuit-breaker state (0 closed, 1 open, 2 "
-                        "half-open)",
-                        {{"tenant", label}}),
-      1.0,
-      0,
-      telemetry_->gauge("usaas_admission_cost_bias",
-                        "Per-tenant cost bias from the degrade feedback "
-                        "loop (1 = unbiased; decays back after fresh "
-                        "admits)",
-                        {{"tenant", label}})};
-  state.bias_gauge.set(1.0);
+      core::TokenBucket{qos.rate_per_sec, qos.burst, clock_->now()}, 0,
+      CircuitBreaker{config_.breaker}};
   return tenants_.emplace(tenant, std::move(state)).first->second;
 }
 
@@ -155,7 +109,6 @@ void QueryScheduler::record_outcome_locked(const std::string& tenant,
   switch (outcome) {
     case AdmissionOutcome::kAdmitted:
       ++totals_.admitted;
-      admitted_total_.add();
       state.breaker.record_success();
       state.consecutive_stale = 0;
       // A tenant getting fresh answers again earns its bias back.
@@ -166,7 +119,6 @@ void QueryScheduler::record_outcome_locked(const std::string& tenant,
       break;
     case AdmissionOutcome::kDegraded:
       ++totals_.degraded;
-      degraded_total_.add();
       // Streak-neutral for the breaker — serving stale is the system
       // working as designed — EXCEPT when this was the half-open probe:
       // an answer (even a stale one) means the tenant's service is
@@ -185,24 +137,19 @@ void QueryScheduler::record_outcome_locked(const std::string& tenant,
             state.cost_bias * config_.degrade_feedback_factor,
             config_.cost_bias_max);
         ++totals_.degrade_feedback_bumps;
-        degrade_feedback_total_.add();
       }
       break;
     case AdmissionOutcome::kShed:
       ++totals_.shed;
-      shed_total_.add();
       // A short-circuited shed is the breaker's own output — feeding it
       // back would re-arm the cooldown forever.
       if (!short_circuit) state.breaker.record_failure(now);
       break;
     case AdmissionOutcome::kExpired:
       ++totals_.expired;
-      expired_total_.add();
       if (!short_circuit) state.breaker.record_failure(now);
       break;
   }
-  state.breaker_gauge.set(static_cast<double>(state.breaker.state()));
-  state.bias_gauge.set(state.cost_bias);
   // Journal the state changes this outcome caused (the journal's mutex
   // is a leaf under mu_; a disabled journal returns without locking).
   core::telemetry::EventJournal& journal = service_.journal();
@@ -320,19 +267,15 @@ ScheduledResult QueryScheduler::submit_impl(const std::string& tenant,
   {
     const std::lock_guard<std::mutex> lock{mu_};
     ++totals_.submitted;
-    submitted_total_.add();
     state = &tenant_state_locked(tenant);
     cost = raw_cost * state->cost_bias;
     const CircuitBreaker::State breaker_before = state->breaker.state();
     if (!state->breaker.allow(clock_->now())) {
       short_circuit = true;
       ++totals_.breaker_short_circuits;
-      breaker_short_circuits_total_.add();
     }
-    // allow() may have transitioned open -> half-open; keep the gauge
-    // (and the journal) honest either way.
+    // allow() may have transitioned open -> half-open; journal it.
     const CircuitBreaker::State breaker_after = state->breaker.state();
-    state->breaker_gauge.set(static_cast<double>(breaker_after));
     if (breaker_after != breaker_before && service_.journal().enabled()) {
       service_.journal().record(
           core::telemetry::JournalEventKind::kBreakerTransition, tenant,
@@ -348,7 +291,6 @@ ScheduledResult QueryScheduler::submit_impl(const std::string& tenant,
     {
       const std::lock_guard<std::mutex> lock{mu_};
       ++state->queue_depth;
-      state->depth_gauge.set(static_cast<double>(state->queue_depth));
     }
     // Lock ordering: the queue holds FairQueue::mu_ while calling this
     // closure, which takes QueryScheduler::mu_ — never the reverse.
@@ -362,7 +304,6 @@ ScheduledResult QueryScheduler::submit_impl(const std::string& tenant,
     {
       const std::lock_guard<std::mutex> lock{mu_};
       --state->queue_depth;
-      state->depth_gauge.set(static_cast<double>(state->queue_depth));
     }
     acquired = out.outcome == FairQueue::Outcome::kAcquired;
     queued = out.parked;
@@ -436,7 +377,6 @@ ScheduledResult QueryScheduler::submit_impl(const std::string& tenant,
                         short_circuit, now, trace_id);
   if (stale.has_value()) {
     ++totals_.shed_with_degradable;
-    shed_with_degradable_total_.add();
   }
   // Retry-After: when the bucket will afford this query, stretched to
   // the breaker's probe time while open. Unpayable (cost > burst) has
@@ -463,6 +403,66 @@ SchedulerStats QueryScheduler::stats() const {
                            state.consecutive_stale};
   }
   return out;
+}
+
+void QueryScheduler::append_families(
+    std::vector<core::telemetry::MetricFamily>& families) const {
+  using core::telemetry::floating_sample;
+  using core::telemetry::integer_sample;
+  using core::telemetry::MetricKind;
+  using core::telemetry::Sample;
+  const SchedulerStats ledger = stats();
+  const auto add = [&](const char* name, const char* help, MetricKind kind,
+                       std::vector<Sample> samples) {
+    families.push_back({name, help, kind, std::move(samples)});
+  };
+  add("usaas_admission_submitted_total", "Queries entering admission control",
+      MetricKind::kCounter, {integer_sample("", ledger.submitted)});
+  add("usaas_admission_queries_total",
+      "Admission outcomes (admitted: ran fresh; degraded: served a stale "
+      "cached insight; shed: rejected; expired: the caller's budget ran out)",
+      MetricKind::kCounter,
+      {integer_sample("outcome=\"admitted\"", ledger.admitted),
+       integer_sample("outcome=\"degraded\"", ledger.degraded),
+       integer_sample("outcome=\"shed\"", ledger.shed),
+       integer_sample("outcome=\"expired\"", ledger.expired)});
+  add("usaas_admission_shed_with_degradable_total",
+      "Tripwire: queries shed while a degradable cached insight existed",
+      MetricKind::kCounter, {integer_sample("", ledger.shed_with_degradable)});
+  add("usaas_admission_breaker_short_circuits_total",
+      "Submissions an open circuit breaker sent straight to degrade-or-shed "
+      "without waiting for tokens",
+      MetricKind::kCounter,
+      {integer_sample("", ledger.breaker_short_circuits)});
+  add("usaas_admission_degrade_feedback_total",
+      "Cost-bias bumps from consecutive stale serves (the degraded-outcome "
+      "feedback loop into the cost estimator)",
+      MetricKind::kCounter,
+      {integer_sample("", ledger.degrade_feedback_bumps)});
+
+  // Tenant names arrive from the wire; sanitize before they become label
+  // values (control bytes and unbounded length would otherwise pollute
+  // the exposition). Sanitized collisions share a series, which the
+  // service's merge folds into one (a safe failure mode for hostile names).
+  std::vector<Sample> depth, breaker, bias;
+  for (const auto& [tenant, snap] : ledger.tenants) {
+    const std::string labels = core::telemetry::render_labels(
+        {{"tenant", core::telemetry::sanitize_label_value(tenant)}});
+    depth.push_back(
+        floating_sample(labels, static_cast<double>(snap.queue_depth)));
+    breaker.push_back(
+        floating_sample(labels, static_cast<double>(snap.breaker)));
+    bias.push_back(floating_sample(labels, snap.cost_bias));
+  }
+  add("usaas_admission_queue_depth", "Submissions currently waiting for tokens",
+      MetricKind::kGauge, std::move(depth));
+  add("usaas_admission_breaker_state",
+      "Circuit-breaker state (0 closed, 1 open, 2 half-open)",
+      MetricKind::kGauge, std::move(breaker));
+  add("usaas_admission_cost_bias",
+      "Per-tenant cost bias from the degrade feedback loop (1 = unbiased; "
+      "decays back after fresh admits)",
+      MetricKind::kGauge, std::move(bias));
 }
 
 }  // namespace usaas::service

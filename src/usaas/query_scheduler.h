@@ -38,17 +38,20 @@
 //     over-admitting a tenant whose QoS is visibly underprovisioned;
 //     each fresh admit decays the bias back toward 1.
 //
-// Every outcome is counted twice on purpose: in the scheduler's own
-// stats() (plain integers under the scheduler mutex) and in the shared
-// telemetry Registry (usaas_admission_* families, rendered by the
-// service's exposition endpoint). The two views must reconcile exactly —
-// admitted + degraded + shed + expired == submitted — and
-// scripts/check.sh fails the build when they do not.
+// Every outcome is counted once, in the scheduler's own stats() (plain
+// integers under the scheduler mutex), and the ledger must reconcile
+// exactly: admitted + degraded + shed + expired == submitted. The
+// usaas_admission_* families on /metrics are rendered from that ledger at
+// scrape time (QueryService::attach_families), so the exposition cannot
+// drift from it, and they render even under the telemetry kill switch;
+// only the wait-time histogram lives in the registry.
 //
 // Lock ordering: FairQueue::mu_ -> QueryScheduler::mu_ (the queue calls
 // the scheduler's try-acquire closure with its own lock held). submit()
 // therefore never holds mu_ while calling into the queue, and stats()
-// snapshots the queue BEFORE taking mu_.
+// snapshots the queue BEFORE taking mu_. A scrape calls stats() holding
+// the service's attached-families mutex; nothing takes that mutex while
+// holding either lock.
 #pragma once
 
 #include <cstdint>
@@ -114,10 +117,6 @@ struct SchedulerConfig {
   /// clock (owned by the scheduler); tests pass a core::VirtualClock and
   /// every refill/wait becomes deterministic.
   core::SchedulerClock* clock{nullptr};
-  /// Metric sink. nullptr = the service's own registry, so the admission
-  /// families render through the same exposition endpoint as everything
-  /// else.
-  core::telemetry::Registry* telemetry{nullptr};
 };
 
 enum class AdmissionOutcome {
@@ -196,9 +195,9 @@ struct SchedulerStats {
 
 class QueryScheduler {
  public:
-  /// Borrows the service (must outlive the scheduler). Metric handles are
-  /// registered eagerly so the usaas_admission_* families exist (at zero)
-  /// from the first exposition scrape.
+  /// Borrows the service (must outlive the scheduler) and attaches the
+  /// usaas_admission_* families to its exposition, so they exist (at
+  /// zero) from the first scrape.
   explicit QueryScheduler(QueryService& service, SchedulerConfig config = {});
 
   QueryScheduler(const QueryScheduler&) = delete;
@@ -234,12 +233,9 @@ class QueryScheduler {
   struct TenantState {
     core::TokenBucket bucket;
     std::size_t queue_depth{0};
-    core::telemetry::Gauge depth_gauge;
     CircuitBreaker breaker;
-    core::telemetry::Gauge breaker_gauge;  ///< 0 closed / 1 open / 2 half
     double cost_bias{1.0};
     std::size_t consecutive_stale{0};
-    core::telemetry::Gauge bias_gauge;  ///< current cost_bias (>= 1)
   };
 
   [[nodiscard]] double cost_tokens(const QueryCostEstimate& est) const;
@@ -247,7 +243,7 @@ class QueryScheduler {
   /// stay valid forever: tenants are never erased and std::map nodes do
   /// not move.
   [[nodiscard]] TenantState& tenant_state_locked(const std::string& tenant);
-  /// Tally one outcome into totals_ + telemetry and stamp the breaker /
+  /// Tally one outcome into totals_ and stamp the breaker /
   /// feedback state; breaker transitions and cost-bias moves are also
   /// journaled (with `trace_id` as the causal back-link). Caller holds
   /// mu_; the journal's own mutex is a leaf below it.
@@ -261,28 +257,25 @@ class QueryScheduler {
                                             double budget_seconds,
                                             std::uint64_t trace_id,
                                             bool& queued, bool& unpayable);
+  /// The usaas_admission_* families, rendered from one stats() snapshot.
+  void append_families(
+      std::vector<core::telemetry::MetricFamily>& families) const;
 
   QueryService& service_;
   SchedulerConfig config_;
   std::unique_ptr<core::SteadyClock> owned_clock_;
   core::SchedulerClock* clock_{nullptr};
-  core::telemetry::Registry* telemetry_{nullptr};
   /// The EDF wait queue every saturated submission parks in.
   std::unique_ptr<FairQueue> queue_;
-
-  core::telemetry::Counter submitted_total_;
-  core::telemetry::Counter admitted_total_;
-  core::telemetry::Counter degraded_total_;
-  core::telemetry::Counter shed_total_;
-  core::telemetry::Counter expired_total_;
-  core::telemetry::Counter shed_with_degradable_total_;
-  core::telemetry::Counter breaker_short_circuits_total_;
-  core::telemetry::Counter degrade_feedback_total_;
+  /// A distribution, with no twin in the ledger: the registry keeps it.
   core::telemetry::Histogram wait_seconds_;
 
   mutable std::mutex mu_;
   std::map<std::string, TenantState> tenants_;
-  SchedulerStats totals_;  ///< The stats() mirror (tenants filled lazily).
+  SchedulerStats totals_;  ///< The ledger (tenants filled by stats()).
+  /// Last member: attached after, and detached before, everything
+  /// append_families() reads.
+  QueryService::FamilyAttachment families_;
 };
 
 }  // namespace usaas::service

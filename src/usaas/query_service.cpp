@@ -1,12 +1,52 @@
 #include "usaas/query_service.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <utility>
 
 #include "core/telemetry/exposition.h"
 
 namespace usaas::service {
+
+namespace {
+
+/// Folds families sharing a name into the first, so two components
+/// rendering one family (two schedulers on one service), or two tenants
+/// whose names sanitize alike, give one series per label set. Counters
+/// add up; a gauge keeps the highest value (a queue depth, breaker state
+/// or cost bias is a state, and no sum of two states is one of them).
+void merge_same_name(std::vector<core::telemetry::MetricFamily>& families) {
+  using core::telemetry::MetricKind;
+  std::vector<core::telemetry::MetricFamily> merged;
+  std::map<std::string, std::size_t> family_at;
+  std::map<std::pair<std::size_t, std::string>, std::size_t> sample_at;
+  for (core::telemetry::MetricFamily& family : families) {
+    const auto [f, new_family] =
+        family_at.try_emplace(family.name, merged.size());
+    if (new_family) {
+      merged.push_back({family.name, family.help, family.kind, {}});
+    }
+    std::vector<core::telemetry::Sample>& into = merged[f->second].samples;
+    for (core::telemetry::Sample& sample : family.samples) {
+      const auto [s, new_series] =
+          sample_at.try_emplace({f->second, sample.labels}, into.size());
+      if (new_series || family.kind == MetricKind::kHistogram) {
+        into.push_back(std::move(sample));
+      } else if (family.kind == MetricKind::kCounter) {
+        into[s->second].value_u += sample.value_u;
+        into[s->second].value_d += sample.value_d;
+      } else {
+        into[s->second].value_d =
+            std::max(into[s->second].value_d, sample.value_d);
+      }
+    }
+  }
+  families = std::move(merged);
+}
+
+}  // namespace
 
 QueryValidation Query::validate() const {
   if (first > last) {
@@ -62,7 +102,33 @@ QueryService::QueryService(QueryServiceConfig config)
   journal_ = std::make_unique<core::telemetry::EventJournal>(
       config_.event_journal_entries, observability_on);
   history_ = std::make_unique<core::telemetry::TelemetryHistory>(
-      telemetry_, config_.history, observability_on);
+      config_.history, observability_on);
+}
+
+bool QueryService::tick_history(double now_seconds) const {
+  return history_->tick(now_seconds, [this] { return collect_families(); });
+}
+
+void QueryService::force_tick_history(double now_seconds) const {
+  history_->force_tick(now_seconds, [this] { return collect_families(); });
+}
+
+void QueryService::Detach::operator()(FamilySource* source) const {
+  {
+    const std::lock_guard<std::mutex> lock{sync->families_mu};
+    std::erase(sync->attached, source);
+  }
+  delete source;
+}
+
+QueryService::FamilyAttachment QueryService::attach_families(
+    FamilySource source) {
+  FamilyAttachment handle{
+      std::make_unique<FamilySource>(std::move(source)).release(),
+      Detach{sync_.get()}};
+  const std::lock_guard<std::mutex> lock{sync_->families_mu};
+  sync_->attached.push_back(handle.get());
+  return handle;
 }
 
 void QueryService::register_telemetry() {
@@ -111,11 +177,6 @@ void QueryService::ingest_posts(std::span<const social::Post> posts) {
   bump_version();
 }
 
-void QueryService::publish_stream_health(const StreamHealth& health) {
-  const std::lock_guard<std::mutex> lock{sync_->health_mu};
-  sync_->health = health;
-}
-
 QueryService::ServiceStats QueryService::stats() const {
   ServiceStats out;
   {
@@ -127,10 +188,6 @@ QueryService::ServiceStats QueryService::stats() const {
     out.corpus_version = sync_->version.load(std::memory_order_acquire);
     out.fanout = engine_.fanout_stats();
     out.summary_bytes = engine_.summary_memory_bytes();
-  }
-  {
-    const std::lock_guard<std::mutex> lock{sync_->health_mu};
-    out.stream = sync_->health;
   }
   {
     const std::lock_guard<std::mutex> lock{sync_->cache_mu};
@@ -324,23 +381,22 @@ QueryCostEstimate QueryService::estimate_query(const Query& query) const {
     est.cached = sync_->cache.contains(make_cache_key(query, version));
   }
 
-  // Apply the shards' month rule without visiting any shard: only the
-  // window's first and last months can be boundary-cut, and only a cut
-  // month forces a rescan when summaries are on.
+  // Apply the shards' summary rule without visiting any shard, in O(1)
+  // however wide the (wire-supplied) window: only its first and last
+  // months can be cut, so every interior month answers alike.
   const int mk_first = core::month_key(query.first);
   const int mk_last = core::month_key(query.last);
-  const auto window_months =
-      static_cast<std::uint64_t>(mk_last - mk_first + 1);
-  if (config_.shard_summaries) {
-    const auto cuts = [&](int mk) -> std::uint64_t {
-      return core::window_cuts_month(query.first, query.last, mk) ? 1 : 0;
-    };
-    est.scan_months = cuts(mk_first);
-    if (mk_last != mk_first) est.scan_months += cuts(mk_last);
-    est.summary_months = window_months - est.scan_months;
-  } else {
-    est.scan_months = window_months;
+  const auto summary = [&](int mk) -> std::uint64_t {
+    return answers_from_summary(config_.shard_summaries, query.first,
+                                query.last, mk);
+  };
+  const auto months = static_cast<std::uint64_t>(mk_last - mk_first + 1);
+  est.summary_months = summary(mk_first);
+  if (mk_last != mk_first) {
+    est.summary_months +=
+        summary(mk_last) + (months - 2) * summary(mk_first + 1);
   }
+  est.scan_months = months - est.summary_months;
   return est;
 }
 
@@ -472,34 +528,23 @@ std::vector<core::telemetry::MetricFamily> QueryService::collect_families()
   // rendered through the same formatting path as registry metrics: the
   // exposition endpoint and stats() cannot disagree about a counter.
   append_service_families(families, stats());
+  {
+    // stats() above released the corpus lock: a source may wait on a
+    // component (an ingestor mid-flush) that needs the write lock.
+    const std::lock_guard<std::mutex> lock{sync_->families_mu};
+    for (const FamilySource* source : sync_->attached) (*source)(families);
+  }
+  merge_same_name(families);
   return families;
 }
 
 void QueryService::append_service_families(
     std::vector<core::telemetry::MetricFamily>& families,
     const ServiceStats& stats) const {
-  using core::telemetry::MetricFamily;
   using core::telemetry::MetricKind;
   using core::telemetry::Sample;
-  const auto counter_sample = [](std::string labels, std::uint64_t v) {
-    Sample s;
-    s.labels = std::move(labels);
-    s.value_u = v;
-    return s;
-  };
-  const auto seconds_sample = [](std::string labels, double v) {
-    Sample s;
-    s.labels = std::move(labels);
-    s.floating = true;
-    s.value_d = v;
-    return s;
-  };
-  const auto gauge_sample = [](std::string labels, double v) {
-    Sample s;
-    s.labels = std::move(labels);
-    s.value_d = v;
-    return s;
-  };
+  const auto counter_sample = core::telemetry::integer_sample;
+  const auto gauge_sample = core::telemetry::floating_sample;
   const auto add = [&](const char* name, const char* help, MetricKind kind,
                        std::vector<Sample> samples) {
     families.push_back({name, help, kind, std::move(samples)});
@@ -531,9 +576,9 @@ void QueryService::append_service_families(
           {"summarize", is.summarize_seconds},
           {"total", is.total_seconds}};
       for (const auto& [name, v] : rows) {
-        samples.push_back(seconds_sample(std::string{"corpus=\""} + corpus +
-                                             "\",phase=\"" + name + "\"",
-                                         v));
+        samples.push_back(gauge_sample(std::string{"corpus=\""} + corpus +
+                                           "\",phase=\"" + name + "\"",
+                                       v));
       }
     };
     phases("sessions", stats.sessions);
@@ -550,33 +595,6 @@ void QueryService::append_service_families(
   add("usaas_corpus_version",
       "Successful mutating operations absorbed (monotone)",
       MetricKind::kCounter, {counter_sample("", stats.corpus_version)});
-
-  add("usaas_stream_records_total",
-      "Streaming front-end record outcomes", MetricKind::kCounter,
-      {counter_sample("outcome=\"accepted\"", stats.stream.accepted),
-       counter_sample("outcome=\"flushed\"", stats.stream.flushed),
-       counter_sample("outcome=\"quarantined\"", stats.stream.quarantined),
-       counter_sample("outcome=\"dropped\"", stats.stream.dropped),
-       counter_sample("outcome=\"rejected\"", stats.stream.rejected)});
-  add("usaas_stream_flushes_total", "Flush rounds, by result",
-      MetricKind::kCounter,
-      {counter_sample("result=\"ok\"", stats.stream.flushes),
-       counter_sample("result=\"failed\"", stats.stream.flush_failures),
-       counter_sample("result=\"retried\"", stats.stream.flush_retries)});
-  add("usaas_stream_backpressure_total",
-      "Backpressure events at the streaming front-end (blocked-push: a "
-      "push waited on a full kBlock buffer; backoff-wait: a flush retry "
-      "slept)",
-      MetricKind::kCounter,
-      {counter_sample("kind=\"blocked_push\"", stats.stream.blocked_pushes),
-       counter_sample("kind=\"backoff_wait\"", stats.stream.backoff_waits)});
-  add("usaas_stream_staged_records",
-      "Records accepted but not yet queryable (snapshot staleness)",
-      MetricKind::kGauge,
-      {gauge_sample("", static_cast<double>(stats.stream.staged))});
-  add("usaas_stream_degraded",
-      "1 while the last flush round failed outright", MetricKind::kGauge,
-      {gauge_sample("", stats.stream.degraded ? 1.0 : 0.0)});
 
   add("usaas_insight_cache_lookups_total",
       "Insight cache probes, by outcome", MetricKind::kCounter,

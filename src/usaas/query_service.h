@@ -19,6 +19,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -293,8 +294,11 @@ struct QueryServiceConfig {
 /// consistent flushed prefix of the corpus — never a torn shard. Every
 /// successful mutation bumps the corpus version; run() stamps the version
 /// it answered against into the Insight. Moving a QueryService transfers
-/// its lock; it is only safe while no other thread is using the service.
+/// its lock and its attached family sources; it is only safe while no
+/// other thread is using the service.
 class QueryService {
+  struct Sync;
+
  public:
   QueryService() : QueryService(QueryServiceConfig{}) {}
   explicit QueryService(QueryServiceConfig config);
@@ -370,15 +374,6 @@ class QueryService {
     return sync_->version.load(std::memory_order_acquire);
   }
 
-  /// Streaming front-end health push-down: StreamIngestor publishes its
-  /// counters here after every push/flush so stats() reports staleness
-  /// (records accepted but not yet queryable) alongside throughput.
-  void publish_stream_health(const StreamHealth& health);
-
-  /// Operational counters, the Insight-adjacent "how is the service
-  /// doing" view: per-corpus ingest throughput/phase timings + shard
-  /// fan-out + streaming health. Cheap to call; values are cumulative
-  /// since construction.
   /// Tier-1 insight-cache counters (cumulative since construction).
   struct InsightCacheStats {
     std::uint64_t hits{0};
@@ -390,34 +385,52 @@ class QueryService {
     std::size_t bytes{0};
   };
 
+  /// Operational counters, the Insight-adjacent "how is the service
+  /// doing" view: per-corpus ingest throughput/phase timings, shard
+  /// fan-out, cache. Cheap to call; values are cumulative since
+  /// construction. Streaming health lives in StreamIngestor::stats(),
+  /// admission outcomes in QueryScheduler::stats().
   struct ServiceStats {
     IngestStats sessions;
     IngestStats posts;
     std::size_t session_shards{0};
     std::size_t post_shards{0};
     std::uint64_t corpus_version{0};
-    /// Last health published by the streaming front-end (all-zero when no
-    /// StreamIngestor feeds this service).
-    StreamHealth stream;
     InsightCacheStats insight_cache;
     /// Tier-2 fan-out: shard visits answered from summaries vs scanned.
     QueryFanoutStats fanout;
     /// Approximate heap held by the per-shard summaries.
     std::size_t summary_bytes{0};
-    /// Records accepted by the streaming front-end but not yet visible to
-    /// queries — the staleness of the snapshot queries answer from.
-    [[nodiscard]] std::uint64_t staleness_records() const {
-      return stream.staged;
-    }
   };
   [[nodiscard]] ServiceStats stats() const;
 
-  /// Operator exposition: every registry-native metric (query/ingest
-  /// latency histograms, path counters) plus families derived from the
-  /// same stats() snapshot (ingest counters, stream health, cache and
-  /// fan-out stats), rendered as Prometheus text / a JSON snapshot. Both
-  /// build from one stats() call, so the exposition can never disagree
-  /// with stats() about a counter.
+  /// Appends a component's families, rendered from its own stats()
+  /// ledger (the scheduler's usaas_admission_*, the ingestor's
+  /// usaas_stream_*) at scrape time.
+  using FamilySource =
+      std::function<void(std::vector<core::telemetry::MetricFamily>&)>;
+
+  struct Detach {
+    Sync* sync{nullptr};
+    void operator()(FamilySource* source) const;
+  };
+  /// Owns an attached source; destroying it detaches the source, waiting
+  /// for a scrape already calling it. Make it the owner's last member.
+  using FamilyAttachment = std::unique_ptr<FamilySource, Detach>;
+
+  /// Adds `source` to every scrape and history tick while the handle
+  /// lives. Sources run one scrape at a time, without the corpus lock.
+  [[nodiscard]] FamilyAttachment attach_families(FamilySource source);
+
+  /// What /metrics, /metrics.json and /debug/timeseries render: the
+  /// registry's families, those of one stats() snapshot (ingest, cache,
+  /// fan-out), then each attached source's. Same-name families merge:
+  /// counter samples sharing labels add (two schedulers on one service),
+  /// gauge samples keep the highest value.
+  [[nodiscard]] std::vector<core::telemetry::MetricFamily> collect_families()
+      const;
+
+  /// collect_families() as Prometheus text / a JSON snapshot.
   [[nodiscard]] std::string metrics_text() const;
   [[nodiscard]] std::string metrics_json() const;
 
@@ -440,6 +453,11 @@ class QueryService {
   [[nodiscard]] core::telemetry::TelemetryHistory& history() const {
     return *history_;
   }
+  /// Ticks the history with collect_families() (the families /metrics
+  /// renders): tick_history() iff the interval has elapsed, returning
+  /// whether it folded; force_tick_history() unconditionally.
+  bool tick_history(double now_seconds) const;
+  void force_tick_history(double now_seconds) const;
 
   /// Snapshot of the worst-queries log, slowest first.
   [[nodiscard]] std::vector<core::telemetry::SlowQueryEntry> slow_queries()
@@ -500,8 +518,9 @@ class QueryService {
         : cache{cache_capacity}, slow_log{slow_log_capacity} {}
     core::RwLock lock;
     std::atomic<std::uint64_t> version{0};
-    std::mutex health_mu;
-    StreamHealth health;
+    /// Held across a scrape's calls into `attached`: a detach waits.
+    std::mutex families_mu;
+    std::vector<const FamilySource*> attached;
     std::mutex cache_mu;
     core::LruCache<CacheKey, Insight, CacheKeyHash> cache;
     /// Internally synchronized; lives here so run() (const) can record.
@@ -524,10 +543,6 @@ class QueryService {
                                         core::telemetry::TraceSpan* span) const;
   /// Registers the service-level metric handles in telemetry_.
   void register_telemetry();
-  /// Registry-native families + families derived from one stats()
-  /// snapshot — the single source both exposition formats render.
-  [[nodiscard]] std::vector<core::telemetry::MetricFamily> collect_families()
-      const;
   void append_service_families(
       std::vector<core::telemetry::MetricFamily>& families,
       const ServiceStats& stats) const;

@@ -1,7 +1,7 @@
 // The machinery both shard stores share — CorrelationEngine's sessions
 // and PostStore's posts: the two-pass counted ingest driver, the ingest
-// phase histograms, the per-shard touch counters, and the cancellable
-// per-shard query loop.
+// phase histograms, the per-shard touch counters, the summary rule, and
+// the cancellable per-shard query loop.
 #pragma once
 
 #include <algorithm>
@@ -11,10 +11,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "core/date.h"
 #include "core/flat_index.h"
 #include "core/telemetry/metrics.h"
 #include "core/thread_pool.h"
@@ -30,6 +32,15 @@ struct QueryFanoutStats {
   std::uint64_t shards_from_summary{0};
   std::uint64_t shards_scanned{0};
 };
+
+/// The summary rule both stores plan with: a shard answers from its
+/// summary iff it keeps one and the window covers its whole month (a cut
+/// month needs per-record date checks).
+[[nodiscard]] inline bool answers_from_summary(
+    bool has_summary, const std::optional<core::Date>& first,
+    const std::optional<core::Date>& last, int month_key) {
+  return has_summary && !core::window_cuts_month(first, last, month_key);
+}
 
 /// Cooperative-cancellation probe a shard fan-out polls once per shard
 /// (see CorrelationEngine::engagement_curves).

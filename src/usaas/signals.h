@@ -122,12 +122,13 @@ struct IngestStats {
 /// One-line human-readable summary ("1.2M records, 240 MB moved, ...").
 [[nodiscard]] std::string to_string(const IngestStats& stats);
 
-/// Health of the streaming front-end, published by StreamIngestor into
-/// QueryService::stats() so operators see staleness and degradation next
-/// to the throughput counters. Units are *pushed records* (one CallRecord
-/// or one Post; a call's participants flush together). `staged` is the
-/// staleness figure: records accepted by the stream but not yet visible
-/// to queries — queries keep answering from the last flushed snapshot.
+/// Health of the streaming front-end (StreamIngestor::Stats::health, and
+/// the usaas_stream_* families rendered from it), so operators see
+/// staleness and degradation next to the throughput counters. Units are
+/// *pushed records* (one CallRecord or one Post; a call's participants
+/// flush together). `staged` is the staleness figure: records accepted by
+/// the stream but not yet visible to queries — queries keep answering
+/// from the last flushed snapshot.
 struct StreamHealth {
   std::uint64_t accepted{0};        // pushed past validation into staging
   std::uint64_t staged{0};          // currently buffered, not yet flushed
@@ -138,8 +139,6 @@ struct StreamHealth {
   std::uint64_t flushes{0};         // successful flushes
   std::uint64_t flush_failures{0};  // failed flush attempts (injected/real)
   std::uint64_t flush_retries{0};   // re-attempts after a failed attempt
-  std::uint64_t blocked_pushes{0};  // pushes that waited on kBlock
-  std::uint64_t backoff_waits{0};   // individual flush-retry backoff sleeps
   /// True while the last flush round failed outright (retries exhausted):
   /// staged records are stuck and queries serve an increasingly stale
   /// snapshot until a later flush succeeds.

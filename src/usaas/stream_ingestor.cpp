@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 
 #include "core/telemetry/trace.h"
 
@@ -40,6 +42,19 @@ void for_each_aggregate(const netsim::SessionNetworkSummary& net, Fn&& fn) {
     return std::isspace(c) != 0;
   });
 }
+
+/// Lets a held mutex go for its scope, then takes it back (also when the
+/// scope throws).
+class Unlocked {
+ public:
+  explicit Unlocked(std::mutex& mu) : mu_{mu} { mu_.unlock(); }
+  ~Unlocked() { mu_.lock(); }
+  Unlocked(const Unlocked&) = delete;
+  Unlocked& operator=(const Unlocked&) = delete;
+
+ private:
+  std::mutex& mu_;
+};
 
 }  // namespace
 
@@ -90,7 +105,7 @@ namespace {
 
 /// Injected corruption, cycling through every poison shape the validator
 /// knows so fault runs exercise each quarantine reason.
-void corrupt_call(confsim::CallRecord& call, std::uint64_t kind) {
+void corrupt(confsim::CallRecord& call, std::uint64_t kind) {
   switch (kind % 4) {
     case 0:
       if (!call.participants.empty()) {
@@ -114,7 +129,7 @@ void corrupt_call(confsim::CallRecord& call, std::uint64_t kind) {
   }
 }
 
-void corrupt_post(social::Post& post, std::uint64_t kind) {
+void corrupt(social::Post& post, std::uint64_t kind) {
   if (kind % 2 == 0) {
     post.title.clear();
     post.body = "   ";
@@ -128,7 +143,13 @@ void corrupt_post(social::Post& post, std::uint64_t kind) {
 StreamIngestor::StreamIngestor(QueryService& service,
                                StreamIngestorConfig config,
                                core::FaultInjector* faults)
-    : service_{service}, config_{config}, faults_{faults} {
+    : service_{service},
+      config_{config},
+      faults_{faults},
+      families_{service.attach_families(
+          [this](std::vector<core::telemetry::MetricFamily>& families) {
+            append_families(families);
+          })} {
   config_.call_capacity = std::max<std::size_t>(1, config_.call_capacity);
   config_.post_capacity = std::max<std::size_t>(1, config_.post_capacity);
   config_.call_flush_watermark = std::clamp<std::size_t>(
@@ -152,123 +173,79 @@ StreamIngestor::StreamIngestor(QueryService& service,
       "Exponential-backoff sleeps between flush retry attempts");
 }
 
-PushOutcome StreamIngestor::push_call_locked(const confsim::CallRecord& call) {
-  const confsim::CallRecord* rec = &call;
-  confsim::CallRecord corrupted;
+template <typename Rec>
+PushOutcome StreamIngestor::push_locked(const Rec& record) {
+  constexpr bool kCalls = std::is_same_v<Rec, confsim::CallRecord>;
+  constexpr Corpus corpus = kCalls ? Corpus::kCalls : Corpus::kPosts;
+  std::deque<Rec>& staged =
+      std::get<std::deque<Rec>&>(std::tie(staged_calls_, staged_posts_));
+  const Rec* rec = &record;
+  Rec corrupted;
   if (faults_ != nullptr && faults_->corrupt_this_record()) {
-    corrupted = call;
-    corrupt_call(corrupted, corruption_cursor_++);
+    corrupted = record;
+    corrupt(corrupted, corruption_cursor_++);
     rec = &corrupted;
   }
   if (const auto reason = validate_record(*rec)) {
-    quarantine_record({QuarantinedRecord::Corpus::kCall, *reason,
-                       rec->start.date, rec->call_id});
+    if constexpr (kCalls) {
+      quarantine_record({QuarantinedRecord::Corpus::kCall, *reason,
+                         rec->start.date, rec->call_id});
+    } else {
+      quarantine_record(
+          {QuarantinedRecord::Corpus::kPost, *reason, rec->date, rec->id});
+    }
     return PushOutcome::kQuarantined;
   }
-  if (staged_calls_.size() >= config_.call_capacity &&
-      !make_room(Corpus::kCalls)) {
+  if (staged.size() >=
+          (kCalls ? config_.call_capacity : config_.post_capacity) &&
+      !make_room(corpus)) {
     ++stats_.health.rejected;
     return PushOutcome::kRejected;
   }
-  staged_calls_.push_back(*rec);
+  staged.push_back(*rec);
   ++stats_.health.accepted;
-  if (staged_calls_.size() >= config_.call_flush_watermark) {
-    flush_corpus(Corpus::kCalls);  // failure leaves records staged
+  if (staged.size() >= (kCalls ? config_.call_flush_watermark
+                               : config_.post_flush_watermark)) {
+    flush_corpus(corpus);  // failure leaves records staged
   }
   return PushOutcome::kAccepted;
 }
 
-PushOutcome StreamIngestor::push_post_locked(const social::Post& post) {
-  const social::Post* rec = &post;
-  social::Post corrupted;
-  if (faults_ != nullptr && faults_->corrupt_this_record()) {
-    corrupted = post;
-    corrupt_post(corrupted, corruption_cursor_++);
-    rec = &corrupted;
+template <typename Rec>
+std::size_t StreamIngestor::push_span(std::span<const Rec> records) {
+  const std::scoped_lock lock{push_mu_, mu_};
+  std::size_t accepted = 0;
+  for (const Rec& record : records) {
+    const PushOutcome outcome = push_locked(record);
+    if (outcome == PushOutcome::kRejected) break;
+    if (outcome == PushOutcome::kAccepted) ++accepted;
   }
-  if (const auto reason = validate_record(*rec)) {
-    quarantine_record(
-        {QuarantinedRecord::Corpus::kPost, *reason, rec->date, rec->id});
-    return PushOutcome::kQuarantined;
-  }
-  if (staged_posts_.size() >= config_.post_capacity &&
-      !make_room(Corpus::kPosts)) {
-    ++stats_.health.rejected;
-    return PushOutcome::kRejected;
-  }
-  staged_posts_.push_back(*rec);
-  ++stats_.health.accepted;
-  if (staged_posts_.size() >= config_.post_flush_watermark) {
-    flush_corpus(Corpus::kPosts);
-  }
-  return PushOutcome::kAccepted;
+  return accepted;
 }
 
 PushOutcome StreamIngestor::push(const confsim::CallRecord& call) {
-  const std::lock_guard<std::mutex> lock{mu_};
-  const PushOutcome outcome = push_call_locked(call);
-  publish_health();
-  return outcome;
+  const std::scoped_lock lock{push_mu_, mu_};
+  return push_locked(call);
 }
 
 PushOutcome StreamIngestor::push(const social::Post& post) {
-  const std::lock_guard<std::mutex> lock{mu_};
-  const PushOutcome outcome = push_post_locked(post);
-  publish_health();
-  return outcome;
+  const std::scoped_lock lock{push_mu_, mu_};
+  return push_locked(post);
 }
 
 std::size_t StreamIngestor::push_many(
     std::span<const confsim::CallRecord> calls) {
-  const std::lock_guard<std::mutex> lock{mu_};
-  std::size_t accepted = 0;
-  for (const confsim::CallRecord& call : calls) {
-    const PushOutcome outcome = push_call_locked(call);
-    if (outcome == PushOutcome::kRejected) break;
-    if (outcome == PushOutcome::kAccepted) ++accepted;
-  }
-  publish_health();
-  return accepted;
+  return push_span(calls);
 }
 
 std::size_t StreamIngestor::push_many(std::span<const social::Post> posts) {
-  const std::lock_guard<std::mutex> lock{mu_};
-  std::size_t accepted = 0;
-  for (const social::Post& post : posts) {
-    const PushOutcome outcome = push_post_locked(post);
-    if (outcome == PushOutcome::kRejected) break;
-    if (outcome == PushOutcome::kAccepted) ++accepted;
-  }
-  publish_health();
-  return accepted;
-}
-
-std::size_t StreamIngestor::push_calls(
-    std::span<const confsim::CallRecord> calls) {
-  std::size_t accepted = 0;
-  for (const confsim::CallRecord& call : calls) {
-    const PushOutcome outcome = push(call);
-    if (outcome == PushOutcome::kRejected) break;
-    if (outcome == PushOutcome::kAccepted) ++accepted;
-  }
-  return accepted;
-}
-
-std::size_t StreamIngestor::push_posts(std::span<const social::Post> posts) {
-  std::size_t accepted = 0;
-  for (const social::Post& post : posts) {
-    const PushOutcome outcome = push(post);
-    if (outcome == PushOutcome::kRejected) break;
-    if (outcome == PushOutcome::kAccepted) ++accepted;
-  }
-  return accepted;
+  return push_span(posts);
 }
 
 bool StreamIngestor::flush() {
-  const std::lock_guard<std::mutex> lock{mu_};
+  const std::scoped_lock lock{push_mu_, mu_};
   const bool calls_ok = flush_corpus(Corpus::kCalls);
   const bool posts_ok = flush_corpus(Corpus::kPosts);
-  publish_health();
   return calls_ok && posts_ok;
 }
 
@@ -325,12 +302,14 @@ bool StreamIngestor::flush_corpus(Corpus corpus) {
       if (backoff > std::chrono::milliseconds{0}) {
         backoff_seconds_.observe(
             std::chrono::duration<double>(backoff).count());
+        const Unlocked unlocked{mu_};
         std::this_thread::sleep_for(backoff);
       }
     }
     if (faults_ != nullptr) {
       const auto delay = faults_->flush_delay();
       if (delay > std::chrono::milliseconds{0}) {
+        const Unlocked unlocked{mu_};
         std::this_thread::sleep_for(delay);
       }
       if (faults_->fail_this_flush()) {
@@ -342,13 +321,19 @@ bool StreamIngestor::flush_corpus(Corpus corpus) {
       core::telemetry::TraceSpan span{flush_calls_seconds_};
       const std::vector<confsim::CallRecord> batch{staged_calls_.begin(),
                                                    staged_calls_.end()};
-      service_.ingest_calls(batch);
+      {
+        const Unlocked unlocked{mu_};
+        service_.ingest_calls(batch);
+      }
       staged_calls_.clear();
     } else {
       core::telemetry::TraceSpan span{flush_posts_seconds_};
       const std::vector<social::Post> batch{staged_posts_.begin(),
                                             staged_posts_.end()};
-      service_.ingest_posts(batch);
+      {
+        const Unlocked unlocked{mu_};
+        service_.ingest_posts(batch);
+      }
       staged_posts_.clear();
     }
     stats_.health.flushed += staged;
@@ -370,26 +355,49 @@ void StreamIngestor::quarantine_record(QuarantinedRecord record) {
   dead_letter_.push_back(record);
 }
 
-StreamHealth StreamIngestor::health_snapshot() const {
-  StreamHealth health = stats_.health;
-  health.staged = staged_calls_.size() + staged_posts_.size();
-  health.degraded = degraded_calls_ || degraded_posts_;
-  health.blocked_pushes = stats_.blocked_pushes;
-  health.backoff_waits = stats_.backoff_waits;
-  return health;
-}
-
-void StreamIngestor::publish_health() {
-  service_.publish_stream_health(health_snapshot());
-}
-
 StreamIngestor::Stats StreamIngestor::stats() const {
   const std::lock_guard<std::mutex> lock{mu_};
   Stats out = stats_;
-  out.health = health_snapshot();
-  out.staged_calls = staged_calls_.size();
-  out.staged_posts = staged_posts_.size();
+  out.health.staged = staged_calls_.size() + staged_posts_.size();
+  out.health.degraded = degraded_calls_ || degraded_posts_;
   return out;
+}
+
+void StreamIngestor::append_families(
+    std::vector<core::telemetry::MetricFamily>& families) const {
+  using core::telemetry::floating_sample;
+  using core::telemetry::integer_sample;
+  using core::telemetry::MetricKind;
+  const Stats ledger = stats();
+  const StreamHealth& h = ledger.health;
+  const auto add = [&](const char* name, const char* help, MetricKind kind,
+                       std::vector<core::telemetry::Sample> samples) {
+    families.push_back({name, help, kind, std::move(samples)});
+  };
+  add("usaas_stream_records_total", "Streaming front-end record outcomes",
+      MetricKind::kCounter,
+      {integer_sample("outcome=\"accepted\"", h.accepted),
+       integer_sample("outcome=\"flushed\"", h.flushed),
+       integer_sample("outcome=\"quarantined\"", h.quarantined),
+       integer_sample("outcome=\"dropped\"", h.dropped),
+       integer_sample("outcome=\"rejected\"", h.rejected)});
+  add("usaas_stream_flushes_total", "Flush rounds, by result",
+      MetricKind::kCounter,
+      {integer_sample("result=\"ok\"", h.flushes),
+       integer_sample("result=\"failed\"", h.flush_failures),
+       integer_sample("result=\"retried\"", h.flush_retries)});
+  add("usaas_stream_backpressure_total",
+      "Backpressure events at the streaming front-end (blocked-push: a push "
+      "waited on a full kBlock buffer; backoff-wait: a flush retry slept)",
+      MetricKind::kCounter,
+      {integer_sample("kind=\"blocked_push\"", ledger.blocked_pushes),
+       integer_sample("kind=\"backoff_wait\"", ledger.backoff_waits)});
+  add("usaas_stream_staged_records",
+      "Records accepted but not yet queryable (snapshot staleness)",
+      MetricKind::kGauge,
+      {floating_sample("", static_cast<double>(h.staged))});
+  add("usaas_stream_degraded", "1 while the last flush round failed outright",
+      MetricKind::kGauge, {floating_sample("", h.degraded ? 1.0 : 0.0)});
 }
 
 std::vector<StreamIngestor::QuarantinedRecord> StreamIngestor::quarantine()

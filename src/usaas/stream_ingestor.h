@@ -35,8 +35,10 @@
 // (not the per-producer order) is scheduler-dependent, as in any real feed.
 //
 // Health (accepted/staged/flushed/quarantined/dropped/rejected/failure
-// counters) is published into QueryService::stats() after every push and
-// flush, so operators see snapshot staleness next to throughput.
+// counters) lives in stats() alone. The ingestor attaches the
+// usaas_stream_* families to the service's exposition, rendered from that
+// ledger at scrape time, so operators see snapshot staleness next to
+// throughput on /metrics.
 #pragma once
 
 #include <array>
@@ -147,19 +149,13 @@ class StreamIngestor {
   PushOutcome push(const confsim::CallRecord& call);
   PushOutcome push(const social::Post& post);
 
-  /// Chunk convenience: pushes records one by one, stopping early only on
-  /// rejection. Returns how many were accepted (quarantined records are
-  /// skipped, not counted, and do not stop the chunk).
-  std::size_t push_calls(std::span<const confsim::CallRecord> calls);
-  std::size_t push_posts(std::span<const social::Post> posts);
-
-  /// Amortized span push: one lock acquisition and one health publish for
-  /// the whole span, instead of one of each per record. Per-record
-  /// semantics (validation, quarantine, backpressure, watermark flushes)
-  /// are identical to a push() loop — flush slicing is a pure function of
-  /// the push sequence, so query results are bit-identical too. Stops
-  /// early on the first rejection; returns how many records were
-  /// accepted.
+  /// Span push under one lock acquisition. Per-record semantics
+  /// (validation, quarantine, backpressure, watermark flushes) are
+  /// identical to a push() loop — flush slicing is a pure function of the
+  /// push sequence, so query results are bit-identical too. Stops early
+  /// on the first rejection; returns how many records were accepted
+  /// (quarantined records are skipped, not counted, and do not stop the
+  /// span).
   std::size_t push_many(std::span<const confsim::CallRecord> calls);
   std::size_t push_many(std::span<const social::Post> posts);
 
@@ -185,8 +181,6 @@ class StreamIngestor {
     std::uint64_t quarantine_evicted{0};  // dead-letter cap overflow
     std::uint64_t blocked_pushes{0};      // pushes that hit kBlock waiting
     std::uint64_t backoff_waits{0};       // individual backoff sleeps
-    std::uint64_t staged_calls{0};
-    std::uint64_t staged_posts{0};
   };
   [[nodiscard]] Stats stats() const;
 
@@ -198,14 +192,19 @@ class StreamIngestor {
  private:
   enum class Corpus { kCalls, kPosts };
 
-  // All private helpers require mu_ held.
-  PushOutcome push_call_locked(const confsim::CallRecord& call);
-  PushOutcome push_post_locked(const social::Post& post);
+  /// push_many() for either corpus.
+  template <typename Rec>
+  std::size_t push_span(std::span<const Rec> records);
+  /// The usaas_stream_* families, rendered from one stats() snapshot.
+  void append_families(
+      std::vector<core::telemetry::MetricFamily>& families) const;
+
+  // The helpers below require push_mu_ and mu_ held.
+  template <typename Rec>
+  PushOutcome push_locked(const Rec& record);
   [[nodiscard]] bool make_room(Corpus corpus);
   bool flush_corpus(Corpus corpus);
   void quarantine_record(QuarantinedRecord record);
-  void publish_health();
-  [[nodiscard]] StreamHealth health_snapshot() const;
 
   QueryService& service_;
   StreamIngestorConfig config_;
@@ -218,6 +217,10 @@ class StreamIngestor {
   core::telemetry::Histogram flush_posts_seconds_;
   core::telemetry::Histogram backoff_seconds_;
 
+  /// Serializes push, push_many and flush end to end; taken before mu_.
+  std::mutex push_mu_;
+  /// Guards everything below; let go while a flush sleeps or hands a
+  /// batch to the service, so stats() (a scrape) never waits those out.
   mutable std::mutex mu_;
   std::deque<confsim::CallRecord> staged_calls_;
   std::deque<social::Post> staged_posts_;
@@ -231,6 +234,9 @@ class StreamIngestor {
   /// Cycles the corruption kind applied when the fault injector asks for
   /// a corrupt record, so every poison shape gets exercised.
   std::uint64_t corruption_cursor_{0};
+  /// Last member: attached after, and detached before, everything
+  /// append_families() reads.
+  QueryService::FamilyAttachment families_;
 };
 
 /// Validation used by the ingestor (exposed for tests): the first reason a

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/fault_injector.h"
@@ -180,10 +181,13 @@ TEST(FaultInjection, FlushFailureIsRetriedWithBackoffThenSucceeds) {
   EXPECT_FALSE(stats.health.degraded);
   EXPECT_EQ(faults.flush_failures_injected(), 2u);
   EXPECT_EQ(svc.ingested_sessions(), 3u);
-  // The failure counters surface in the service stats too.
-  const QueryService::ServiceStats sstats = svc.stats();
-  EXPECT_EQ(sstats.stream.flush_failures, 2u);
-  EXPECT_EQ(sstats.stream.flush_retries, 2u);
+  // The failure counters surface in the service's scrape too.
+  const std::string text = svc.metrics_text();
+  EXPECT_NE(text.find("usaas_stream_flushes_total{result=\"failed\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("usaas_stream_flushes_total{result=\"retried\"} 2\n"),
+            std::string::npos);
 }
 
 // Regression: the retry backoff used to double via a left shift of the
@@ -253,11 +257,16 @@ TEST(FaultInjection, ExhaustedRetriesDegradeButQueriesServeLastSnapshot) {
     ASSERT_EQ(stuck.push(sample_call(i)), PushOutcome::kAccepted);
   }
   EXPECT_FALSE(stuck.flush());
-  const QueryService::ServiceStats stats = svc.stats();
-  EXPECT_TRUE(stats.stream.degraded);
-  EXPECT_EQ(stats.stream.staged, 4u);
-  EXPECT_EQ(stats.staleness_records(), 4u);
-  EXPECT_GT(stats.stream.flush_failures, 0u);
+  const StreamHealth health = stuck.stats().health;
+  EXPECT_TRUE(health.degraded);
+  EXPECT_EQ(health.staged, 4u);
+  EXPECT_GT(health.flush_failures, 0u);
+  // Both ingestors feed one scrape: their families merge, so the gauges
+  // read the service-wide staleness and the count of degraded streams.
+  const std::string text = svc.metrics_text();
+  EXPECT_NE(text.find("\nusaas_stream_staged_records 4\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nusaas_stream_degraded 1\n"), std::string::npos);
 
   // Queries still answer — from the last good snapshot, same version.
   const Insight during_outage = svc.run(window_query());

@@ -32,6 +32,7 @@
 #include "usaas/http_listener.h"
 #include "usaas/query_scheduler.h"
 #include "usaas/query_service.h"
+#include "usaas/stream_ingestor.h"
 
 namespace usaas::service {
 namespace {
@@ -301,7 +302,9 @@ TEST(HttpListener, MapsRoutesAndBadInputsToStatusCodes) {
   const std::string malformed = http_exchange(port, "garbage\r\n\r\n");
   EXPECT_EQ(status_of(malformed), 400);
 
-  // The service stays measurable through its own boundary.
+  // The service stays measurable through its own boundary, streaming
+  // front end included while one is attached.
+  const StreamIngestor ingestor{fe.fx.svc};
   const std::string metrics = http_exchange(port, get_request("/metrics"));
   EXPECT_EQ(status_of(metrics), 200);
   EXPECT_NE(metrics.find("usaas_admission_submitted_total"),

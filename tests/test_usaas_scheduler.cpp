@@ -10,15 +10,21 @@
 // tenants while a producer bumps the corpus version, and is the TSan
 // workload for the scheduler mutex + bucket state + outcome counters; its
 // second case drives a real-clock open loop and checks the ledger in
-// stats() and in the JSON scrape, the staleness bound, and the
-// degrade-before-shed tripwire.
+// stats() and in the JSON scrape, that stale answers are served and stay
+// within the staleness bound, and the degrade-before-shed tripwire.
+//
+// The scheduler's ledger is its stats(); /metrics renders the
+// usaas_admission_* families from it, so the tests hold the scrape to
+// stats() (expect_scrape_matches_ledger).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -103,6 +109,61 @@ struct Fixture {
     return cfg;
   }
 };
+
+/// The value /metrics shows for `key` (`name` or `name{labels}`); NaN
+/// when the scrape lacks the line.
+double scraped(const std::string& text, const std::string& key) {
+  const std::string line = "\n" + key + " ";
+  const std::size_t at = ("\n" + text).find(line);
+  if (at == std::string::npos) return std::numeric_limits<double>::quiet_NaN();
+  return std::stod(text.substr(at + line.size() - 1));
+}
+
+/// Every usaas_admission_* counter and per-tenant gauge on /metrics equals
+/// the scheduler's ledger. Tenants whose names sanitize alike share one
+/// series, which shows the highest of their gauge values.
+void expect_scrape_matches_ledger(const QueryService& svc,
+                                  const SchedulerStats& stats) {
+  const std::string text = svc.metrics_text();
+  const auto expect = [&](const std::string& key, double value) {
+    EXPECT_EQ(scraped(text, key), value) << key;
+  };
+  expect("usaas_admission_submitted_total",
+         static_cast<double>(stats.submitted));
+  const std::pair<const char*, std::uint64_t> outcomes[] = {
+      {"admitted", stats.admitted},
+      {"degraded", stats.degraded},
+      {"shed", stats.shed},
+      {"expired", stats.expired}};
+  for (const auto& [outcome, count] : outcomes) {
+    expect(std::string{"usaas_admission_queries_total{outcome=\""} + outcome +
+               "\"}",
+           static_cast<double>(count));
+  }
+  expect("usaas_admission_shed_with_degradable_total",
+         static_cast<double>(stats.shed_with_degradable));
+  expect("usaas_admission_breaker_short_circuits_total",
+         static_cast<double>(stats.breaker_short_circuits));
+  expect("usaas_admission_degrade_feedback_total",
+         static_cast<double>(stats.degrade_feedback_bumps));
+  std::map<std::string, std::array<double, 3>> by_label;
+  for (const auto& [tenant, snap] : stats.tenants) {
+    const std::array<double, 3> gauges{static_cast<double>(snap.queue_depth),
+                                       static_cast<double>(snap.breaker),
+                                       snap.cost_bias};
+    const std::string label = core::telemetry::sanitize_label_value(tenant);
+    const auto [it, fresh] = by_label.try_emplace(label, gauges);
+    for (std::size_t i = 0; i < gauges.size() && !fresh; ++i) {
+      it->second[i] = std::max(it->second[i], gauges[i]);
+    }
+  }
+  for (const auto& [label, gauges] : by_label) {
+    const std::string labels = "{tenant=\"" + label + "\"}";
+    expect("usaas_admission_queue_depth" + labels, gauges[0]);
+    expect("usaas_admission_breaker_state" + labels, gauges[1]);
+    expect("usaas_admission_cost_bias" + labels, gauges[2]);
+  }
+}
 
 // ---- TokenBucket: pure-function determinism ----------------------------
 
@@ -193,6 +254,30 @@ TEST(QueryScheduler, CostOrderingCacheThenSummaryThenScan) {
   const QueryCostEstimate bumped = fx.svc.estimate_query(cut_months_query());
   EXPECT_FALSE(bumped.cached);
   EXPECT_GE(bumped.slow_log_seconds, 0.0);
+}
+
+// The window comes from the wire and nothing bounds its span short of
+// the widest Date (~393 K months here), so the estimate, run on every
+// submission under the corpus read lock, counts the interior months from
+// one sample instead of walking them; both splits must still be exact.
+TEST(QueryScheduler, EstimateSplitsTheWidestWindowExactly) {
+  Query wide;
+  wide.first = Date(1, 1, 15);       // cut: rescans
+  wide.last = Date(32767, 12, 31);   // whole: summary-answerable
+  wide.bins = 4;
+  const std::uint64_t months = 32767ull * 12;
+
+  Fixture fx;
+  const QueryCostEstimate with = fx.svc.estimate_query(wide);
+  EXPECT_EQ(with.scan_months, 1u);
+  EXPECT_EQ(with.summary_months, months - 1);
+
+  QueryServiceConfig cfg = Fixture::make_config(&fx.reg);
+  cfg.shard_summaries = false;
+  const QueryService plain{cfg};
+  const QueryCostEstimate without = plain.estimate_query(wide);
+  EXPECT_EQ(without.scan_months, months);
+  EXPECT_EQ(without.summary_months, 0u);
 }
 
 // Pins the columnar recalibration of the structural cost model: the
@@ -310,24 +395,8 @@ TEST(QueryScheduler, DegradesToBoundedStalenessInsteadOfShedding) {
   EXPECT_EQ(stats.shed_with_degradable, 0u);
   EXPECT_TRUE(stats.reconciles());
 
-  // The registry view must agree exactly with stats() — the exposition
-  // endpoint renders these same cells.
-  core::telemetry::Registry& reg = fx.svc.telemetry_registry();
-  EXPECT_EQ(reg.counter("usaas_admission_submitted_total").value(), 3u);
-  EXPECT_EQ(reg.counter("usaas_admission_queries_total", "",
-                        {{"outcome", "admitted"}})
-                .value(),
-            1u);
-  EXPECT_EQ(reg.counter("usaas_admission_queries_total", "",
-                        {{"outcome", "degraded"}})
-                .value(),
-            1u);
-  EXPECT_EQ(reg.counter("usaas_admission_queries_total", "",
-                        {{"outcome", "shed"}})
-                .value(),
-            1u);
-  EXPECT_EQ(
-      reg.counter("usaas_admission_shed_with_degradable_total").value(), 0u);
+  // The exposition endpoint renders these same ledger counts.
+  expect_scrape_matches_ledger(fx.svc, stats);
 }
 
 TEST(QueryScheduler, StalenessBoundIsRespectedAcrossManyBumps) {
@@ -421,18 +490,7 @@ TEST(QueryScheduler, MixedTenantStressReconcilesExactly) {
   EXPECT_EQ(stats.submitted,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_TRUE(stats.reconciles());
-  core::telemetry::Registry& reg = fx.svc.telemetry_registry();
-  const std::uint64_t exposed =
-      reg.counter("usaas_admission_queries_total", "",
-                  {{"outcome", "admitted"}})
-          .value() +
-      reg.counter("usaas_admission_queries_total", "",
-                  {{"outcome", "degraded"}})
-          .value() +
-      reg.counter("usaas_admission_queries_total", "", {{"outcome", "shed"}})
-          .value();
-  EXPECT_EQ(exposed,
-            reg.counter("usaas_admission_submitted_total").value());
+  expect_scrape_matches_ledger(fx.svc, stats);
   // All waiters drained: every per-tenant queue-depth gauge is back to 0.
   for (const auto& [tenant, snap] : stats.tenants) {
     EXPECT_EQ(snap.queue_depth, 0u) << tenant;
@@ -442,10 +500,11 @@ TEST(QueryScheduler, MixedTenantStressReconcilesExactly) {
   // arrivals/s for 2 s, each scheduled at i / rate (a submit that falls
   // behind fires the next arrivals at once). Dashboards repeat
   // month-aligned windows; analysts repeat eight boundary-cut windows,
-  // warmed into the cache a corpus version ago, under a tight bucket, so
-  // saturation degrades them to cached answers; a starved batch lane asks
-  // never-cached windows, so it sheds. No timing is asserted, only the
-  // ledger, in stats() and in the JSON scrape.
+  // warmed into the cache a corpus version ago, under a burst below the
+  // cheapest query's cost, so no analytics query is ever admitted and
+  // each degrades to the entry cached one version back (staleness 1); a
+  // starved batch lane asks never-cached windows, so it sheds. No timing
+  // is asserted, only the ledger, in stats() and in the JSON scrape.
   Fixture open;
   for (int month = 1; month <= 12; ++month) {
     std::vector<confsim::CallRecord> calls;
@@ -481,7 +540,7 @@ TEST(QueryScheduler, MixedTenantStressReconcilesExactly) {
   ocfg.max_versions_behind = 2;
   ocfg.seconds_per_token = 1e-4;
   ocfg.tenant_qos["dashboard"] = {800.0, 100.0};
-  ocfg.tenant_qos["analytics"] = {4.0, 60.0};
+  ocfg.tenant_qos["analytics"] = {4.0, 0.5};  // burst < min_cost_tokens
   ocfg.tenant_qos["batch"] = {0.5, 4.0};
   QueryScheduler front{open.svc, ocfg};
   std::uint64_t max_staleness = 0;
@@ -508,6 +567,7 @@ TEST(QueryScheduler, MixedTenantStressReconcilesExactly) {
   const SchedulerStats ostats = front.stats();
   EXPECT_EQ(ostats.submitted, kArrivals);
   EXPECT_TRUE(ostats.reconciles());
+  EXPECT_GE(max_staleness, 1u);  // stale serves really happened
   EXPECT_LE(max_staleness, ocfg.max_versions_behind);
   EXPECT_EQ(ostats.shed_with_degradable, 0u);
   const std::string scraped = open.svc.metrics_json();
@@ -639,11 +699,10 @@ TEST(QueryScheduler, OpenBreakerShortCircuitsButStillDegrades) {
   EXPECT_EQ(sched.stats().tenants.at("t").breaker,
             CircuitBreaker::State::kClosed);
 
-  // Registry mirror of the short-circuit count.
-  EXPECT_EQ(fx.svc.telemetry_registry()
-                .counter("usaas_admission_breaker_short_circuits_total")
-                .value(),
-            2u);
+  // The scrape renders the short-circuit count from the ledger.
+  const SchedulerStats after = sched.stats();
+  EXPECT_EQ(after.breaker_short_circuits, 2u);
+  expect_scrape_matches_ledger(fx.svc, after);
 }
 
 TEST(QueryScheduler, HalfOpenProbeFailureReopensWithBackoff) {
@@ -673,6 +732,46 @@ TEST(QueryScheduler, HalfOpenProbeFailureReopensWithBackoff) {
   const ScheduledResult blocked = sched.submit("t", cut_months_query());
   EXPECT_TRUE(blocked.breaker_short_circuit);
   EXPECT_GE(blocked.retry_after_seconds, 1.9);  // ~2 s of backoff left
+}
+
+// Series that share a label set (tenants whose names sanitize alike, two
+// schedulers on one service) merge: counters add, but a state gauge shows
+// one of the states, never their sum.
+TEST(QueryScheduler, MergedSeriesAddCountersButNotStates) {
+  Fixture fx;
+  core::VirtualClock clock;
+  SchedulerConfig cfg;
+  cfg.default_qos = {0.0, 0.5};  // nothing is ever affordable
+  cfg.breaker.failure_threshold = 1;
+  cfg.clock = &clock;
+  QueryScheduler sched{fx.svc, cfg};
+  QueryScheduler other{fx.svc, cfg};
+  // Each shed opens its tenant's threshold-1 breaker.
+  for (const char* tenant : {"a\x01", "a\x02"}) {
+    ASSERT_EQ(sched.submit(tenant, cut_months_query()).outcome,
+              AdmissionOutcome::kShed);
+  }
+  ASSERT_EQ(other.submit("a\x01", cut_months_query()).outcome,
+            AdmissionOutcome::kShed);
+
+  const std::string text = fx.svc.metrics_text();
+  EXPECT_EQ(scraped(text, "usaas_admission_submitted_total"), 3.0);
+  EXPECT_EQ(scraped(text, "usaas_admission_queries_total{outcome=\"shed\"}"),
+            3.0);
+  EXPECT_EQ(scraped(text, "usaas_admission_breaker_state{tenant=\"a_\"}"),
+            static_cast<double>(CircuitBreaker::State::kOpen));
+  EXPECT_EQ(scraped(text, "usaas_admission_cost_bias{tenant=\"a_\"}"), 1.0);
+  EXPECT_EQ(scraped(text, "usaas_admission_queue_depth{tenant=\"a_\"}"), 0.0);
+  // With one scheduler alone, the collision is all the merge sees.
+  {
+    QueryService solo{Fixture::make_config(&fx.reg)};
+    QueryScheduler only{solo, cfg};
+    for (const char* tenant : {"a\x01", "a\x02"}) {
+      ASSERT_EQ(only.submit(tenant, cut_months_query()).outcome,
+                AdmissionOutcome::kShed);
+    }
+    expect_scrape_matches_ledger(solo, only.stats());
+  }
 }
 
 // ---- Degrade-feedback loop into the cost model -------------------------
@@ -705,10 +804,7 @@ TEST(QueryScheduler, ConsecutiveStaleServesBumpCostBiasAndAdmitsDecayIt) {
   SchedulerStats stats = sched.stats();
   EXPECT_DOUBLE_EQ(stats.tenants.at("t").cost_bias, 2.0);
   EXPECT_EQ(stats.degrade_feedback_bumps, 1u);
-  EXPECT_EQ(fx.svc.telemetry_registry()
-                .counter("usaas_admission_degrade_feedback_total")
-                .value(),
-            1u);
+  expect_scrape_matches_ledger(fx.svc, stats);
 
   // The bias is visible in the next submission's effective cost.
   const double raw = sched.estimate_cost(whole_months_query());
@@ -739,11 +835,7 @@ TEST(QueryScheduler, ZeroBudgetExpiresUnderBothQueueImplementations) {
   const SchedulerStats stats = sched.stats();
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_TRUE(stats.reconciles());
-  EXPECT_EQ(fx.svc.telemetry_registry()
-                .counter("usaas_admission_queries_total", "",
-                         {{"outcome", "expired"}})
-                .value(),
-            1u);
+  expect_scrape_matches_ledger(fx.svc, stats);
 }
 
 TEST(QueryScheduler, InfiniteBudgetReproducesPreBudgetSemantics) {
@@ -819,14 +911,7 @@ TEST(QueryScheduler, TightBudgetsUnderRealClockNeverTearInsights) {
   EXPECT_GE(stats.expired, static_cast<std::uint64_t>(kThreads) *
                                (kPerThread / 5));
   EXPECT_TRUE(stats.reconciles());
-  core::telemetry::Registry& reg = fx.svc.telemetry_registry();
-  std::uint64_t exposed = 0;
-  for (const char* outcome : {"admitted", "degraded", "shed", "expired"}) {
-    exposed += reg.counter("usaas_admission_queries_total", "",
-                           {{"outcome", outcome}})
-                   .value();
-  }
-  EXPECT_EQ(exposed, reg.counter("usaas_admission_submitted_total").value());
+  expect_scrape_matches_ledger(fx.svc, stats);
 }
 
 }  // namespace

@@ -286,11 +286,12 @@ TEST(Streaming, ChunkPushMatchesRecordPush) {
   // Uneven chunks, including a chunk of one.
   const std::span<const confsim::CallRecord> calls{corpus.calls};
   const std::size_t cut = calls.size() / 3;
-  EXPECT_EQ(ingestor.push_calls(calls.subspan(0, cut)), cut);
-  EXPECT_EQ(ingestor.push_calls(calls.subspan(cut, 1)), 1u);
-  EXPECT_EQ(ingestor.push_calls(calls.subspan(cut + 1)),
+  EXPECT_EQ(ingestor.push_many(calls.subspan(0, cut)), cut);
+  EXPECT_EQ(ingestor.push_many(calls.subspan(cut, 1)), 1u);
+  EXPECT_EQ(ingestor.push_many(calls.subspan(cut + 1)),
             calls.size() - cut - 1);
-  EXPECT_EQ(ingestor.push_posts(corpus.posts), corpus.posts.size());
+  EXPECT_EQ(ingestor.push_many(std::span<const social::Post>{corpus.posts}),
+            corpus.posts.size());
   ASSERT_TRUE(ingestor.flush());
   streamed.train_predictor();
   for (const Query& q : battery()) {
@@ -418,8 +419,8 @@ TEST(Streaming, RejectPolicyRefusesWhenFullAndStuck) {
   EXPECT_EQ(stats.health.flushed, 0u);
   EXPECT_TRUE(stats.health.degraded);
   EXPECT_EQ(svc.ingested_sessions(), 0u);
-  // push_calls stops at the first rejection.
-  EXPECT_EQ(ingestor.push_calls(std::span{calls}.subspan(10)), 0u);
+  // push_many stops at the first rejection.
+  EXPECT_EQ(ingestor.push_many(std::span{calls}.subspan(10)), 0u);
 }
 
 TEST(Streaming, DropOldestPolicyKeepsTheFreshestRecords) {
@@ -483,6 +484,51 @@ TEST(Streaming, BlockPolicyRetriesUntilTheFlushRecovers) {
   }());
 }
 
+// A scrape reads the ledger while a kBlock push sits in a flush retry's
+// backoff sleep: it shows the round in progress instead of waiting it out
+// (the scrape is what operators watch during exactly such a storm).
+TEST(Streaming, ScrapeDoesNotWaitOutAFlushBackoff) {
+  QueryService svc{{.threads = 1}};
+  core::FaultInjector::Config fcfg;
+  fcfg.fail_first_flushes = 3;
+  core::FaultInjector faults{fcfg};
+  StreamIngestorConfig cfg;
+  cfg.call_capacity = 1;  // watermark 1: every accepted push flushes
+  cfg.backpressure = BackpressurePolicy::kBlock;
+  cfg.max_flush_attempts = 2;
+  cfg.max_block_rounds = 1;
+  cfg.retry_backoff = std::chrono::milliseconds{1000};
+  cfg.max_backoff = cfg.retry_backoff;
+  StreamIngestor ingestor{svc, cfg, &faults};
+  const auto calls = boundary_calls(7, 1);
+  // Both attempts of the first round fail: the record stays staged and
+  // fills the buffer.
+  ASSERT_EQ(ingestor.push(calls[0]), PushOutcome::kAccepted);
+  ASSERT_TRUE(ingestor.stats().health.degraded);
+
+  // The next push blocks: its round fails once, backs off, then heals.
+  std::thread pusher{[&] {
+    EXPECT_EQ(ingestor.push(calls[1]), PushOutcome::kAccepted);
+  }};
+  while (ingestor.stats().backoff_waits < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  const std::string text = svc.metrics_text();
+  EXPECT_NE(
+      text.find("usaas_stream_backpressure_total{kind=\"blocked_push\"} 1\n"),
+      std::string::npos)
+      << text;
+  EXPECT_NE(text.find("usaas_stream_flushes_total{result=\"ok\"} 0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nusaas_stream_degraded 1\n"), std::string::npos);
+  pusher.join();
+  const StreamHealth health = ingestor.stats().health;
+  EXPECT_EQ(health.flushes, 2u);  // the healed retry, then the watermark
+  EXPECT_EQ(health.staged, 0u);
+  EXPECT_FALSE(health.degraded);
+}
+
 // ---- Quarantine -------------------------------------------------------
 
 TEST(Streaming, QuarantineCountsPerReasonAndShieldsShards) {
@@ -518,7 +564,8 @@ TEST(Streaming, QuarantineCountsPerReasonAndShieldsShards) {
     undated.date = Date{};
     EXPECT_EQ(ingestor.push(undated), PushOutcome::kQuarantined);
   }
-  EXPECT_EQ(ingestor.push_posts(good.posts), good.posts.size());
+  EXPECT_EQ(ingestor.push_many(std::span<const social::Post>{good.posts}),
+            good.posts.size());
   ASSERT_TRUE(ingestor.flush());
   dirty.train_predictor();
 
@@ -592,24 +639,43 @@ TEST(Streaming, ValidatorReasonPriorityIsStable) {
 
 // ---- Health publication + staleness ----------------------------------
 
+// The ingestor's ledger is the one store of its health; the service's
+// scrape renders the usaas_stream_* counts from it while the ingestor is
+// attached, and drops them once it is gone.
 TEST(Streaming, HealthIsPublishedIntoServiceStats) {
   QueryService svc{{.threads = 1}};
-  StreamIngestorConfig cfg;
-  cfg.call_flush_watermark = 64;  // large: pushes stay staged
-  StreamIngestor ingestor{svc, cfg};
-  const auto calls = boundary_calls(2, 1);
-  for (std::size_t i = 0; i < 5; ++i) ingestor.push(calls[i]);
-  QueryService::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.stream.accepted, 5u);
-  EXPECT_EQ(stats.stream.staged, 5u);
-  EXPECT_EQ(stats.staleness_records(), 5u);
-  EXPECT_EQ(stats.stream.flushed, 0u);
-  EXPECT_EQ(svc.ingested_sessions(), 0u);  // nothing queryable yet
-  ASSERT_TRUE(ingestor.flush());
-  stats = svc.stats();
-  EXPECT_EQ(stats.stream.flushed, 5u);
-  EXPECT_EQ(stats.staleness_records(), 0u);
-  EXPECT_GT(svc.ingested_sessions(), 0u);
+  {
+    StreamIngestorConfig cfg;
+    cfg.call_flush_watermark = 64;  // large: pushes stay staged
+    StreamIngestor ingestor{svc, cfg};
+    const auto calls = boundary_calls(2, 1);
+    for (std::size_t i = 0; i < 5; ++i) ingestor.push(calls[i]);
+    StreamHealth health = ingestor.stats().health;
+    EXPECT_EQ(health.accepted, 5u);
+    EXPECT_EQ(health.staged, 5u);
+    EXPECT_EQ(health.flushed, 0u);
+    EXPECT_EQ(svc.ingested_sessions(), 0u);  // nothing queryable yet
+    std::string text = svc.metrics_text();
+    EXPECT_NE(text.find("\nusaas_stream_staged_records 5\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(
+        text.find("usaas_stream_records_total{outcome=\"accepted\"} 5\n"),
+        std::string::npos);
+    ASSERT_TRUE(ingestor.flush());
+    health = ingestor.stats().health;
+    EXPECT_EQ(health.flushed, 5u);
+    EXPECT_EQ(health.staged, 0u);
+    EXPECT_GT(svc.ingested_sessions(), 0u);
+    text = svc.metrics_text();
+    EXPECT_NE(text.find("\nusaas_stream_staged_records 0\n"),
+              std::string::npos);
+    EXPECT_NE(
+        text.find("usaas_stream_records_total{outcome=\"flushed\"} 5\n"),
+        std::string::npos);
+  }
+  EXPECT_EQ(svc.metrics_text().find("usaas_stream_staged_records"),
+            std::string::npos);
 }
 
 // ---- Queries racing a live producer (the TSan workload) ---------------
@@ -650,9 +716,8 @@ TEST(Streaming, QueryDuringLiveIngestSeesOnlyFlushedPrefixes) {
       if (allowed.count(insight.sessions) == 0) ++violations;
       if (insight.corpus_version < last_version) ++violations;
       last_version = insight.corpus_version;
-      const QueryService::ServiceStats stats = svc.stats();
-      if (stats.stream.accepted <
-          stats.stream.flushed + stats.stream.staged - stats.stream.dropped) {
+      const StreamHealth health = ingestor.stats().health;
+      if (health.accepted < health.flushed + health.staged - health.dropped) {
         ++violations;
       }
       // Yield between queries: back-to-back shared holds would starve the

@@ -4,9 +4,10 @@
 // ledger reconciliation contract under sampling=all (every admitted /
 // degraded / shed / expired submission leaves exactly one TraceRecord
 // with the matching outcome), journal back-links for breaker and
-// cost-bias moves, /debug/timeseries-vs-journal agreement, golden JSON
-// for all three /debug renderers, and the USAAS_TELEMETRY=off contract
-// (a disabled registry registers nothing and mints no IDs).
+// cost-bias moves, /debug/timeseries-vs-journal agreement, family
+// sources attaching and detaching under live scrapes and history ticks,
+// golden JSON for all three /debug renderers, and the USAAS_TELEMETRY=off
+// contract (a disabled registry registers nothing and mints no IDs).
 //
 // Registered under the `sanitize` ctest label with USAAS_PARALLEL_FORCE=1.
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "core/telemetry/request_trace.h"
 #include "usaas/query_scheduler.h"
 #include "usaas/query_service.h"
+#include "usaas/stream_ingestor.h"
 
 namespace usaas::service {
 namespace {
@@ -473,7 +475,7 @@ TEST(SchedulerTracing, BreakerTransitionsAreJournaledAndMatchTimeseries) {
   // t=0: healthy admit; tick records the closed (0) breaker gauge.
   ASSERT_EQ(sched.submit("hot", whole_months_query()).outcome,
             AdmissionOutcome::kAdmitted);
-  history.force_tick(clock.now());
+  fx.svc.force_tick_history(clock.now());
 
   // t=0.1: two unpayable sheds trip the breaker closed -> open.
   clock.advance(0.1);
@@ -481,14 +483,14 @@ TEST(SchedulerTracing, BreakerTransitionsAreJournaledAndMatchTimeseries) {
             AdmissionOutcome::kShed);
   ASSERT_EQ(sched.submit("hot", whole_months_query()).outcome,
             AdmissionOutcome::kShed);
-  history.force_tick(clock.now());
+  fx.svc.force_tick_history(clock.now());
 
   // t=1.6: cooldown elapsed — the probe half-opens, then fails and
   // reopens (still unpayable), all within one submission.
   clock.advance(1.5);
   ASSERT_EQ(sched.submit("hot", whole_months_query()).outcome,
             AdmissionOutcome::kShed);
-  history.force_tick(clock.now());
+  fx.svc.force_tick_history(clock.now());
 
   // The journal holds the full transition chain, causally back-linked.
   std::vector<tel::JournalEvent> transitions;
@@ -600,6 +602,76 @@ TEST(EventJournal, RingOverwritesOldestAndCountsDrops) {
   EXPECT_EQ(off.recorded(), 0u);
 }
 
+// ---- Family sources under live scrapes ---------------------------------
+
+// The TSan/ASan workload for QueryService::attach_families: a scraper
+// renders /metrics and force-ticks the history while schedulers and
+// ingestors attach, serve, and detach against one service. Two of each
+// live at once, so their same-name families must merge into one series:
+// counters add, gauges show the higher of the two states.
+TEST(FamilySources, ScrapesAndTicksRaceAttachAndDetach) {
+  Fixture fx;
+  std::atomic<bool> done{false};
+  std::thread scraper{[&] {
+    double now = 0.0;
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_NE(fx.svc.metrics_text().find("usaas_corpus_version"),
+                std::string::npos);
+      fx.svc.force_tick_history(now += 1.0);
+      // Yield: back-to-back shared holds starve the flushes' writer lock.
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+  }};
+  const auto once = [](const std::string& text, const std::string& line) {
+    const std::size_t at = text.find(line);
+    return at != std::string::npos &&
+           text.find(line, at + 1) == std::string::npos;
+  };
+  for (std::uint64_t round = 0; round < 10; ++round) {
+    const std::uint64_t ticks_before = fx.svc.history().ticks();
+    core::VirtualClock clock;
+    SchedulerConfig cfg;
+    cfg.clock = &clock;
+    QueryScheduler a{fx.svc, cfg};
+    QueryScheduler b{fx.svc, cfg};
+    StreamIngestorConfig icfg;
+    icfg.call_flush_watermark = 2;
+    StreamIngestor ia{fx.svc, icfg};
+    StreamIngestor ib{fx.svc, icfg};
+    (void)a.submit("t", whole_months_query());
+    (void)b.submit("t", whole_months_query());
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(ia.push(sample_call(1000 + 10 * round + i, Date(2022, 2, 5))),
+                PushOutcome::kAccepted);
+    }
+    ASSERT_EQ(ib.push(sample_call(5000 + round, Date(2022, 2, 6))),
+              PushOutcome::kAccepted);
+    const std::string text = fx.svc.metrics_text();
+    EXPECT_TRUE(once(text, "\nusaas_admission_submitted_total 2\n")) << text;
+    EXPECT_TRUE(once(text, "\nusaas_admission_queue_depth{tenant=\"t\"} 0\n"));
+    EXPECT_TRUE(once(text, "\nusaas_stream_staged_records 1\n"));
+    EXPECT_TRUE(
+        once(text, "usaas_stream_records_total{outcome=\"accepted\"} 4\n"));
+    EXPECT_TRUE(once(text, "# TYPE usaas_stream_records_total counter\n"));
+    // Let the scraper fold a tick or two while all four are attached.
+    while (fx.svc.history().ticks() < ticks_before + 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+
+  // Every source detached with its component; the history stayed aligned.
+  const std::string text = fx.svc.metrics_text();
+  EXPECT_EQ(text.find("usaas_admission_submitted_total"), std::string::npos);
+  EXPECT_EQ(text.find("usaas_stream_staged_records"), std::string::npos);
+  const tel::TelemetryHistory::Snapshot snap = fx.svc.history().snapshot();
+  ASSERT_FALSE(snap.at_seconds.empty());
+  for (const tel::TelemetryHistory::Series& s : snap.series) {
+    EXPECT_EQ(s.values.size(), snap.at_seconds.size()) << s.key;
+  }
+}
+
 // ---- Kill switch -------------------------------------------------------
 
 TEST(KillSwitch, DisabledRegistryRegistersNothingAndMintsNoIds) {
@@ -621,7 +693,6 @@ TEST(KillSwitch, DisabledRegistryRegistersNothingAndMintsNoIds) {
   core::VirtualClock clock;
   SchedulerConfig sched_cfg;
   sched_cfg.clock = &clock;
-  sched_cfg.telemetry = &reg;
   QueryScheduler sched{svc, sched_cfg};
   const ScheduledResult r = sched.submit("dash", whole_months_query());
   EXPECT_EQ(r.outcome, AdmissionOutcome::kAdmitted);
@@ -726,17 +797,25 @@ TEST(DebugExposition, TimeseriesJsonGolden) {
   tel::HistoryConfig cfg;
   cfg.interval_seconds = 10.0;
   cfg.slots = 4;
-  tel::TelemetryHistory history{&reg, cfg, true};
+  tel::TelemetryHistory history{cfg, true};
+  bool has_depth = false;
+  const auto families = [&] {
+    std::vector<tel::MetricFamily> out = reg.collect();
+    if (has_depth) {
+      out.push_back({"depth", "", tel::MetricKind::kGauge,
+                     {tel::floating_sample("", 7.0)}});
+    }
+    return out;
+  };
 
   tel::Counter requests =
       reg.counter("req_total", "", {{"tenant", "t"}});
   requests.add(3);
-  history.force_tick(0.0);
+  history.force_tick(0.0, families);
   requests.add(2);
   // A series born mid-flight is back-filled with null for missed ticks.
-  tel::Gauge depth = reg.gauge("depth");
-  depth.set(7.0);
-  history.force_tick(10.0);
+  has_depth = true;
+  history.force_tick(10.0, families);
 
   const std::string expected =
       "{\n"
