@@ -6,6 +6,10 @@
 //   scan       the engine's columnar engagement_curve over the battery's
 //              18 sweeps vs the frozen row sweep (checked bit-identical
 //              before any timing);
+//   tally      the engine's predicted-MOS tally over 12 boundary-cut
+//              windows, rows predicted from the feature columns, vs the
+//              per-record std::function tally (checked bit-identical
+//              before any timing);
 //   telemetry  ingest, and the battery through the admission scheduler,
 //              on a live registry vs Registry{false}; one gate each.
 // Each gate prints
@@ -17,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -26,6 +31,7 @@
 #include "core/telemetry/metrics.h"
 #include "nlp/reference.h"
 #include "social/post.h"
+#include "usaas/mos_predictor.h"
 #include "usaas/query_scheduler.h"
 #include "usaas/query_service.h"
 
@@ -39,6 +45,7 @@ using Clock = std::chrono::steady_clock;
 // scripts/check.sh for the measured ranges).
 constexpr double kPostsFloor = 3.89;
 constexpr double kScanFloor = 2.11;
+constexpr double kTallyFloor = 2.58;
 // At most 5 % telemetry overhead: off/on >= 1 / 1.05.
 constexpr double kTelemetryFloor = 1.0 / 1.05;
 
@@ -383,6 +390,58 @@ bool scan_gate(std::span<const confsim::CallRecord> calls) {
   return report("scan", rounds, kScanFloor);
 }
 
+// ---- tally: columnar predicted MOS vs the per-record predictor -------
+
+bool tally_gate(std::span<const confsim::CallRecord> calls) {
+  // No summaries: every selected row goes through the scan kernel, as the
+  // boundary shards of a cut window do in the service.
+  service::CorrelationEngine engine;
+  engine.ingest(calls);
+  service::MosPredictor predictor;
+  predictor.train(engine.rated_sessions_canonical());
+  const std::function<double(const confsim::ParticipantRecord&)> per_record =
+      [&](const confsim::ParticipantRecord& rec) {
+        return predictor.predict(rec);
+      };
+  // 12 windows, each cutting into its first and last month, every other
+  // one access-filtered. One window is one grain.
+  std::vector<service::ShardSelector> windows;
+  for (int w = 0; w < 12; ++w) {
+    service::ShardSelector sel;
+    sel.first = core::Date(2022, 1 + w % 11, 3 + w);
+    sel.last = sel.first->plus_days(35 + 4 * w);
+    if (w % 2 == 1) sel.access = netsim::AccessTechnology::kCable;
+    windows.push_back(sel);
+  }
+
+  // Equivalence guard before any timing: every Tally field, ==.
+  for (const service::ShardSelector& sel : windows) {
+    const auto col = engine.tally(nullptr, sel, &predictor);
+    const auto rec = engine.tally(nullptr, sel, per_record);
+    if (col.sessions != rec.sessions || col.rated != rec.rated ||
+        col.observed_mos_sum != rec.observed_mos_sum ||
+        col.predicted_mos_sum != rec.predicted_mos_sum ||
+        col.predicted != rec.predicted || col.predicted == 0) {
+      std::printf("GATE tally FAIL: a window differs from the per-record "
+                  "tally\n");
+      return false;
+    }
+  }
+
+  std::vector<Round> rounds;
+  for (int i = 0; i < 2 * 10; ++i) {  // 10 pairs
+    rounds.push_back(interleave(
+        windows.size(), i % 2 == 1,
+        [&](std::size_t g) {
+          sink += engine.tally(nullptr, windows[g], &predictor).predicted;
+        },
+        [&](std::size_t g) {
+          sink += engine.tally(nullptr, windows[g], per_record).predicted;
+        }));
+  }
+  return report("tally", rounds, kTallyFloor);
+}
+
 // ---- telemetry: live registry vs the kill switch ---------------------
 
 bool telemetry_gates(std::span<const confsim::CallRecord> calls,
@@ -441,6 +500,7 @@ int main() {
   const auto posts = synth_posts(kPosts, 424242);
   bool ok = posts_gate(posts);
   ok = scan_gate(calls) && ok;
+  ok = tally_gate(calls) && ok;
   ok = telemetry_gates(calls, std::span{posts}.first(kTelemetryPosts)) && ok;
   std::printf("gates %s (sink %zu)\n", ok ? "PASS" : "FAIL", sink);
   return ok ? 0 : 1;

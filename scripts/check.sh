@@ -31,6 +31,14 @@
 #      2.82-3.40 (median 3.02); floor 2.11. Catches the sweep kernel
 #      reverted to per-row cols.record(r) binning: 0.86-1.00.
 #
+#      tally: subject the engine's predicted-MOS tally over 12
+#      boundary-cut windows (200 K sessions, no summaries), each row
+#      predicted from the seven feature columns; control the same tally
+#      through the per-record std::function overload, checked
+#      bit-identical to the subject before any timing. Unmodified
+#      3.57-4.17 (median 3.69); floor 2.58. Catches the column predictor
+#      reverted to predict(cols.record(r)): 1.03-1.04.
+#
 #      telemetry_ingest / telemetry_query: subject 200 K sessions + 30 K
 #      posts ingested, and the 6-query scan-config battery submitted
 #      through the QueryScheduler, on a live registry; control the same

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/units.h"
+
 namespace usaas::core {
 
 namespace {
@@ -36,6 +38,7 @@ Date::Date(int year, int month, int day)
     : year_{static_cast<std::int16_t>(year)},
       month_{static_cast<std::int8_t>(month)},
       day_{static_cast<std::int8_t>(day)} {
+  expect_in_range(year, kMinYear, kMaxYear, "Date year");
   if (month < 1 || month > 12 || day < 1 || day > days_in_month(year, month)) {
     throw std::invalid_argument("invalid civil date");
   }

@@ -9,6 +9,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -34,8 +35,13 @@ class Date {
   /// Constructs 1970-01-01.
   constexpr Date() = default;
 
+  /// The years a Date can hold (it stores the year in 16 bits).
+  static constexpr int kMinYear = std::numeric_limits<std::int16_t>::min();
+  static constexpr int kMaxYear = std::numeric_limits<std::int16_t>::max();
+
   /// Constructs a specific civil date. Throws std::invalid_argument for an
-  /// impossible date such as 2022-02-30.
+  /// impossible date such as 2022-02-30, or a year outside
+  /// [kMinYear, kMaxYear].
   Date(int year, int month, int day);
 
   [[nodiscard]] int year() const { return year_; }

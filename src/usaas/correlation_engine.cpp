@@ -10,6 +10,7 @@
 
 #include "core/correlation.h"
 #include "core/stats.h"
+#include "usaas/mos_predictor.h"
 
 namespace usaas::service {
 
@@ -238,6 +239,31 @@ constexpr EngagementMetric kAllEngagements[] = {EngagementMetric::kPresence,
   return out;
 }
 
+/// Binds a trained MosPredictor to one shard: its row predictor reads the
+/// seven feature columns in place.
+struct ColumnPredictor {
+  const MosPredictor& model;
+  [[nodiscard]] auto operator()(const SessionColumns& cols) const {
+    return [&m = model, fc = MosPredictor::feature_columns(cols)](
+               std::size_t r) { return m.predict(fc, r); };
+  }
+};
+
+/// Binds an opaque per-record predictor to one shard: each row is
+/// materialized back into its record first.
+struct RecordPredictor {
+  const std::function<double(const confsim::ParticipantRecord&)>& fn;
+  [[nodiscard]] auto operator()(const SessionColumns& cols) const {
+    return [&f = fn, &cols](std::size_t r) { return f(cols.record(r)); };
+  }
+};
+
+void expect_trained(const MosPredictor& predictor) {
+  if (!predictor.trained()) {
+    throw std::logic_error("CorrelationEngine: MOS predictor not trained");
+  }
+}
+
 /// The packed shard key pass 1 counts on: month_key * kNumPlatforms +
 /// platform. Packing preserves (month_key, platform) lexicographic order.
 [[nodiscard]] int shard_key(const core::Date& date,
@@ -388,16 +414,42 @@ std::size_t CorrelationEngine::summary_memory_bytes() const {
   return bytes;
 }
 
-void CorrelationEngine::refresh_predicted_tallies(
-    const std::function<double(const confsim::ParticipantRecord&)>&
-        predictor) {
+template <typename Bind>
+void CorrelationEngine::refresh_predicted_with(const Bind* bind) {
   if (!summary_cfg_) return;
   core::parallel_for(pool_, shards_.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      shards_[i].summary.refresh_predicted(shards_[i].columns, predictor);
+      SessionShard& shard = shards_[i];
+      if (bind == nullptr) {
+        shard.summary.clear_predicted();
+      } else {
+        shard.summary.refresh_predicted(shard.columns, (*bind)(shard.columns));
+      }
     }
   });
-  predicted_fresh_ = static_cast<bool>(predictor);
+  predicted_fresh_ = bind != nullptr;
+}
+
+void CorrelationEngine::refresh_predicted_tallies(
+    const MosPredictor* predictor) {
+  if (predictor == nullptr) {
+    refresh_predicted_with<ColumnPredictor>(nullptr);
+    return;
+  }
+  expect_trained(*predictor);
+  const ColumnPredictor bind{*predictor};
+  refresh_predicted_with(&bind);
+}
+
+void CorrelationEngine::refresh_predicted_tallies(
+    const std::function<double(const confsim::ParticipantRecord&)>&
+        predictor) {
+  if (!predictor) {
+    clear_predicted_tallies();
+    return;
+  }
+  const RecordPredictor bind{predictor};
+  refresh_predicted_with(&bind);
 }
 
 std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::plan_fanout(
@@ -696,16 +748,16 @@ CorrelationEngine::MosCorrelation CorrelationEngine::correlate_rated(
   return out;
 }
 
-CorrelationEngine::Tally CorrelationEngine::tally(
+template <typename Bind>
+CorrelationEngine::Tally CorrelationEngine::tally_with(
     const ParticipantFilter& filter, const ShardSelector& selector,
-    const std::function<double(const confsim::ParticipantRecord&)>& predictor,
-    QueryFanoutStats* fanout) const {
+    const Bind* bind, QueryFanoutStats* fanout) const {
   // Summary fast path: counts and MOS sums live pre-accumulated per shard
   // (whole-shard and per-access buckets, both in ingest order — identical
   // add sequence to the scan). Predicted sums are only usable while
   // they're fresh for the caller's predictor (refresh_predicted_tallies).
-  const bool summary_capable =
-      summary_cfg_.has_value() && !filter && (!predictor || predicted_fresh_);
+  const bool summary_capable = summary_cfg_.has_value() && !filter &&
+                               (bind == nullptr || predicted_fresh_);
   const auto plan = plan_fanout(selector, summary_capable, fanout);
   const auto partials = fan_out(
       plan, [] { return Tally{}; },
@@ -715,7 +767,7 @@ CorrelationEngine::Tally CorrelationEngine::tally(
           part.sessions += st.sessions;
           part.rated += st.rated;
           part.observed_mos_sum += st.observed_mos_sum;
-          if (predictor) {
+          if (bind != nullptr) {
             part.predicted_mos_sum += st.predicted_mos_sum;
             part.predicted += st.predicted;
           }
@@ -728,18 +780,27 @@ CorrelationEngine::Tally CorrelationEngine::tally(
         const double* mos = cols.mos.data();
         // The row scan's per-record accumulators are independent, so the
         // split over selected rows below replays each one's add sequence
-        // exactly (same rows, same order).
-        for_each_row(set, [&](std::size_t r) {
-          ++part.sessions;
+        // exactly (same rows, same order). They live in a local so the
+        // loop keeps them in registers: `part` could alias the columns.
+        Tally t;
+        const auto count = [&](std::size_t r) {
+          ++t.sessions;
           if (valid[r] != 0) {
-            part.observed_mos_sum += mos[r];
-            ++part.rated;
+            t.observed_mos_sum += mos[r];
+            ++t.rated;
           }
-          if (predictor) {
-            part.predicted_mos_sum += predictor(cols.record(r));
-            ++part.predicted;
-          }
-        });
+        };
+        if (bind == nullptr) {
+          for_each_row(set, count);
+        } else {
+          const auto predict_row = (*bind)(cols);
+          for_each_row(set, [&](std::size_t r) {
+            count(r);
+            t.predicted_mos_sum += predict_row(r);
+            ++t.predicted;
+          });
+        }
+        part = t;
       });
   Tally total;
   for (const Tally& part : partials) {
@@ -750,6 +811,26 @@ CorrelationEngine::Tally CorrelationEngine::tally(
     total.predicted += part.predicted;
   }
   return total;
+}
+
+CorrelationEngine::Tally CorrelationEngine::tally(
+    const ParticipantFilter& filter, const ShardSelector& selector,
+    const MosPredictor* predictor, QueryFanoutStats* fanout) const {
+  if (predictor == nullptr) {
+    return tally_with<ColumnPredictor>(filter, selector, nullptr, fanout);
+  }
+  expect_trained(*predictor);
+  const ColumnPredictor bind{*predictor};
+  return tally_with(filter, selector, &bind, fanout);
+}
+
+CorrelationEngine::Tally CorrelationEngine::tally(
+    const ParticipantFilter& filter, const ShardSelector& selector,
+    const std::function<double(const confsim::ParticipantRecord&)>& predictor,
+    QueryFanoutStats* fanout) const {
+  if (!predictor) return tally(filter, selector, nullptr, fanout);
+  const RecordPredictor bind{predictor};
+  return tally_with(filter, selector, &bind, fanout);
 }
 
 std::vector<confsim::ParticipantRecord> CorrelationEngine::sessions() const {

@@ -88,8 +88,11 @@ struct SweepSpec {
 using ParticipantFilter =
     std::function<bool(const confsim::ParticipantRecord&)>;
 
+class MosPredictor;
+
 /// Kept for source compatibility only: month x platform is the one shard
-/// layout, so the tag selects nothing.
+/// layout, so the tag selects nothing. usaasbench's EngineReplay still
+/// names it; delete with it (ROADMAP item 2).
 enum class ShardingPolicy { kMonthPlatform };
 
 /// Shard-level pruning hints a query may carry. Dates are inclusive; any
@@ -161,11 +164,17 @@ class CorrelationEngine {
   /// Approximate heap footprint of all shard summaries.
   [[nodiscard]] std::size_t summary_memory_bytes() const;
 
-  /// Recomputes every shard's predicted-MOS tally sums with `predictor`
-  /// (callers must hold their corpus write lock). Until the next ingest,
-  /// tally() calls may answer predicted sums from summaries — but only
-  /// when invoked with this same predictor; passing a different one is a
-  /// caller contract violation. Null clears the sums and the fresh flag.
+  /// Recomputes every shard's predicted-MOS tally sums with `predictor`,
+  /// read straight from each shard's seven feature columns (callers must
+  /// hold their corpus write lock). Until the next ingest, tally() calls
+  /// may answer predicted sums from summaries — but only when invoked with
+  /// this same predictor; passing a different one is a caller contract
+  /// violation. Null clears the sums and the fresh flag. Throws
+  /// std::logic_error for an untrained predictor.
+  void refresh_predicted_tallies(const MosPredictor* predictor);
+  /// The same with an opaque per-record predictor, each row materialized
+  /// back into its record. Kept for usaasbench's EngineReplay; delete with
+  /// it (ROADMAP item 2).
   void refresh_predicted_tallies(
       const std::function<double(const confsim::ParticipantRecord&)>&
           predictor);
@@ -234,7 +243,11 @@ class CorrelationEngine {
 
   /// Per-query session tallies: counts, observed-MOS sum over rated
   /// sessions, and (when `predictor` is set) predicted-MOS sum over every
-  /// matching session — the fan-out behind QueryService::run.
+  /// matching session — the fan-out behind QueryService::run. Scanned rows
+  /// are predicted from the seven feature columns in place (one dot
+  /// product and one clamp per row, no record materialized), and each sum
+  /// is bit-identical to predicting every row through predict(record).
+  /// Throws std::logic_error for an untrained predictor.
   struct Tally {
     std::size_t sessions{0};
     std::size_t rated{0};
@@ -242,10 +255,17 @@ class CorrelationEngine {
     double predicted_mos_sum{0.0};
     std::size_t predicted{0};
   };
+  [[nodiscard]] Tally tally(const ParticipantFilter& filter,
+                            const ShardSelector& selector,
+                            const MosPredictor* predictor = nullptr,
+                            QueryFanoutStats* fanout = nullptr) const;
+  /// The same with an opaque per-record predictor, each scanned row
+  /// materialized back into its record. Kept for usaasbench's
+  /// EngineReplay; delete with it (ROADMAP item 2).
   [[nodiscard]] Tally tally(
       const ParticipantFilter& filter, const ShardSelector& selector,
       const std::function<double(const confsim::ParticipantRecord&)>&
-          predictor = nullptr,
+          predictor,
       QueryFanoutStats* fanout = nullptr) const;
 
   /// Materializes every stored session in shard-key order (a copy; the
@@ -307,6 +327,18 @@ class CorrelationEngine {
       const SweepSpec& spec, std::span<const EngagementMetric> metrics,
       const ParticipantFilter& filter, const ShardSelector& selector,
       QueryFanoutStats* fanout, const CancelProbe& cancelled) const;
+  /// The one tally kernel behind both tally() overloads. `bind`, when
+  /// set, turns a shard's columns into that shard's row predictor,
+  /// `double(std::size_t row)`; null tallies no predictions.
+  template <typename Bind>
+  [[nodiscard]] Tally tally_with(const ParticipantFilter& filter,
+                                 const ShardSelector& selector,
+                                 const Bind* bind,
+                                 QueryFanoutStats* fanout) const;
+  /// The one refresh pass behind both refresh_predicted_tallies()
+  /// overloads (`bind` as in tally_with; null clears).
+  template <typename Bind>
+  void refresh_predicted_with(const Bind* bind);
   /// Gathers every rated session of `plan` and correlates engagement
   /// with MOS (the memo's fill; no min_samples cut-off). Pearson/Spearman
   /// stay 0 below two rated sessions, where they are undefined.

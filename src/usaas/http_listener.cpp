@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -34,18 +35,43 @@ template <typename Enum>
   return std::nullopt;
 }
 
+/// Reads one signed decimal field at `p` and steps past it. False on no
+/// digits or on overflow, which std::from_chars reports instead of
+/// wrapping.
+[[nodiscard]] bool read_date_field(const char*& p, const char* end,
+                                   long long& out) {
+  const auto [next, ec] = std::from_chars(p, end, out);
+  if (ec != std::errc{}) return false;
+  p = next;
+  return true;
+}
+
 [[nodiscard]] bool parse_date(const std::string& value, core::Date& out,
                               std::string& error) {
-  int y = 0;
-  int m = 0;
-  int d = 0;
-  char tail = '\0';
-  if (std::sscanf(value.c_str(), "%d-%d-%d%c", &y, &m, &d, &tail) != 3 ||
-      m < 1 || m > 12 || d < 1 || d > core::Date::days_in_month(y, m)) {
+  const char* p = value.data();
+  const char* const end = p + value.size();
+  const auto dash = [&] { return p != end && *p++ == '-'; };
+  long long y = 0;
+  long long m = 0;
+  long long d = 0;
+  if (!read_date_field(p, end, y) || !dash() || !read_date_field(p, end, m) ||
+      !dash() || !read_date_field(p, end, d) || p != end || m < 1 ||
+      m > 12 || d < 1) {
     error = "bad date (want YYYY-MM-DD): " + value;
     return false;
   }
-  out = core::Date{y, m, d};
+  if (y < core::Date::kMinYear || y > core::Date::kMaxYear) {
+    error = "date year out of range [" + std::to_string(core::Date::kMinYear) +
+            ", " + std::to_string(core::Date::kMaxYear) + "]: " + value;
+    return false;
+  }
+  const int year = static_cast<int>(y);
+  const int month = static_cast<int>(m);
+  if (d > core::Date::days_in_month(year, month)) {
+    error = "bad date (want YYYY-MM-DD): " + value;
+    return false;
+  }
+  out = core::Date{year, month, static_cast<int>(d)};
   return true;
 }
 

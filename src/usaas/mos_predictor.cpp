@@ -1,9 +1,11 @@
 #include "usaas/mos_predictor.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/rng.h"
 #include "core/stats.h"
+#include "usaas/session_columns.h"
 
 namespace usaas::service {
 
@@ -15,6 +17,14 @@ MosPredictor::Features MosPredictor::features(
   return {rec.presence_pct, rec.cam_on_pct,   rec.mic_on_pct,
           c.latency.ms(),   c.loss.percent(), c.jitter.ms(),
           c.bandwidth.mbps()};
+}
+
+MosPredictor::FeatureColumns MosPredictor::feature_columns(
+    const SessionColumns& cols) {
+  return {cols.presence.data(),     cols.cam_on.data(),
+          cols.mic_on.data(),       cols.latency_mean.data(),
+          cols.loss_mean.data(),    cols.jitter_mean.data(),
+          cols.bandwidth_mean.data()};
 }
 
 namespace {
@@ -65,7 +75,8 @@ std::vector<double> select_columns(std::span<const double> rows,
 }  // namespace
 
 void MosPredictor::reset() {
-  model_ = core::LinearModel{};
+  intercept_ = 0.0;
+  coef_ = {};
   trained_ = false;
 }
 
@@ -78,16 +89,17 @@ void MosPredictor::train(
   if (set.ys.size() < kMinRatedSessions) {
     throw std::runtime_error("MosPredictor: fewer than 30 rated sessions");
   }
-  model_ = core::LinearModel::fit(set.rows, kNumFeatures, set.ys,
-                                  config_.ridge);
+  const core::LinearModel model =
+      core::LinearModel::fit(set.rows, kNumFeatures, set.ys, config_.ridge);
+  intercept_ = model.intercept();
+  const std::span<const double> coef = model.coefficients();
+  std::copy(coef.begin(), coef.end(), coef_.begin());
   trained_ = true;
 }
 
 double MosPredictor::predict(const confsim::ParticipantRecord& rec) const {
   if (!trained_) throw std::logic_error("MosPredictor: not trained");
-  const Features f = features(rec);
-  const double raw = model_.predict(f);
-  return core::clamp_mos(core::Mos{raw}).score();
+  return predict(features(rec));
 }
 
 MosEvaluation MosPredictor::evaluate(

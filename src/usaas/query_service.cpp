@@ -216,10 +216,7 @@ bool QueryService::train_predictor() {
   // Refresh the summaries' predicted-MOS sums under the same write lock,
   // so tally() can answer predicted aggregates without re-running the
   // predictor over every session on each query.
-  engine_.refresh_predicted_tallies(
-      [this](const confsim::ParticipantRecord& rec) {
-        return predictor_.predict(rec);
-      });
+  engine_.refresh_predicted_tallies(&predictor_);
   bump_version();
   return true;
 }
@@ -478,14 +475,8 @@ Insight QueryService::compute_insight(const Query& query,
     }
   }
 
-  std::function<double(const confsim::ParticipantRecord&)> predict;
-  if (predictor_trained_) {
-    predict = [this](const confsim::ParticipantRecord& rec) {
-      return predictor_.predict(rec);
-    };
-  }
-  const CorrelationEngine::Tally tally =
-      engine_.tally(filter, selector, predict, &fanout);
+  const CorrelationEngine::Tally tally = engine_.tally(
+      filter, selector, predictor_trained_ ? &predictor_ : nullptr, &fanout);
   insight.sessions = tally.sessions;
   insight.rated_sessions = tally.rated;
   if (tally.rated > 0) {

@@ -7,9 +7,8 @@
 // those 180 bytes per row. At the paper's §5 scale (150-200 M sessions a
 // quarter) scan bandwidth — not algorithmic cleverness — is the
 // bottleneck, so the store keeps each field in its own array and the
-// scan kernels touch only the columns a query names. The layout is also
-// the ROADMAP's spill-to-disk format: every column is a flat POD extent
-// that can be written and mmapped back without any re-encoding.
+// scan kernels touch only the columns a query names. Every column is a
+// flat POD extent, so copies and growth are plain memcpy.
 //
 // Fidelity contract: the columns jointly hold every field of the original
 // (date, ParticipantRecord) row — including the median aggregates no scan
@@ -45,8 +44,9 @@ namespace usaas::service {
 template <typename T>
 class PodColumn {
   static_assert(std::is_trivially_copyable_v<T>,
-                "PodColumn holds raw POD extents only (they must be "
-                "memcpy-safe for the spill-to-disk serialization)");
+                "PodColumn holds raw POD extents only (it copies and "
+                "grows them with memcpy and leaves new slots "
+                "uninitialized)");
 
  public:
   PodColumn() = default;

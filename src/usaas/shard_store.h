@@ -77,9 +77,9 @@ bool for_each_shard(core::ThreadPool* pool, std::size_t n,
 }
 
 /// A shard's query-touch counters,
-/// `usaas_shard_touches_total{corpus,shard,source}`, by answer source —
-/// the access-frequency signal a spill-to-disk eviction policy would rank
-/// on. Null handles (single-branch no-op bumps) when telemetry is off.
+/// `usaas_shard_touches_total{corpus,shard,source}`, by answer source:
+/// how often each month is summary-merged vs scanned. Null handles
+/// (single-branch no-op bumps) when telemetry is off.
 struct ShardTouches {
   core::telemetry::Counter summary;
   core::telemetry::Counter scan;

@@ -129,28 +129,12 @@ const SummaryTally& ShardSummary::tally(
   return access ? by_access_[static_cast<std::size_t>(*access)] : all_;
 }
 
-void ShardSummary::refresh_predicted(
-    const SessionColumns& cols,
-    const std::function<double(const confsim::ParticipantRecord&)>&
-        predictor) {
+void ShardSummary::clear_predicted() {
   all_.predicted_mos_sum = 0.0;
   all_.predicted = 0;
   for (SummaryTally& t : by_access_) {
     t.predicted_mos_sum = 0.0;
     t.predicted = 0;
-  }
-  if (!predictor) return;
-  // Row order, so the per-shard sums replay exactly what the scan path
-  // would accumulate for an unfiltered (or access-filtered) tally. The
-  // predictor is opaque, so rows materialize back into full records.
-  const std::uint8_t* access_col = cols.access.data();
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    const double p = predictor(cols.record(i));
-    all_.predicted_mos_sum += p;
-    ++all_.predicted;
-    SummaryTally& bucket = by_access_[access_col[i]];
-    bucket.predicted_mos_sum += p;
-    ++bucket.predicted;
   }
 }
 

@@ -30,7 +30,6 @@
 
 #include <array>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -144,12 +143,27 @@ class ShardSummary {
   /// Rated (engagement, MOS) samples in ingest order.
   [[nodiscard]] std::span<const RatedSample> rated() const { return rated_; }
 
+  /// Zeroes the predicted-MOS sums (no predictor is fresh).
+  void clear_predicted();
   /// Recomputes predicted-MOS sums over this shard's column store, in
-  /// row order, with `predictor`; called under the corpus write lock
-  /// after a retrain. Clears them when `predictor` is null.
+  /// row order, with `predict_row(r)` as row r's prediction; called under
+  /// the corpus write lock after a retrain. Row order, so the per-shard
+  /// sums replay exactly what the scan path accumulates for an unfiltered
+  /// (or access-filtered) tally.
+  template <typename PredictRow>
   void refresh_predicted(const SessionColumns& cols,
-                         const std::function<double(
-                             const confsim::ParticipantRecord&)>& predictor);
+                         const PredictRow& predict_row) {
+    clear_predicted();
+    const std::uint8_t* access_col = cols.access.data();
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      const double p = predict_row(i);
+      all_.predicted_mos_sum += p;
+      ++all_.predicted;
+      SummaryTally& bucket = by_access_[access_col[i]];
+      bucket.predicted_mos_sum += p;
+      ++bucket.predicted;
+    }
+  }
 
   [[nodiscard]] std::size_t sessions() const { return all_.sessions; }
 

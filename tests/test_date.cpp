@@ -24,6 +24,16 @@ TEST(Date, RejectsInvalidDates) {
   EXPECT_THROW(Date(2021, 2, 29), std::invalid_argument);
 }
 
+TEST(Date, RejectsYearsItCannotHold) {
+  // The year is stored in 16 bits; a wider one must not wrap (70000 would
+  // read back as 4464).
+  EXPECT_THROW(Date(Date::kMaxYear + 1, 1, 1), std::invalid_argument);
+  EXPECT_THROW(Date(70000, 1, 1), std::invalid_argument);
+  EXPECT_THROW(Date(Date::kMinYear - 1, 12, 31), std::invalid_argument);
+  EXPECT_EQ(Date(Date::kMaxYear, 12, 31).year(), Date::kMaxYear);
+  EXPECT_EQ(Date(Date::kMinYear, 1, 1).year(), Date::kMinYear);
+}
+
 TEST(Date, LeapYearRules) {
   EXPECT_TRUE(Date::is_leap_year(2020));
   EXPECT_FALSE(Date::is_leap_year(2021));

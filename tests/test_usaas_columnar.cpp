@@ -42,6 +42,7 @@
 #include "netsim/conditions.h"
 #include "netsim/profiles.h"
 #include "usaas/correlation_engine.h"
+#include "usaas/mos_predictor.h"
 #include "usaas/query_service.h"
 
 namespace usaas::service {
@@ -66,22 +67,27 @@ netsim::MetricAggregate aggregate(double mean, double tail_scale) {
   return {mean, mean * 0.92, mean * tail_scale};
 }
 
-/// Jan-Apr 2022, all platforms and access technologies, ~30% of rows with
-/// every metric inside the confounder control windows (so control_others
-/// passes non-trivially), values straddling every sweep range boundary,
-/// ~2% MOS-rated, ~10% early drops.
-std::vector<confsim::CallRecord> synth_corpus() {
+/// Four months from `year`-`first_month` (Jan-Apr 2022 by default), all
+/// platforms and access technologies, ~30% of rows with every metric
+/// inside the confounder control windows (so control_others passes
+/// non-trivially), values straddling every sweep range boundary, ~2%
+/// MOS-rated, ~10% early drops.
+std::vector<confsim::CallRecord> synth_corpus(int year = 2022,
+                                              int first_month = 1) {
   std::vector<confsim::CallRecord> calls;
   std::uint64_t seed = 20220101;
   for (std::uint64_t id = 0; id < 1200; ++id) {
     confsim::CallRecord call;
     call.call_id = id;
-    const int month = 1 + static_cast<int>(lcg_next(seed) % 4);
+    const int month0 =
+        first_month - 1 + static_cast<int>(lcg_next(seed) % 4);
+    const int y = year + month0 / 12;
+    const int month = 1 + month0 % 12;
     const int day =
         1 + static_cast<int>(lcg_next(seed) %
                              static_cast<std::uint64_t>(
-                                 Date::days_in_month(2022, month)));
-    call.start.date = Date(2022, month, day);
+                                 Date::days_in_month(y, month)));
+    call.start.date = Date(y, month, day);
     call.start.time = {static_cast<int>(lcg_next(seed) % 24), 0};
     const std::size_t participants = 3 + lcg_next(seed) % 3;
     for (std::size_t j = 0; j < participants; ++j) {
@@ -427,6 +433,16 @@ void expect_record_eq(const confsim::ParticipantRecord& got,
   }
 }
 
+void expect_tally_eq(const CorrelationEngine::Tally& got,
+                     const CorrelationEngine::Tally& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.sessions, want.sessions) << what;
+  EXPECT_EQ(got.rated, want.rated) << what;
+  EXPECT_EQ(got.observed_mos_sum, want.observed_mos_sum) << what;
+  EXPECT_EQ(got.predicted_mos_sum, want.predicted_mos_sum) << what;
+  EXPECT_EQ(got.predicted, want.predicted) << what;
+}
+
 // ---- Parameterized battery ---------------------------------------------
 
 // gtest names each instance after the parameter's raw bytes, so the padding
@@ -765,15 +781,7 @@ TEST_P(ColumnarDifferential, MosCorrelations) {
 }
 
 TEST_P(ColumnarDifferential, Tallies) {
-  const auto eq = [](const CorrelationEngine::Tally& got,
-                     const CorrelationEngine::Tally& want,
-                     const std::string& what) {
-    EXPECT_EQ(got.sessions, want.sessions) << what;
-    EXPECT_EQ(got.rated, want.rated) << what;
-    EXPECT_EQ(got.observed_mos_sum, want.observed_mos_sum) << what;
-    EXPECT_EQ(got.predicted_mos_sum, want.predicted_mos_sum) << what;
-    EXPECT_EQ(got.predicted, want.predicted) << what;
-  };
+  const auto eq = expect_tally_eq;
   eq(engine_.tally(nullptr, {}), ref_.tally(nullptr, {}, nullptr), "plain");
   eq(engine_.tally(kOpaqueFilter, {}), ref_.tally(kOpaqueFilter, {}, nullptr),
      "filtered");
@@ -835,6 +843,174 @@ INSTANTIATE_TEST_SUITE_P(
         Config{1, false}, Config{1, true}, Config{2, true}, Config{8, false},
         Config{8, true}),
     config_name);
+
+// ---- Columnar predicted tallies vs the per-record predictor -------------
+// tally(.., &predictor) predicts each scanned row from the seven feature
+// columns in place; the per-record std::function overload materializes
+// the row and calls predict(record). Both must give every Tally field
+// bit for bit, over windows that cut months, cover whole months and meet
+// the year edge, at several thread counts, with summaries on and off.
+
+/// Nov 2021 - Feb 2022: the battery corpus generator across a year edge.
+const std::vector<confsim::CallRecord>& year_edge_corpus() {
+  static const std::vector<confsim::CallRecord> calls = synth_corpus(2021, 11);
+  return calls;
+}
+
+/// 64 seeded windows over Oct 2021 - Mar 2022 (a month of empty margin
+/// each side of the corpus), cycling through four shapes: a mid-month cut,
+/// whole months, a window that ends on Dec 31 or starts on Jan 1, and one
+/// that straddles the year edge with an open end a quarter of the time.
+/// About half carry a platform and half an access selector.
+std::vector<ShardSelector> random_windows() {
+  std::uint64_t seed = 7;
+  const auto pick = [&](std::uint64_t n) {
+    return static_cast<int>(lcg_next(seed) % n);
+  };
+  const Date span_first{2021, 10, 1};
+  const int first_mk = month_key(span_first);
+  std::vector<ShardSelector> out;
+  for (int i = 0; i < 64; ++i) {
+    ShardSelector sel;
+    switch (i % 4) {
+      case 0: {
+        Date a = span_first.plus_days(pick(182));
+        Date b = span_first.plus_days(pick(182));
+        if (b < a) std::swap(a, b);
+        sel.first = a;
+        sel.last = b;
+        break;
+      }
+      case 1: {
+        const int mk = first_mk + pick(6);
+        sel.first = core::month_key_start(mk);
+        sel.last = core::month_key_start(mk + 1 + pick(3)).plus_days(-1);
+        break;
+      }
+      case 2:
+        if (pick(2) == 0) {
+          sel.first = Date{2021, 11 + pick(2), 1 + pick(28)};
+          sel.last = Date{2021, 12, 31};
+        } else {
+          sel.first = Date{2022, 1, 1};
+          sel.last = Date{2022, 1 + pick(2), 1 + pick(28)};
+        }
+        break;
+      default:
+        sel.first = Date{2021, 12, 1 + pick(31)};
+        sel.last = Date{2022, 1, 1 + pick(31)};
+        if (pick(4) == 0) {
+          if (pick(2) == 0) {
+            sel.first.reset();
+          } else {
+            sel.last.reset();
+          }
+        }
+        break;
+    }
+    if (pick(2) == 0) {
+      sel.platform = static_cast<confsim::Platform>(
+          pick(static_cast<std::uint64_t>(confsim::kNumPlatforms)));
+    }
+    if (pick(2) == 0) {
+      sel.access = static_cast<netsim::AccessTechnology>(
+          pick(static_cast<std::uint64_t>(netsim::kNumAccessTechnologies)));
+    }
+    out.push_back(sel);
+  }
+  return out;
+}
+
+class ColumnarPredictedTally : public ::testing::TestWithParam<Config> {
+ protected:
+  ColumnarPredictedTally() {
+    if (GetParam().threads > 1) {
+      pool_ = std::make_unique<core::ThreadPool>(GetParam().threads);
+      engine_.set_thread_pool(pool_.get());
+    }
+    if (GetParam().summaries) engine_.configure_summaries(SummaryConfig{});
+    engine_.ingest(std::span<const confsim::CallRecord>{year_edge_corpus()});
+    predictor_.train(engine_.rated_sessions_canonical());
+  }
+
+  std::unique_ptr<core::ThreadPool> pool_;
+  CorrelationEngine engine_;
+  MosPredictor predictor_;
+};
+
+TEST_P(ColumnarPredictedTally, MatchesThePerRecordPredictorBitForBit) {
+  const std::function<double(const confsim::ParticipantRecord&)> per_record =
+      [this](const confsim::ParticipantRecord& rec) {
+        return predictor_.predict(rec);
+      };
+  const std::vector<ShardSelector> windows = random_windows();
+  // Cold: no predicted sums are fresh, so every shard scans on both sides.
+  std::vector<CorrelationEngine::Tally> want;
+  std::size_t predicting = 0;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    want.push_back(engine_.tally(nullptr, windows[i], per_record));
+    expect_tally_eq(engine_.tally(nullptr, windows[i], &predictor_), want[i],
+                    "cold window " + std::to_string(i));
+    predicting += want[i].predicted > 0 ? 1 : 0;
+  }
+  EXPECT_GT(predicting, windows.size() / 2);  // the windows reach rows
+  if (!GetParam().summaries) return;
+
+  // Warm: refreshed summaries answer whole months, boundary shards scan.
+  // Both refresh paths must land on the cold per-record sums.
+  engine_.refresh_predicted_tallies(&predictor_);
+  QueryFanoutStats fanout;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    expect_tally_eq(
+        engine_.tally(nullptr, windows[i], &predictor_, &fanout), want[i],
+        "warm columnar window " + std::to_string(i));
+  }
+  EXPECT_GT(fanout.shards_from_summary, 0u);
+  EXPECT_GT(fanout.shards_scanned, 0u);
+  engine_.refresh_predicted_tallies(per_record);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    expect_tally_eq(engine_.tally(nullptr, windows[i], per_record), want[i],
+                    "warm per-record window " + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, ColumnarPredictedTally,
+    ::testing::Values(Config{1, false}, Config{1, true}, Config{2, false},
+                      Config{2, true}, Config{4, false}, Config{4, true}),
+    config_name);
+
+TEST(ColumnarPredictedService, CutWindowPredictedMeanEqualsThePerRecordValue) {
+  // QueryService tallies through the columnar overload; its predicted mean
+  // for a boundary-cut window must be the per-record one, exactly.
+  QueryServiceConfig config;
+  config.threads = 2;
+  config.insight_cache_entries = 0;
+  QueryService service{config};
+  service.ingest_calls(year_edge_corpus());
+  ASSERT_TRUE(service.train_predictor());
+  CorrelationEngine engine;
+  engine.configure_summaries(config.summary_layout);
+  engine.ingest(std::span<const confsim::CallRecord>{year_edge_corpus()});
+  MosPredictor predictor;
+  predictor.train(engine.rated_sessions_canonical());
+
+  Query cut;
+  cut.first = Date{2021, 11, 20};
+  cut.last = Date{2022, 1, 10};
+  const Insight insight = service.run(cut);
+  EXPECT_EQ(insight.execution.served_by, ServedBy::kMixed);
+  const CorrelationEngine::Tally want = engine.tally(
+      nullptr, {cut.first, cut.last, cut.platform, cut.access},
+      std::function<double(const confsim::ParticipantRecord&)>{
+          [&](const confsim::ParticipantRecord& rec) {
+            return predictor.predict(rec);
+          }});
+  ASSERT_GT(want.predicted, 0u);
+  ASSERT_TRUE(insight.predicted_mean_mos.has_value());
+  EXPECT_EQ(*insight.predicted_mean_mos,
+            want.predicted_mos_sum / static_cast<double>(want.predicted));
+}
 
 // ---- Fused sweep inside QueryService -----------------------------------
 

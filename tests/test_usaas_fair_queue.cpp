@@ -103,8 +103,8 @@ TEST(FairQueue, TokensLandingExactlyAtTheDeadlineStillAcquire) {
 // asserted ordering is independent of thread arrival order. While the
 // gate is closed every closure asks for the queue's minimum nap (1 µs of
 // virtual time per dispatcher sweep), and the deadlines are huge (1e6 s)
-// — the virtual clock cannot plausibly reach them while the real-time
-// main thread flips the gate, so nothing expires prematurely.
+// — the virtual clock cannot plausibly reach them before the real-time
+// main thread opens the gate, so nothing expires prematurely.
 
 TEST(FairQueue, EarliestDeadlineIsOfferedTheResourceFirst) {
   core::VirtualClock clock;
@@ -130,7 +130,16 @@ TEST(FairQueue, EarliestDeadlineIsOfferedTheResourceFirst) {
   while (queue.depth() < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds{1});
   }
-  released.store(true, std::memory_order_release);
+  // The gate opens inside a closure the queue runs under its lock, and
+  // the opener's deadline is the earliest, so a dispatcher sweep offers
+  // it first: every sweep sees the gate either shut for both takers or
+  // open for both. (Flipped from outside the lock, the flip could land
+  // between "early" being asked and "late" being asked.)
+  const FairQueue::TryAcquire open_gate = [&](double) -> double {
+    released.store(true, std::memory_order_release);
+    return 0.0;
+  };
+  EXPECT_EQ(queue.wait(5e5, open_gate), FairQueue::Outcome::kAcquired);
   late.join();
   early.join();
 
@@ -141,8 +150,8 @@ TEST(FairQueue, EarliestDeadlineIsOfferedTheResourceFirst) {
   EXPECT_EQ(order[0], "early");
   EXPECT_EQ(order[1], "late");
   const FairQueue::Stats stats = queue.stats();
-  EXPECT_EQ(stats.acquired_queued, 2u);
-  EXPECT_EQ(stats.max_depth, 2u);
+  EXPECT_EQ(stats.acquired_queued, 3u);  // the two takers and the opener
+  EXPECT_EQ(stats.max_depth, 3u);
   EXPECT_EQ(stats.depth, 0u);
 }
 

@@ -146,6 +146,30 @@ TEST(WireForm, MalformedInputsAreRejectedWithAReason) {
   EXPECT_TRUE(parse_json_body("{}", error).has_value());  // empty = defaults
 }
 
+TEST(WireForm, YearsADateCannotHoldAreRejected) {
+  // 70000 fits an int but not Date's 16-bit year (it used to be answered
+  // for year 4464); 99999999999 overflows int itself. Both are a reasoned
+  // 400, never a wrapped window.
+  std::string error;
+  EXPECT_FALSE(parse_query_string("first=70000-01-01", error));
+  EXPECT_NE(error.find("year out of range"), std::string::npos);
+  EXPECT_FALSE(parse_query_string("last=99999999999-01-01", error));
+  EXPECT_NE(error.find("year out of range"), std::string::npos);
+  EXPECT_FALSE(parse_json_body(R"({"first":"70000-01-01"})", error));
+  EXPECT_NE(error.find("year out of range"), std::string::npos);
+  // The widest years Date holds still parse.
+  const auto widest = parse_query_string(
+      "first=-32768-01-01&last=32767-12-31", error);
+  ASSERT_TRUE(widest.has_value()) << error;
+  EXPECT_EQ(widest->query.first, Date(Date::kMinYear, 1, 1));
+  EXPECT_EQ(widest->query.last, Date(Date::kMaxYear, 12, 31));
+  // A trailing byte or a missing field is still malformed, not a year.
+  EXPECT_FALSE(parse_query_string("first=2022-01-01x", error));
+  EXPECT_NE(error.find("bad date"), std::string::npos);
+  EXPECT_FALSE(parse_query_string("first=2022-01", error));
+  EXPECT_NE(error.find("bad date"), std::string::npos);
+}
+
 TEST(WireForm, QueryStringValuesArePercentDecoded) {
   std::string error;
   // A standard client URL-encodes: %20 and '+' both mean space, and the
@@ -299,6 +323,14 @@ TEST(HttpListener, MapsRoutesAndBadInputsToStatusCodes) {
       port, get_request("/query?first=2022-03-01&last=2022-01-01"));
   EXPECT_EQ(status_of(reversed), 400);
   EXPECT_NE(reversed.find("invalid query"), std::string::npos);
+  const std::string far_year = http_exchange(
+      port, get_request("/query?first=70000-01-01&last=70000-12-31"));
+  EXPECT_EQ(status_of(far_year), 400);
+  EXPECT_NE(far_year.find("year out of range"), std::string::npos);
+  const std::string huge_year =
+      http_exchange(port, get_request("/query?first=99999999999-01-01"));
+  EXPECT_EQ(status_of(huge_year), 400);
+  EXPECT_NE(huge_year.find("year out of range"), std::string::npos);
   const std::string malformed = http_exchange(port, "garbage\r\n\r\n");
   EXPECT_EQ(status_of(malformed), 400);
 
