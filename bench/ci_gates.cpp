@@ -6,6 +6,10 @@
 //   scan       the engine's columnar engagement_curve over the battery's
 //              18 sweeps vs the frozen row sweep (checked bit-identical
 //              before any timing);
+//   sweep      the engine's fused engagement_curves (one count and three
+//              means per bin) over the battery's 18 sweeps vs the same
+//              column scan feeding a full RunningStats per bin and
+//              series (checked bit-identical before any timing);
 //   tally      the engine's predicted-MOS tally over 12 boundary-cut
 //              windows, rows predicted from the feature columns, vs the
 //              per-record std::function tally (checked bit-identical
@@ -22,18 +26,22 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/histogram.h"
 #include "core/rng.h"
+#include "core/stats.h"
 #include "core/telemetry/metrics.h"
 #include "nlp/reference.h"
 #include "social/post.h"
 #include "usaas/mos_predictor.h"
 #include "usaas/query_scheduler.h"
 #include "usaas/query_service.h"
+#include "usaas/session_columns.h"
 
 namespace {
 
@@ -45,6 +53,7 @@ using Clock = std::chrono::steady_clock;
 // scripts/check.sh for the measured ranges).
 constexpr double kPostsFloor = 3.89;
 constexpr double kScanFloor = 2.11;
+constexpr double kSweepFloor = 1.10;
 constexpr double kTallyFloor = 2.58;
 // At most 5 % telemetry overhead: off/on >= 1 / 1.05.
 constexpr double kTelemetryFloor = 1.0 / 1.05;
@@ -390,6 +399,145 @@ bool scan_gate(std::span<const confsim::CallRecord> calls) {
   return report("scan", rounds, kScanFloor);
 }
 
+// ---- sweep: shared-count bins vs per-series RunningStats bins --------
+
+bool sweep_gate(std::span<const confsim::CallRecord> calls) {
+  // The control's column shards, keyed and filled as the engine's are.
+  struct ColumnShard {
+    int month_key{0};
+    confsim::Platform platform{confsim::Platform::kWindowsPc};
+    service::SessionColumns cols;
+  };
+  std::map<int, ColumnShard> shards;
+  for (const auto& call : calls) {
+    for (const auto& p : call.participants) {
+      const int mk = core::month_key(call.start.date);
+      ColumnShard& s =
+          shards[mk * confsim::kNumPlatforms + static_cast<int>(p.platform)];
+      s.month_key = mk;
+      s.platform = p.platform;
+      s.cols.append(call.start.date, p);
+    }
+  }
+  // No summaries: every shard scans, on the calling thread.
+  service::CorrelationEngine engine;
+  engine.ingest(calls);
+
+  // The battery's six queries, shaped as QueryService::run builds them;
+  // each fused call is three of the 18 sweeps. One query is one grain.
+  struct Sweep {
+    service::SweepSpec spec;
+    service::ShardSelector sel;
+  };
+  std::vector<Sweep> sweeps;
+  for (const auto& q : battery()) {
+    service::SweepSpec spec;
+    spec.metric = q.metric;
+    spec.lo = q.metric_lo;
+    spec.hi = q.metric_hi;
+    spec.bins = q.bins;
+    spec.control_others = false;
+    sweeps.push_back({spec, {q.first, q.last, q.platform, q.access}});
+  }
+
+  // The control: the same column scan — each selected row binned once —
+  // feeding a RunningStats (count, mean, M2, min, max) per bin and
+  // engagement series, shard partials merged in key order.
+  using Bins = std::array<std::vector<core::RunningStats>, 3>;
+  const auto control_sweep = [&](const Sweep& w) {
+    const service::SweepSpec& spec = w.spec;
+    const service::ShardSelector& sel = w.sel;
+    const double width = (spec.hi - spec.lo) / static_cast<double>(spec.bins);
+    Bins total;
+    for (auto& series : total) series.resize(spec.bins);
+    for (const auto& [key, shard] : shards) {
+      const int mk = shard.month_key;
+      if (sel.platform && shard.platform != *sel.platform) continue;
+      if (sel.first && mk < core::month_key(*sel.first)) continue;
+      if (sel.last && mk > core::month_key(*sel.last)) continue;
+      // Only a month the window cuts checks dates, as in the engine.
+      const bool cut = core::window_cuts_month(sel.first, sel.last, mk);
+      const std::int32_t day_lo = cut && sel.first
+                                      ? core::pack_day_key(*sel.first)
+                                      : std::numeric_limits<int>::min();
+      const std::int32_t day_hi = cut && sel.last
+                                      ? core::pack_day_key(*sel.last)
+                                      : std::numeric_limits<int>::max();
+      const service::SessionColumns& cols = shard.cols;
+      const double* x = cols.mean_column(spec.metric);
+      const double* y[] = {
+          cols.engagement_column(service::EngagementMetric::kPresence),
+          cols.engagement_column(service::EngagementMetric::kCamOn),
+          cols.engagement_column(service::EngagementMetric::kMicOn)};
+      Bins partial;
+      for (auto& series : partial) series.resize(spec.bins);
+      for (std::size_t r = 0; r < cols.size(); ++r) {
+        if (cols.day_key[r] < day_lo || cols.day_key[r] > day_hi) continue;
+        if (sel.access &&
+            cols.access[r] != static_cast<std::uint8_t>(*sel.access)) {
+          continue;
+        }
+        if (x[r] < spec.lo || x[r] >= spec.hi) continue;
+        const std::size_t bin = std::min(
+            static_cast<std::size_t>((x[r] - spec.lo) / width), spec.bins - 1);
+        for (std::size_t k = 0; k < 3; ++k) partial[k][bin].add(y[k][r]);
+      }
+      for (std::size_t k = 0; k < 3; ++k) {
+        for (std::size_t b = 0; b < spec.bins; ++b) {
+          total[k][b].merge(partial[k][b]);
+        }
+      }
+    }
+    return total;
+  };
+
+  // Equivalence guard before any timing: every curve point of the 18
+  // sweeps, both paths, compared with ==, not a tolerance.
+  for (const Sweep& w : sweeps) {
+    const auto curves = engine.engagement_curves(w.spec, nullptr, w.sel);
+    const Bins want = control_sweep(w);
+    const double width =
+        (w.spec.hi - w.spec.lo) / static_cast<double>(w.spec.bins);
+    for (std::size_t k = 0; k < 3; ++k) {
+      std::vector<service::CurvePoint> points;
+      for (std::size_t b = 0; b < w.spec.bins; ++b) {
+        const core::RunningStats& cell = want[k][b];
+        if (cell.empty()) continue;
+        const double lo = w.spec.lo + width * static_cast<double>(b);
+        points.push_back({(lo + (lo + width)) / 2.0, cell.mean(),
+                          cell.count()});
+      }
+      bool same = points.size() == curves[k].points.size();
+      for (std::size_t i = 0; same && i < points.size(); ++i) {
+        same = points[i].metric_value == curves[k].points[i].metric_value &&
+               points[i].engagement == curves[k].points[i].engagement &&
+               points[i].sessions == curves[k].points[i].sessions;
+      }
+      if (!same || points.empty()) {
+        std::printf("GATE sweep FAIL: a curve differs from the RunningStats "
+                    "bins\n");
+        return false;
+      }
+    }
+  }
+
+  std::vector<Round> rounds;
+  for (int i = 0; i < 2 * 10; ++i) {  // 10 pairs
+    rounds.push_back(interleave(
+        sweeps.size(), i % 2 == 1,
+        [&](std::size_t g) {
+          const Sweep& w = sweeps[g];
+          sink += engine.engagement_curves(w.spec, nullptr, w.sel)
+                      .front()
+                      .points.size();
+        },
+        [&](std::size_t g) {
+          sink += control_sweep(sweeps[g])[0][0].count();
+        }));
+  }
+  return report("sweep", rounds, kSweepFloor);
+}
+
 // ---- tally: columnar predicted MOS vs the per-record predictor -------
 
 bool tally_gate(std::span<const confsim::CallRecord> calls) {
@@ -500,6 +648,7 @@ int main() {
   const auto posts = synth_posts(kPosts, 424242);
   bool ok = posts_gate(posts);
   ok = scan_gate(calls) && ok;
+  ok = sweep_gate(calls) && ok;
   ok = tally_gate(calls) && ok;
   ok = telemetry_gates(calls, std::span{posts}.first(kTelemetryPosts)) && ok;
   std::printf("gates %s (sink %zu)\n", ok ? "PASS" : "FAIL", sink);

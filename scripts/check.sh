@@ -28,8 +28,18 @@
 #      scan: subject the engine's columnar engagement_curve over the
 #      battery's 18 sweeps; control the frozen AoS row sweep, checked
 #      bit-identical to the subject before any timing. Unmodified
-#      2.82-3.40 (median 3.02); floor 2.11. Catches the sweep kernel
-#      reverted to per-row cols.record(r) binning: 0.86-1.00.
+#      3.75-4.32 (median 4.07; 2.82-3.40 before both sides' Binner1D got
+#      the shared-count bin cell); floor 2.11. Catches the sweep kernel
+#      reverted to per-row cols.record(r) binning: 0.86-1.00 (measured
+#      before the bin cell change).
+#
+#      sweep: subject the engine's fused engagement_curves (a three-series
+#      Binner1D: one count and three running means per bin) over the
+#      battery's 18 sweeps, as six fused calls; control the same column
+#      scan feeding a full RunningStats per bin and series, the bin cell
+#      before it, checked bit-identical to the subject before any timing.
+#      Unmodified 1.49-1.74 (median 1.58); floor 1.10. Catches Binner1D
+#      reverted to a RunningStats per bin and series: 0.79-0.85.
 #
 #      tally: subject the engine's predicted-MOS tally over 12
 #      boundary-cut windows (200 K sessions, no summaries), each row

@@ -5,28 +5,32 @@
 
 namespace usaas::core {
 
-Binner1D::Binner1D(double lo, double hi, std::size_t bins)
-    : lo_{lo}, hi_{hi}, width_{(hi - lo) / static_cast<double>(bins)} {
+Binner1D::Binner1D(double lo, double hi, std::size_t bins,
+                   std::size_t series)
+    : lo_{lo},
+      hi_{hi},
+      width_{(hi - lo) / static_cast<double>(bins)},
+      series_{series} {
   if (!(lo < hi)) throw std::invalid_argument("Binner1D: lo must be < hi");
   if (bins == 0) throw std::invalid_argument("Binner1D: bins must be >= 1");
-  stats_.resize(bins);
+  if (series == 0) {
+    throw std::invalid_argument("Binner1D: series must be >= 1");
+  }
+  counts_.resize(bins);
+  means_.resize(bins * series);
 }
 
-void Binner1D::add(double x, double y) {
-  const std::size_t bin = bin_index(x);
-  if (bin != kNoBin) add_to_bin(bin, y);
-}
-
-std::vector<Bin> Binner1D::bins() const {
+std::vector<Bin> Binner1D::bins(std::size_t s) const {
+  if (s >= series_) throw std::out_of_range("Binner1D::bins: no such series");
   std::vector<Bin> out;
-  out.reserve(stats_.size());
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    if (stats_[i].empty()) continue;
+  out.reserve(counts_.size());
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
     Bin b;
     b.lo = lo_ + width_ * static_cast<double>(i);
     b.hi = b.lo + width_;
-    b.count = stats_[i].count();
-    b.mean_y = stats_[i].mean();
+    b.count = counts_[i];
+    b.mean_y = means_[i * series_ + s];
     out.push_back(b);
   }
   return out;
@@ -38,17 +42,48 @@ std::vector<std::pair<double, double>> Binner1D::curve() const {
   return out;
 }
 
-const RunningStats& Binner1D::bin_stats(std::size_t i) const {
-  return stats_.at(i);
+void Binner1D::merge(const Binner1D& other) {
+  if (other.series_ != series_) {
+    throw std::invalid_argument("Binner1D::merge: series count mismatch");
+  }
+  merge_series(other, [](std::size_t k) { return k; });
 }
 
-void Binner1D::merge(const Binner1D& other) {
+void Binner1D::merge(const Binner1D& other,
+                     std::span<const std::size_t> from) {
+  if (from.size() != series_) {
+    throw std::invalid_argument("Binner1D::merge: one source per series");
+  }
+  for (const std::size_t f : from) {
+    if (f >= other.series_) {
+      throw std::invalid_argument("Binner1D::merge: no such source series");
+    }
+  }
+  merge_series(other, [from](std::size_t k) { return from[k]; });
+}
+
+template <typename From>
+void Binner1D::merge_series(const Binner1D& other, const From& from) {
   if (other.lo_ != lo_ || other.hi_ != hi_ ||
-      other.stats_.size() != stats_.size()) {
+      other.counts_.size() != counts_.size()) {
     throw std::invalid_argument("Binner1D::merge: layout mismatch");
   }
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    stats_[i].merge(other.stats_[i]);
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    const std::size_t m_count = other.counts_[i];
+    if (m_count == 0) continue;
+    double* mean = means_.data() + i * series_;
+    const double* src = other.means_.data() + i * other.series_;
+    if (counts_[i] == 0) {
+      for (std::size_t k = 0; k < series_; ++k) mean[k] = src[from(k)];
+    } else {
+      const auto n = static_cast<double>(counts_[i]);
+      const auto m = static_cast<double>(m_count);
+      for (std::size_t k = 0; k < series_; ++k) {
+        const double delta = src[from(k)] - mean[k];
+        mean[k] += delta * m / (n + m);
+      }
+    }
+    counts_[i] += m_count;
   }
   total_ += other.total_;
 }

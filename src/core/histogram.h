@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -16,7 +17,7 @@
 
 namespace usaas::core {
 
-/// One populated bin of a Binner1D.
+/// One populated bin of a Binner1D series.
 struct Bin {
   double lo{0.0};
   double hi{0.0};
@@ -26,54 +27,89 @@ struct Bin {
   [[nodiscard]] double center() const { return (lo + hi) / 2.0; }
 };
 
-/// Fixed-width 1-D binner over [lo, hi) accumulating a y-statistic per bin.
+/// Fixed-width 1-D binner over [lo, hi) keeping the running mean of K
+/// y-series per bin. Every series sees every row, so the series share one
+/// bin index per row and one count per bin: a bin cell is one count and
+/// K means, nothing else (curves read only count and mean).
+///
+/// Each mean follows RunningStats' recurrences verbatim — add:
+/// `++n; mean += (y - mean) / n`; merge: `mean += delta * m / (n + m)`,
+/// or a copy into an empty bin — so every series reads bit-identical to
+/// a RunningStats fed the same rows in the same order and merge tree.
 class Binner1D {
  public:
-  /// Throws std::invalid_argument unless lo < hi and bins >= 1.
-  Binner1D(double lo, double hi, std::size_t bins);
+  /// Throws std::invalid_argument unless lo < hi, bins >= 1, series >= 1.
+  Binner1D(double lo, double hi, std::size_t bins, std::size_t series = 1);
 
-  /// Adds an (x, y) observation; x outside [lo, hi) is ignored (the paper's
-  /// methodology clamps each sweep to a fixed metric window).
-  void add(double x, double y);
+  /// Adds an (x, y) observation to a one-series binner; x outside
+  /// [lo, hi) is ignored (the paper's methodology clamps each sweep to a
+  /// fixed metric window).
+  void add(double x, double y) {
+    const std::size_t bin = bin_index(x);
+    if (bin != kNoBin) add_to_bin(bin, [y](std::size_t) { return y; });
+  }
 
   /// The split form of add(): bin_index(x) is the bin add(x, y) files x
-  /// under (kNoBin outside [lo, hi)), and add_to_bin(bin_index(x), y) is
-  /// exactly add(x, y). Binners sharing one layout can reuse a single
-  /// index — a fused sweep bins each row once and feeds several y-columns.
+  /// under (kNoBin outside [lo, hi)), and add_to_bin(bin_index(x), y)
+  /// adds the row. A fused sweep bins each row once and feeds all series.
   static constexpr std::size_t kNoBin = static_cast<std::size_t>(-1);
   [[nodiscard]] std::size_t bin_index(double x) const {
     if (x < lo_ || x >= hi_) return kNoBin;
     const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    return std::min(idx, stats_.size() - 1);  // float rounding at hi edge
+    return std::min(idx, counts_.size() - 1);  // float rounding at hi edge
   }
-  /// Adds y to bin `bin`, a non-kNoBin bin_index() result of this layout.
-  void add_to_bin(std::size_t bin, double y) {
-    stats_[bin].add(y);
+  /// Adds one row to bin `bin`, a non-kNoBin bin_index() result of this
+  /// layout: y(k) is the row's value in series k. A caller that knows
+  /// series() at compile time passes it as `K`, and the loop unrolls.
+  template <std::size_t K = 0, typename YOf>
+  void add_to_bin(std::size_t bin, const YOf& y) {
+    assert(K == 0 || K == series_);
+    const std::size_t series = K != 0 ? K : series_;
+    const auto n = static_cast<double>(++counts_[bin]);
+    double* mean = means_.data() + bin * series;
+    for (std::size_t k = 0; k < series; ++k) {
+      mean[k] += (y(k) - mean[k]) / n;
+    }
     ++total_;
   }
 
-  [[nodiscard]] std::size_t bin_count() const { return stats_.size(); }
+  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
+  [[nodiscard]] std::size_t series() const { return series_; }
   [[nodiscard]] std::size_t total_added() const { return total_; }
+  /// Heap bytes of the bin cells.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return counts_.size() * sizeof(std::size_t) +
+           means_.size() * sizeof(double);
+  }
 
-  /// Per-bin results; empty bins are omitted.
-  [[nodiscard]] std::vector<Bin> bins() const;
+  /// Series `s`'s populated bins; empty bins are omitted.
+  [[nodiscard]] std::vector<Bin> bins(std::size_t s = 0) const;
 
-  /// The curve as (bin center, mean y) for non-empty bins — ready to print.
+  /// Series 0 as (bin center, mean y) for non-empty bins — ready to print.
   [[nodiscard]] std::vector<std::pair<double, double>> curve() const;
 
-  /// Per-bin full accumulator, for callers that need stddev/count too.
-  [[nodiscard]] const RunningStats& bin_stats(std::size_t i) const;
-
-  /// Merges another binner with the same [lo, hi) x bins layout (parallel
-  /// shard reduction); throws std::invalid_argument on layout mismatch.
+  /// Merges another binner with the same [lo, hi) x bins layout and
+  /// series count (parallel shard reduction); throws
+  /// std::invalid_argument on mismatch.
   void merge(const Binner1D& other);
+  /// Merges the chosen series of `other` (same [lo, hi) x bins layout):
+  /// series k of this binner takes series from[k] of `other`. Throws
+  /// std::invalid_argument on a layout mismatch, when from.size() is not
+  /// series(), or when an index is out of range.
+  void merge(const Binner1D& other, std::span<const std::size_t> from);
 
  private:
+  /// The merge loop; series k takes series from(k) of `other`.
+  template <typename From>
+  void merge_series(const Binner1D& other, const From& from);
+
   double lo_;
   double hi_;
   double width_;
+  std::size_t series_;
   std::size_t total_{0};
-  std::vector<RunningStats> stats_;
+  std::vector<std::size_t> counts_;  // [bin]
+  std::vector<double> means_;        // [bin][series]
 };
 
 /// One cell of a Grid2D.

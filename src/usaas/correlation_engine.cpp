@@ -215,14 +215,16 @@ struct ControlColumns {
 }
 
 /// Phase-2 sweep aggregation: add-only loop over the selected rows that
-/// bins each row's x once and feeds y[k][row] to binners[k], for k <
-/// `n_y`. The binners share one layout, so the index is valid for all.
-void accumulate_sweep(core::Binner1D* binners, const double* x,
-                      const double* const* y, std::size_t n_y, ScanSet set) {
+/// bins each row's x once and adds y[k][row] to the binner's series k.
+/// `K` is the binner's series count when known at compile time (0: read
+/// it at run time).
+template <std::size_t K = 0>
+void accumulate_sweep(core::Binner1D& binner, const double* x,
+                      const double* const* y, ScanSet set) {
   for_each_row(set, [&](std::size_t r) {
-    const std::size_t bin = binners[0].bin_index(x[r]);
+    const std::size_t bin = binner.bin_index(x[r]);
     if (bin == core::Binner1D::kNoBin) return;
-    for (std::size_t k = 0; k < n_y; ++k) binners[k].add_to_bin(bin, y[k][r]);
+    binner.add_to_bin<K>(bin, [&](std::size_t k) { return y[k][r]; });
   });
 }
 
@@ -230,10 +232,11 @@ constexpr EngagementMetric kAllEngagements[] = {EngagementMetric::kPresence,
                                                 EngagementMetric::kCamOn,
                                                 EngagementMetric::kMicOn};
 
-/// A merged binner's populated bins as curve points.
-[[nodiscard]] std::vector<CurvePoint> curve_points(const core::Binner1D& b) {
+/// A merged binner's populated bins of series `k` as curve points.
+[[nodiscard]] std::vector<CurvePoint> curve_points(const core::Binner1D& b,
+                                                   std::size_t k = 0) {
   std::vector<CurvePoint> out;
-  for (const core::Bin& bin : b.bins()) {
+  for (const core::Bin& bin : b.bins(k)) {
     out.push_back({bin.center(), bin.mean_y, bin.count});
   }
   return out;
@@ -490,7 +493,12 @@ auto CorrelationEngine::fan_out(const std::vector<SelectedShard>& plan,
   std::vector<decltype(init())> partials;
   partials.reserve(plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) partials.push_back(init());
-  for_each_shard(pool_, plan.size(), cancelled,
+  // A plan of summary merges only reads no rows: a pool dispatch would
+  // cost more than the merges, so it runs on the calling thread.
+  const bool scans =
+      std::any_of(plan.begin(), plan.end(),
+                  [](const SelectedShard& sel) { return !sel.use_summary; });
+  for_each_shard(scans ? pool_ : nullptr, plan.size(), cancelled,
                  [&](std::size_t i, ShardScratch& scratch) {
                    fill(plan[i], partials[i], scratch);
                  });
@@ -537,20 +545,18 @@ std::vector<EngagementCurve> CorrelationEngine::sweep_engagement(
   const std::size_t n_metrics = metrics.size();
   const auto plan =
       plan_fanout(selector, axis.has_value(), fanout, n_metrics);
-  // Each shard's partial holds one binner per requested metric.
+  // Each shard's partial is one binner with a series per requested
+  // metric: a scanned row is binned once and counted once.
+  const auto make_binner = [&] {
+    return core::Binner1D{spec.lo, spec.hi, spec.bins, n_metrics};
+  };
   const auto partials = fan_out(
-      plan,
-      [&] {
-        return std::vector<core::Binner1D>(
-            n_metrics, core::Binner1D{spec.lo, spec.hi, spec.bins});
-      },
-      [&](const SelectedShard& sel, std::vector<core::Binner1D>& binners,
+      plan, make_binner,
+      [&](const SelectedShard& sel, core::Binner1D& binner,
           ShardScratch& scratch) {
         if (sel.use_summary) {
-          for (std::size_t k = 0; k < n_metrics; ++k) {
-            sel.shard->summary.add_curve_to(binners[k], *axis, metrics[k],
-                                            selector.access);
-          }
+          sel.shard->summary.add_curve_to(binner, *axis, metrics,
+                                          selector.access);
           return;
         }
         const SessionColumns& cols = sel.shard->columns;
@@ -561,21 +567,22 @@ std::vector<EngagementCurve> CorrelationEngine::sweep_engagement(
         for (std::size_t k = 0; k < n_metrics; ++k) {
           y[k] = cols.engagement_column(metrics[k]);
         }
-        accumulate_sweep(binners.data(),
-                         sweep_column(cols, spec.metric, spec.aggregate),
-                         y.data(), n_metrics, set);
+        const double* x = sweep_column(cols, spec.metric, spec.aggregate);
+        if (n_metrics == kNumEngagementMetrics) {  // the fused sweep
+          accumulate_sweep<kNumEngagementMetrics>(binner, x, y.data(), set);
+        } else {
+          accumulate_sweep(binner, x, y.data(), set);
+        }
       },
       cancelled);
 
+  core::Binner1D total = make_binner();
+  for (const core::Binner1D& part : partials) total.merge(part);
   std::vector<EngagementCurve> curves(n_metrics);
   for (std::size_t k = 0; k < n_metrics; ++k) {
-    core::Binner1D total{spec.lo, spec.hi, spec.bins};
-    for (const std::vector<core::Binner1D>& part : partials) {
-      total.merge(part[k]);
-    }
     curves[k].network_metric = spec.metric;
     curves[k].engagement_metric = metrics[k];
-    curves[k].points = curve_points(total);
+    curves[k].points = curve_points(total, k);
   }
   return curves;
 }

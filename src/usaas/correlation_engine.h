@@ -200,8 +200,8 @@ class CorrelationEngine {
 
   /// The presence, cam-on and mic-on curves (in that order) of one sweep,
   /// from a single shard pass: per scanned shard one phase-1 selection and
-  /// one read of the swept column, each row binned once and fed to all
-  /// three binners. Each curve is bit-identical to the matching
+  /// one read of the swept column, each row binned and counted once in a
+  /// three-series binner. Each curve is bit-identical to the matching
   /// engagement_curve() call, and shard visits are counted as those three
   /// calls count them. `cancelled`, when set, is polled once per shard;
   /// once it answers true the shards not yet started are skipped and the
@@ -313,9 +313,10 @@ class CorrelationEngine {
       const ShardSelector& selector, bool summary_capable,
       QueryFanoutStats* fanout, std::uint64_t visits = 1) const;
   /// The fan-out skeleton: one `init()` partial per planned shard, filled
-  /// by fill(shard, partial, scratch) in parallel through for_each_shard
-  /// (`cancelled` polled per shard). Callers merge the partials in plan
-  /// order, which is shard-key order.
+  /// by fill(shard, partial, scratch) through for_each_shard (`cancelled`
+  /// polled per shard) — on the pool when some shard scans rows, on the
+  /// calling thread when every shard merges its summary. Callers merge
+  /// the partials in plan order, which is shard-key order.
   template <typename Init, typename Fill>
   [[nodiscard]] auto fan_out(const std::vector<SelectedShard>& plan,
                              const Init& init, const Fill& fill,

@@ -1,5 +1,7 @@
 #include "usaas/post_store.h"
 
+#include <algorithm>
+
 #include "nlp/sentiment.h"
 
 namespace usaas::service {
@@ -11,16 +13,29 @@ void PostSummary::fold(const PostColumns& cols, std::size_t begin,
   const std::uint32_t* hits = cols.outage_hits.data();
   for (std::size_t r = begin; r < end; ++r) {
     if (day[r] < day_lo || day[r] > day_hi) continue;
+    // pack_day_key keeps the day of month in the low five bits.
+    const auto d = static_cast<std::size_t>(day[r] % 32 - 1);
     const nlp::SentimentScores s{cols.positive[r], cols.negative[r]};
-    ++posts;
-    if (s.strong_positive()) ++strong_pos;
-    if (s.strong_negative()) ++strong_neg;
+    ++posts[d];
+    if (s.strong_positive()) ++strong_pos[d];
+    if (s.strong_negative()) ++strong_neg[d];
     if (hits[r] > 0 && s.negative >= 0.4) {
-      // pack_day_key keeps the day of month in the low five bits.
-      day_hits[static_cast<std::size_t>(day[r] % 32 - 1)] +=
-          static_cast<double>(hits[r]);
+      day_hits[d] += static_cast<double>(hits[r]);
     }
   }
+}
+
+PostSummary PostSummary::days(int first_day, int last_day) const {
+  PostSummary out;
+  for (int day = std::max(first_day, 1);
+       day <= std::min(last_day, static_cast<int>(kDays)); ++day) {
+    const auto d = static_cast<std::size_t>(day - 1);
+    out.posts[d] = posts[d];
+    out.strong_pos[d] = strong_pos[d];
+    out.strong_neg[d] = strong_neg[d];
+    out.day_hits[d] = day_hits[d];
+  }
+  return out;
 }
 
 void PostStore::set_telemetry(core::telemetry::Registry* registry) {
@@ -92,31 +107,35 @@ void PostStore::ingest(std::span<const social::Post> posts) {
 std::optional<SocialAggregates> PostStore::aggregate(
     const core::Date& first, const core::Date& last,
     QueryFanoutStats* fanout, const CancelProbe& cancelled) const {
-  // Plan with the engine's summary rule (shard_store.h).
+  // With summaries on, every month answers from its summary: a cut month
+  // from the days the window keeps. Nothing then reads a post row, so the
+  // fan-out stays on the calling thread.
   struct Selected {
     int month_key{0};
     const PostShard* shard{nullptr};
-    bool use_summary{false};
   };
   std::vector<Selected> plan;
   for (auto it = shards_.lower_bound(core::month_key(first));
        it != shards_.end() && it->first <= core::month_key(last); ++it) {
-    const Selected sel{it->first, &it->second,
-                       answers_from_summary(summaries_, first, last,
-                                            it->first)};
-    sel.shard->touches.note(sel.use_summary);
+    const Selected sel{it->first, &it->second};
+    sel.shard->touches.note(summaries_);
     if (fanout != nullptr) {
-      ++(sel.use_summary ? fanout->shards_from_summary
-                         : fanout->shards_scanned);
+      ++(summaries_ ? fanout->shards_from_summary : fanout->shards_scanned);
     }
     plan.push_back(sel);
   }
+  const int first_mk = core::month_key(first);
+  const int last_mk = core::month_key(last);
   std::vector<PostSummary> partials(plan.size());
   const bool finished = for_each_shard(
-      pool_, plan.size(), cancelled, [&](std::size_t i, ShardScratch&) {
+      summaries_ ? nullptr : pool_, plan.size(), cancelled,
+      [&](std::size_t i, ShardScratch&) {
         const PostShard& shard = *plan[i].shard;
-        if (plan[i].use_summary) {
-          partials[i] = shard.summary;
+        if (summaries_) {
+          partials[i] = shard.summary.days(
+              plan[i].month_key == first_mk ? first.day() : 1,
+              plan[i].month_key == last_mk ? last.day()
+                                           : int{PostSummary::kDays});
         } else {
           partials[i].fold(shard.columns, 0, shard.columns.size(),
                            core::pack_day_key(first),
@@ -133,12 +152,12 @@ std::optional<SocialAggregates> PostStore::aggregate(
   std::size_t strong_neg = 0;
   double day_total = 0.0;
   for (const PostSummary& part : partials) {
-    out.posts += part.posts;
-    strong_pos += part.strong_pos;
-    strong_neg += part.strong_neg;
-    for (const double hits : part.day_hits) {
-      day_total += hits;
-      if (hits > 0.0) ++out.outage_mention_days;
+    for (std::size_t d = 0; d < PostSummary::kDays; ++d) {
+      out.posts += part.posts[d];
+      strong_pos += part.strong_pos[d];
+      strong_neg += part.strong_neg[d];
+      day_total += part.day_hits[d];
+      if (part.day_hits[d] > 0.0) ++out.outage_mention_days;
     }
   }
   if (strong_pos + strong_neg > 0) {

@@ -3,11 +3,12 @@
 //
 // Posts are sentiment- and outage-keyword-scored ONCE, in the two-pass
 // driver's scatter, and stored per calendar month as PostColumns. With
-// summaries on, pass 3 folds each month's PostSummary, so a window that
-// covers a month whole merges it instead of rescanning the month. Queries
-// plan with the engine's month rule (core::window_cuts_month), fan out
-// through for_each_shard and merge in month order, so answers never
-// depend on the thread count.
+// summaries on, pass 3 folds each month's per-day PostSummary, so any
+// window — whole months and cut ones alike — sums its days from the
+// summaries instead of rescanning posts (a post aggregate is a count
+// per day). Queries prune to the window's months, fan out through
+// for_each_shard (inline when no month scans) and merge in month order,
+// so answers never depend on the thread count.
 #pragma once
 
 #include <array>
@@ -43,21 +44,27 @@ struct PostColumns {
   }
 };
 
-/// Post aggregates over a set of rows: a month's summary, or the partial
-/// a scan of one month produces. Every field is an integer count or a sum
-/// of integral doubles, so any fold split or order gives the same bits.
+/// Post aggregates over a set of rows of one month, per day of month
+/// (index day-1): a month's summary, or the partial a scan of one month
+/// produces. Every field is an integer count or a sum of integral
+/// doubles, so any fold split or order gives the same bits, and the days
+/// of a window are a slice of the month's summary.
 struct PostSummary {
-  std::size_t posts{0};
-  std::size_t strong_pos{0};
-  std::size_t strong_neg{0};
-  /// Outage-keyword hits per day of month (index day-1), over posts with
-  /// some hits and a negative score >= 0.4.
-  std::array<double, 31> day_hits{};
+  static constexpr std::size_t kDays = 31;
+  std::array<std::size_t, kDays> posts{};
+  std::array<std::size_t, kDays> strong_pos{};
+  std::array<std::size_t, kDays> strong_neg{};
+  /// Outage-keyword hits, over posts with some hits and a negative score
+  /// >= 0.4.
+  std::array<double, kDays> day_hits{};
 
   /// Folds rows [begin, end) whose day key lies in [day_lo, day_hi].
   void fold(const PostColumns& cols, std::size_t begin, std::size_t end,
             std::int32_t day_lo = std::numeric_limits<std::int32_t>::min(),
             std::int32_t day_hi = std::numeric_limits<std::int32_t>::max());
+  /// Days [first_day, last_day] (1-based) of this summary; the other
+  /// days read zero.
+  [[nodiscard]] PostSummary days(int first_day, int last_day) const;
 };
 
 /// The social side of an insight over one date window.
@@ -95,11 +102,12 @@ class PostStore {
     return ingest_.stats();
   }
 
-  /// The window's social aggregates. Cut months scan with a date check;
-  /// whole months answer from their summary when summaries are on. Each
-  /// visit bumps the month's touch counter and, when set, `fanout`.
-  /// `cancelled` is polled once per month; nullopt when it stopped the
-  /// fan-out.
+  /// The window's social aggregates. With summaries on, every month
+  /// answers from its summary, a cut month from its in-window days, and
+  /// the fan-out runs inline (no post row is read); with summaries off,
+  /// every month scans, cut months with a date check. Each visit bumps
+  /// the month's touch counter and, when set, `fanout`. `cancelled` is
+  /// polled once per month; nullopt when it stopped the fan-out.
   [[nodiscard]] std::optional<SocialAggregates> aggregate(
       const core::Date& first, const core::Date& last,
       QueryFanoutStats* fanout = nullptr,

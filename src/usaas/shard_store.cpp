@@ -16,8 +16,7 @@ ShardTouches ShardTouches::attach(core::telemetry::Registry* registry,
     return registry->counter(
         "usaas_shard_touches_total",
         "Per-shard query touches by answer source (summary merge vs "
-        "record scan) — the access-frequency signal for spill-to-disk "
-        "eviction",
+        "record scan): the scanned-versus-summarized month signal",
         {{"corpus", std::string{corpus}}, {"shard", label},
          {"source", source}});
   };

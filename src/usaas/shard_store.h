@@ -78,8 +78,11 @@ bool for_each_shard(core::ThreadPool* pool, std::size_t n,
 
 /// A shard's query-touch counters,
 /// `usaas_shard_touches_total{corpus,shard,source}`, by answer source:
-/// how often each month is summary-merged vs scanned. Null handles
-/// (single-branch no-op bumps) when telemetry is off.
+/// how often each month is summary-merged vs scanned. This is the
+/// operator's scanned-versus-summarized month signal: a session month
+/// whose scan count climbs is one that queries cut, or ask on an axis no
+/// summary holds. Null handles (single-branch no-op bumps) when telemetry
+/// is off.
 struct ShardTouches {
   core::telemetry::Counter summary;
   core::telemetry::Counter scan;

@@ -18,10 +18,9 @@ ShardSummary::ShardSummary(const SummaryConfig& config)
   for (const SummaryAxis& axis : axes_) {
     // Binner1D validates lo < hi, bins >= 1 — a bad axis throws here, at
     // configuration time, not on the first fold.
-    for (int eng = 0; eng < kNumEngagementMetrics; ++eng) {
-      for (int access = 0; access < netsim::kNumAccessTechnologies; ++access) {
-        binners_.emplace_back(axis.lo, axis.hi, axis.bins);
-      }
+    for (int access = 0; access < netsim::kNumAccessTechnologies; ++access) {
+      binners_.emplace_back(axis.lo, axis.hi, axis.bins,
+                            kNumEngagementMetrics);
     }
   }
   for (int eng = 0; eng < kNumEngagementMetrics; ++eng) {
@@ -53,10 +52,11 @@ void ShardSummary::fold(const SessionColumns& cols, std::size_t begin,
     const std::array<double, kNumEngagementMetrics> eng{pres[i], cam[i],
                                                         mic[i]};
     for (std::size_t a = 0; a < axes_.size(); ++a) {
-      const double x = axis_cols[a][i];
-      for (std::size_t m = 0; m < eng.size(); ++m) {
-        binners_[binner_index(a, m, access)].add(x, eng[m]);
-      }
+      core::Binner1D& binner = binners_[binner_index(a, access)];
+      const std::size_t bin = binner.bin_index(axis_cols[a][i]);
+      if (bin == core::Binner1D::kNoBin) continue;
+      binner.add_to_bin<kNumEngagementMetrics>(
+          bin, [&eng](std::size_t m) { return eng[m]; });
     }
     for (std::size_t m = 0; m < grids_.size(); ++m) {
       grids_[m].add(lat[i], loss[i], eng[m]);
@@ -104,16 +104,24 @@ std::optional<std::size_t> ShardSummary::axis_for(netsim::Metric metric,
 }
 
 void ShardSummary::add_curve_to(
-    core::Binner1D& dst, std::size_t axis, EngagementMetric engagement,
+    core::Binner1D& dst, std::size_t axis,
+    std::span<const EngagementMetric> engagements,
     std::optional<netsim::AccessTechnology> access) const {
-  const auto eng = static_cast<std::size_t>(engagement);
+  std::array<std::size_t, kNumEngagementMetrics> from{};
+  if (engagements.size() > from.size()) {
+    throw std::invalid_argument("ShardSummary::add_curve_to: too many series");
+  }
+  for (std::size_t k = 0; k < engagements.size(); ++k) {
+    from[k] = static_cast<std::size_t>(engagements[k]);
+  }
+  const std::span<const std::size_t> series{from.data(), engagements.size()};
   if (access) {
-    dst.merge(binners_[binner_index(axis, eng,
-                                    static_cast<std::size_t>(*access))]);
+    dst.merge(binners_[binner_index(axis, static_cast<std::size_t>(*access))],
+              series);
     return;
   }
   for (std::size_t a = 0; a < netsim::kNumAccessTechnologies; ++a) {
-    dst.merge(binners_[binner_index(axis, eng, a)]);
+    dst.merge(binners_[binner_index(axis, a)], series);
   }
 }
 
@@ -140,9 +148,7 @@ void ShardSummary::clear_predicted() {
 
 std::size_t ShardSummary::memory_bytes() const {
   std::size_t bytes = sizeof(ShardSummary);
-  for (const core::Binner1D& b : binners_) {
-    bytes += b.bin_count() * sizeof(core::RunningStats);
-  }
+  for (const core::Binner1D& b : binners_) bytes += b.memory_bytes();
   for (const core::Grid2D& g : grids_) {
     bytes += g.x_bins() * g.y_bins() * sizeof(core::RunningStats);
   }

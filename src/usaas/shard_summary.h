@@ -4,8 +4,9 @@
 // incrementally at ingest (batch pass 3, which every StreamIngestor flush
 // also goes through), straight from the shard's new column rows. A
 // summary holds, per access technology:
-//   * one core::Binner1D per (configured sweep axis x engagement metric) —
-//     count / mean / M2 moments per bin, accumulated in ingest order;
+//   * one core::Binner1D per configured sweep axis, with one series per
+//     engagement metric — per bin one count and three running means,
+//     accumulated in ingest order;
 //   * session / rated-MOS / predicted-MOS tallies;
 // plus whole-shard equivalents, a Fig-2 latency x loss Grid2D per
 // engagement metric, and the shard's rated sessions reduced to
@@ -15,8 +16,8 @@
 //   * Access-filtered curves and all tallies replay the scan's exact
 //     floating-point add sequence (per-access accumulation in ingest
 //     order), so they are bit-identical to a rescan of the same shard.
-//   * Whole-population curves merge the access buckets (Welford merge);
-//     bin counts stay exact, means/M2 agree with a rescan to ~1e-12
+//   * Whole-population curves merge the access buckets (running-mean
+//     merge); bin counts stay exact, means agree with a rescan to ~1e-12
 //     relative — inside the service's documented 1e-9 equivalence budget.
 //   * merge() combines two summaries of the same layout exactly the way
 //     the engine merges per-shard partials, so "merge of O(shards)
@@ -124,11 +125,13 @@ class ShardSummary {
                                                     double lo, double hi,
                                                     std::size_t bins) const;
 
-  /// Merges this shard's curve for (axis, engagement) into `dst` (which
-  /// must share the axis layout): the access bucket alone when `access`
-  /// is set (bit-exact vs rescan), else all buckets in enum order.
+  /// Merges this shard's curves on `axis` into `dst` (which must share
+  /// the axis layout and hold one series per entry of `engagements`;
+  /// series k takes engagements[k]): the access bucket alone when
+  /// `access` is set (bit-exact vs rescan), else all buckets in enum
+  /// order.
   void add_curve_to(core::Binner1D& dst, std::size_t axis,
-                    EngagementMetric engagement,
+                    std::span<const EngagementMetric> engagements,
                     std::optional<netsim::AccessTechnology> access) const;
 
   /// Merges the Fig-2 grid for `engagement` into `dst` when the grid
@@ -171,17 +174,17 @@ class ShardSummary {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  [[nodiscard]] std::size_t binner_index(std::size_t axis, std::size_t eng,
-                                         std::size_t access) const {
-    return (axis * static_cast<std::size_t>(kNumEngagementMetrics) + eng) *
-               static_cast<std::size_t>(netsim::kNumAccessTechnologies) +
+  [[nodiscard]] static std::size_t binner_index(std::size_t axis,
+                                                std::size_t access) {
+    return axis * static_cast<std::size_t>(netsim::kNumAccessTechnologies) +
            access;
   }
 
   bool enabled_{false};
   std::vector<SummaryAxis> axes_;
   SummaryGrid grid_layout_{};
-  /// [axis][engagement][access], each accumulated in shard ingest order.
+  /// [axis][access], one series per engagement metric (enum order), each
+  /// accumulated in shard ingest order.
   std::vector<core::Binner1D> binners_;
   /// [engagement]: whole-shard latency x loss grids (no access split —
   /// compounding_grid takes no filters).

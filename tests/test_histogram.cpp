@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "core/stats.h"
+
 namespace usaas::core {
 namespace {
 
@@ -125,6 +131,218 @@ TEST(Binner1D, MergeRejectsLayoutMismatch) {
   Binner1D range_differs{0.0, 20.0, 4};
   EXPECT_THROW(a.merge(bins_differ), std::invalid_argument);
   EXPECT_THROW(a.merge(range_differs), std::invalid_argument);
+}
+
+// ---- Shared-count bins: one count and K running means per bin ---------
+
+std::uint64_t next_u64(std::uint64_t& s) {
+  s += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = s;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+double unit(std::uint64_t& s) {
+  return static_cast<double>(next_u64(s) >> 11) * 0x1.0p-53;
+}
+
+constexpr std::size_t kSeries = 3;
+
+/// A row: x (a fifth of them outside [0, 10)) and one y per series.
+struct Row {
+  double x;
+  std::array<double, kSeries> y;
+};
+
+std::vector<Row> random_rows(std::uint64_t seed, std::size_t n) {
+  std::vector<Row> rows(n);
+  for (Row& r : rows) {
+    r.x = -2.0 + 14.0 * unit(seed);
+    for (double& y : r.y) y = 100.0 * unit(seed) - 20.0;
+  }
+  return rows;
+}
+
+void add_rows(Binner1D& b, const std::vector<Row>& rows, std::size_t begin,
+              std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t bin = b.bin_index(rows[i].x);
+    if (bin == Binner1D::kNoBin) continue;
+    b.add_to_bin(bin, [&](std::size_t k) { return rows[i].y[k]; });
+  }
+}
+
+/// The bin cell before the shared count: a full RunningStats per bin and
+/// series, binned and merged exactly as Binner1D does.
+struct StatsBins {
+  std::array<std::vector<RunningStats>, kSeries> cells;
+  explicit StatsBins(std::size_t bins) {
+    for (auto& series : cells) series.resize(bins);
+  }
+  void add_rows(const Binner1D& layout, const std::vector<Row>& rows,
+                std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t bin = layout.bin_index(rows[i].x);
+      if (bin == Binner1D::kNoBin) continue;
+      for (std::size_t k = 0; k < kSeries; ++k) {
+        cells[k][bin].add(rows[i].y[k]);
+      }
+    }
+  }
+  void merge(const StatsBins& other) {
+    for (std::size_t k = 0; k < kSeries; ++k) {
+      for (std::size_t b = 0; b < cells[k].size(); ++b) {
+        cells[k][b].merge(other.cells[k][b]);
+      }
+    }
+  }
+};
+
+void expect_bins_eq(const std::vector<Bin>& got, const std::vector<Bin>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].lo, want[i].lo) << "bin " << i;
+    EXPECT_EQ(got[i].hi, want[i].hi) << "bin " << i;
+    EXPECT_EQ(got[i].count, want[i].count) << "bin " << i;
+    EXPECT_EQ(got[i].mean_y, want[i].mean_y) << "bin " << i;
+  }
+}
+
+void expect_matches_stats(const Binner1D& got, const StatsBins& want) {
+  for (std::size_t k = 0; k < kSeries; ++k) {
+    std::size_t i = 0;
+    for (std::size_t b = 0; b < want.cells[k].size(); ++b) {
+      const RunningStats& cell = want.cells[k][b];
+      if (cell.empty()) continue;
+      const std::vector<Bin> bins = got.bins(k);
+      ASSERT_LT(i, bins.size()) << "series " << k;
+      EXPECT_EQ(bins[i].count, cell.count()) << "series " << k << " bin " << b;
+      EXPECT_EQ(bins[i].mean_y, cell.mean()) << "series " << k << " bin " << b;
+      ++i;
+    }
+    EXPECT_EQ(got.bins(k).size(), i) << "series " << k;
+  }
+}
+
+TEST(Binner1D, RejectsZeroSeriesAndForeignSeries) {
+  EXPECT_THROW(Binner1D(0.0, 1.0, 4, 0), std::invalid_argument);
+  Binner1D three{0.0, 10.0, 4, 3};
+  Binner1D one{0.0, 10.0, 4};
+  EXPECT_THROW(one.merge(three), std::invalid_argument);
+  const std::size_t too_many[] = {0, 1};
+  EXPECT_THROW(one.merge(three, too_many), std::invalid_argument);
+  const std::size_t out_of_range[] = {3};
+  EXPECT_THROW(one.merge(three, out_of_range), std::invalid_argument);
+  EXPECT_THROW((void)one.bins(1), std::out_of_range);
+}
+
+TEST(Binner1D, KSeriesBinnerEqualsKSingleSeriesBinners) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const std::vector<Row> rows = random_rows(seed, 4000);
+    Binner1D fused{0.0, 10.0, 7, kSeries};
+    add_rows(fused, rows, 0, rows.size());
+    for (std::size_t k = 0; k < kSeries; ++k) {
+      Binner1D single{0.0, 10.0, 7};
+      for (const Row& r : rows) single.add(r.x, r.y[k]);
+      EXPECT_EQ(fused.total_added(), single.total_added());
+      expect_bins_eq(fused.bins(k), single.bins());
+    }
+  }
+}
+
+TEST(Binner1D, AnySplitAndMergeGroupingMatchesRunningStatsBitForBit) {
+  // A merged mean is not the one-pass mean bit for bit in general, so each
+  // grouping is checked against RunningStats cells fed the same grouping;
+  // counts must also equal the one-pass counts. Groupings: one pass,
+  // random chunks folded left to right, and the same chunks merged as a
+  // balanced tree (the per-shard partials, then a pairwise reduction).
+  std::uint64_t seed = 99;
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t n = 1 + next_u64(seed) % 3000;
+    const std::vector<Row> rows = random_rows(next_u64(seed), n);
+    const Binner1D layout{0.0, 10.0, 9};
+    std::vector<std::size_t> cuts{0};
+    while (cuts.back() < n) {
+      cuts.push_back(std::min(n, cuts.back() + 1 + next_u64(seed) % 400));
+    }
+    std::vector<Binner1D> parts;
+    std::vector<StatsBins> stat_parts;
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+      parts.emplace_back(0.0, 10.0, 9, kSeries);
+      add_rows(parts.back(), rows, cuts[c], cuts[c + 1]);
+      stat_parts.emplace_back(9);
+      stat_parts.back().add_rows(layout, rows, cuts[c], cuts[c + 1]);
+    }
+
+    Binner1D one_pass{0.0, 10.0, 9, kSeries};
+    add_rows(one_pass, rows, 0, n);
+    StatsBins one_pass_stats{9};
+    one_pass_stats.add_rows(layout, rows, 0, n);
+    expect_matches_stats(one_pass, one_pass_stats);
+
+    Binner1D folded{0.0, 10.0, 9, kSeries};
+    StatsBins folded_stats{9};
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      folded.merge(parts[p]);
+      folded_stats.merge(stat_parts[p]);
+    }
+    expect_matches_stats(folded, folded_stats);
+
+    while (parts.size() > 1) {
+      std::vector<Binner1D> next;
+      std::vector<StatsBins> next_stats;
+      for (std::size_t p = 0; p < parts.size(); p += 2) {
+        next.push_back(parts[p]);
+        next_stats.push_back(stat_parts[p]);
+        if (p + 1 < parts.size()) {
+          next.back().merge(parts[p + 1]);
+          next_stats.back().merge(stat_parts[p + 1]);
+        }
+      }
+      parts = std::move(next);
+      stat_parts = std::move(next_stats);
+    }
+    expect_matches_stats(parts.front(), stat_parts.front());
+
+    EXPECT_EQ(folded.total_added(), one_pass.total_added());
+    EXPECT_EQ(parts.front().total_added(), one_pass.total_added());
+    for (std::size_t k = 0; k < kSeries; ++k) {
+      const std::vector<Bin> want = one_pass.bins(k);
+      for (const Binner1D* got : {&folded, &parts.front()}) {
+        const std::vector<Bin> bins = got->bins(k);
+        ASSERT_EQ(bins.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(bins[i].count, want[i].count);
+        }
+      }
+    }
+  }
+}
+
+TEST(Binner1D, SeriesSelectingMergeEqualsMergingSingleSeries) {
+  // merge(other, from): series k takes series from[k] — the summary path
+  // merging a chosen subset of a shard's engagement series.
+  const std::vector<Row> a_rows = random_rows(5, 900);
+  const std::vector<Row> b_rows = random_rows(6, 1100);
+  Binner1D src_a{0.0, 10.0, 6, kSeries};
+  Binner1D src_b{0.0, 10.0, 6, kSeries};
+  add_rows(src_a, a_rows, 0, a_rows.size());
+  add_rows(src_b, b_rows, 0, b_rows.size());
+  const std::size_t from[] = {2, 0};
+  Binner1D picked{0.0, 10.0, 6, 2};
+  picked.merge(src_a, from);
+  picked.merge(src_b, from);
+  for (std::size_t k = 0; k < 2; ++k) {
+    Binner1D single_a{0.0, 10.0, 6};
+    Binner1D single_b{0.0, 10.0, 6};
+    for (const Row& r : a_rows) single_a.add(r.x, r.y[from[k]]);
+    for (const Row& r : b_rows) single_b.add(r.x, r.y[from[k]]);
+    Binner1D want{0.0, 10.0, 6};
+    want.merge(single_a);
+    want.merge(single_b);
+    expect_bins_eq(picked.bins(k), want.bins());
+  }
 }
 
 TEST(Grid2D, MergeMatchesSequentialFill) {

@@ -528,21 +528,23 @@ TEST(QueryExecutionReport, BoundaryWindowIsMixedAndNoSummariesIsScan) {
   };
   const std::map<std::string, std::uint64_t> before = post_touches();
   Query cut = summary_query();
-  cut.first = Date(2022, 1, 15);  // cuts January: its shards must scan
+  // Cuts January: its session shards must scan, while its post month
+  // answers from its per-day summary buckets.
+  cut.first = Date(2022, 1, 15);
   const Insight mixed = with_summaries.run(cut);
   EXPECT_EQ(mixed.execution.served_by, ServedBy::kMixed);
   EXPECT_GT(mixed.execution.shards_scanned, 0u);
   EXPECT_GT(mixed.execution.shards_from_summary, 0u);
 
-  // One run raises the cut month's scan counter and the two whole months'
-  // summary counters by exactly one each, and nothing else.
+  // One run raises each month's summary counter — the cut month's too —
+  // by exactly one, and nothing else.
   const std::map<std::string, std::uint64_t> after = post_touches();
   const auto label = [](const char* shard, const char* source) {
     return std::string{"corpus=\"posts\",shard=\""} + shard +
            "\",source=\"" + source + "\"";
   };
   const std::map<std::string, std::uint64_t> expected_delta = {
-      {label("2022-01", "scan"), 1},    {label("2022-01", "summary"), 0},
+      {label("2022-01", "scan"), 0},    {label("2022-01", "summary"), 1},
       {label("2022-02", "scan"), 0},    {label("2022-02", "summary"), 1},
       {label("2022-03", "scan"), 0},    {label("2022-03", "summary"), 1}};
   ASSERT_EQ(after.size(), expected_delta.size());

@@ -37,6 +37,7 @@
 #include "core/correlation.h"
 #include "core/date.h"
 #include "core/histogram.h"
+#include "core/stats.h"
 #include "core/telemetry/metrics.h"
 #include "core/thread_pool.h"
 #include "netsim/conditions.h"
@@ -44,6 +45,7 @@
 #include "usaas/correlation_engine.h"
 #include "usaas/mos_predictor.h"
 #include "usaas/query_service.h"
+#include "usaas/shard_summary.h"
 
 namespace usaas::service {
 namespace {
@@ -144,10 +146,49 @@ struct RowShard {
 /// The pre-columnar scan path, verbatim: AoS shards, sequential appends
 /// (batch slot order equals sequential ingest order by the engine's own
 /// contract), row-wise predicates, partials merged in shard-key order.
+/// The bin cell the sweep kernels accumulated into before bins shared one
+/// count across series: a full RunningStats per bin, binned as
+/// Binner1D::bin_index bins and merged in the caller's order.
+class ReferenceBins {
+ public:
+  explicit ReferenceBins(const SweepSpec& spec)
+      : lo_{spec.lo},
+        hi_{spec.hi},
+        width_{(spec.hi - spec.lo) / static_cast<double>(spec.bins)},
+        cells_(spec.bins) {}
+
+  void add(double x, double y) {
+    if (x < lo_ || x >= hi_) return;
+    const auto idx = static_cast<std::size_t>((x - lo_) / width_);
+    cells_[std::min(idx, cells_.size() - 1)].add(y);
+  }
+  void merge(const ReferenceBins& other) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      cells_[i].merge(other.cells_[i]);
+    }
+  }
+  [[nodiscard]] std::vector<CurvePoint> points() const {
+    std::vector<CurvePoint> out;
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      if (cells_[i].empty()) continue;
+      const double lo = lo_ + width_ * static_cast<double>(i);
+      const double hi = lo + width_;
+      out.push_back({(lo + hi) / 2.0, cells_[i].mean(), cells_[i].count()});
+    }
+    return out;
+  }
+
+ private:
+  double lo_;
+  double hi_;
+  double width_;
+  std::vector<core::RunningStats> cells_;
+};
+
 class RowReference {
  public:
-  RowReference() {
-    for (const confsim::CallRecord& call : corpus()) {
+  explicit RowReference(std::span<const confsim::CallRecord> calls = corpus()) {
+    for (const confsim::CallRecord& call : calls) {
       for (const confsim::ParticipantRecord& p : call.participants) {
         RowShard& shard = shard_for(call.start.date, p.platform);
         shard.dates.push_back(call.start.date);
@@ -205,17 +246,27 @@ class RowReference {
                                          : rec.network.mean_conditions();
   }
 
+  /// `summaries`, when set, is the layout of an engine that keeps shard
+  /// summaries: a shard it answers from its summary — a whole month on a
+  /// summary axis, no filter, no control, session means — is accumulated
+  /// the way its summary is, one bucket per access technology in ingest
+  /// order, the buckets merged in enum order.
   [[nodiscard]] std::vector<CurvePoint> sweep(
       const SweepSpec& spec, const ParticipantFilter& filter,
       const ShardSelector& selector,
-      const std::function<double(const confsim::ParticipantRecord&)>& y)
-      const {
-    const auto selected = select(selector);
-    core::Binner1D total{spec.lo, spec.hi, spec.bins};
-    for (const Selected& sel : selected) {
-      core::Binner1D partial{spec.lo, spec.hi, spec.bins};
+      const std::function<double(const confsim::ParticipantRecord&)>& y,
+      const SummaryConfig* summaries = nullptr) const {
+    const SummaryAxis axis{spec.metric, spec.lo, spec.hi, spec.bins};
+    const bool summary_shape =
+        summaries != nullptr && !filter && !spec.control_others &&
+        spec.aggregate == SessionAggregate::kMean &&
+        std::find(summaries->axes.begin(), summaries->axes.end(), axis) !=
+            summaries->axes.end();
+    const auto add_rows = [&](const Selected& sel, ReferenceBins& bins,
+                              std::optional<int> access) {
       for (std::size_t r = 0; r < sel.shard->records.size(); ++r) {
         const confsim::ParticipantRecord& rec = sel.shard->records[r];
+        if (access && static_cast<int>(rec.access) != *access) continue;
         if (!matches(sel, sel.shard->dates[r], rec, selector)) continue;
         if (filter && !filter(rec)) continue;
         const netsim::NetworkConditions c = conditions(rec, spec.aggregate);
@@ -223,24 +274,36 @@ class RowReference {
             !netsim::others_in_control(c, spec.metric, spec.control)) {
           continue;
         }
-        partial.add(netsim::metric_value(c, spec.metric), y(rec));
+        bins.add(netsim::metric_value(c, spec.metric), y(rec));
+      }
+    };
+    ReferenceBins total{spec};
+    for (const Selected& sel : select(selector)) {
+      ReferenceBins partial{spec};
+      if (summary_shape && !sel.check_dates) {
+        for (int a = 0; a < netsim::kNumAccessTechnologies; ++a) {
+          ReferenceBins bucket{spec};
+          add_rows(sel, bucket, a);
+          partial.merge(bucket);
+        }
+      } else {
+        add_rows(sel, partial, std::nullopt);
       }
       total.merge(partial);
     }
-    std::vector<CurvePoint> out;
-    for (const core::Bin& b : total.bins()) {
-      out.push_back({b.center(), b.mean_y, b.count});
-    }
-    return out;
+    return total.points();
   }
 
   [[nodiscard]] std::vector<CurvePoint> engagement_curve(
       const SweepSpec& spec, EngagementMetric engagement,
-      const ParticipantFilter& filter, const ShardSelector& selector) const {
-    return sweep(spec, filter, selector,
-                 [engagement](const confsim::ParticipantRecord& rec) {
-                   return engagement_value(rec, engagement);
-                 });
+      const ParticipantFilter& filter, const ShardSelector& selector,
+      const SummaryConfig* summaries = nullptr) const {
+    return sweep(
+        spec, filter, selector,
+        [engagement](const confsim::ParticipantRecord& rec) {
+          return engagement_value(rec, engagement);
+        },
+        summaries);
   }
 
   [[nodiscard]] std::vector<CurvePoint> dropoff_curve(
@@ -1011,6 +1074,83 @@ TEST(ColumnarPredictedService, CutWindowPredictedMeanEqualsThePerRecordValue) {
   EXPECT_EQ(*insight.predicted_mean_mos,
             want.predicted_mos_sum / static_cast<double>(want.predicted));
 }
+
+// ---- Randomized curve battery --------------------------------------------
+// The 64 seeded windows above, each with a sweep that matches a summary
+// axis or one that no summary holds: the fused and the single-metric
+// curves must equal the frozen row reference in every CurvePoint field,
+// at 1/2/4 threads, with summaries on and off. With summaries on, the
+// reference accumulates summary-answered shards the way their summaries
+// do (per-access buckets merged in enum order), so even whole-population
+// curves on a summary axis compare with ==.
+
+const RowReference& year_edge_reference() {
+  static const RowReference ref{year_edge_corpus()};
+  return ref;
+}
+
+/// Window i's sweep: a summary axis for even i / 4, else 12 bins, which no
+/// summary holds; the metric cycles with i.
+SweepSpec window_sweep(std::size_t i) {
+  const netsim::Metric m = kMetrics[i % std::size(kMetrics)];
+  return sweep_for(m, (i / 4) % 2 == 0 ? 10 : 12);
+}
+
+class ColumnarCurveWindows : public ::testing::TestWithParam<Config> {
+ protected:
+  ColumnarCurveWindows() {
+    if (GetParam().threads > 1) {
+      pool_ = std::make_unique<core::ThreadPool>(GetParam().threads);
+      engine_.set_thread_pool(pool_.get());
+    }
+    if (GetParam().summaries) engine_.configure_summaries(layout_);
+    engine_.ingest(std::span<const confsim::CallRecord>{year_edge_corpus()});
+  }
+
+  const SummaryConfig layout_{};
+  std::unique_ptr<core::ThreadPool> pool_;
+  CorrelationEngine engine_;
+};
+
+TEST_P(ColumnarCurveWindows, FusedAndSingleCurvesMatchTheRowReference) {
+  const RowReference& ref = year_edge_reference();
+  const SummaryConfig* summaries = GetParam().summaries ? &layout_ : nullptr;
+  const std::vector<ShardSelector> windows = random_windows();
+  QueryFanoutStats fanout;
+  std::size_t populated = 0;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const SweepSpec spec = window_sweep(i);
+    const std::vector<EngagementCurve> fused =
+        engine_.engagement_curves(spec, nullptr, windows[i], &fanout);
+    ASSERT_EQ(fused.size(), std::size(kEngagements));
+    for (std::size_t k = 0; k < std::size(kEngagements); ++k) {
+      const std::string what =
+          "window " + std::to_string(i) + " series " + std::to_string(k);
+      const std::vector<CurvePoint> want = ref.engagement_curve(
+          spec, kEngagements[k], nullptr, windows[i], summaries);
+      EXPECT_EQ(fused[k].engagement_metric, kEngagements[k]) << what;
+      expect_points_eq(fused[k].points, want, "fused " + what);
+      expect_points_eq(
+          engine_.engagement_curve(spec, kEngagements[k], nullptr, windows[i])
+              .points,
+          want, "single " + what);
+      populated += want.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(populated, windows.size());  // the windows reach rows
+  EXPECT_GT(fanout.shards_scanned, 0u);
+  if (GetParam().summaries) {
+    EXPECT_GT(fanout.shards_from_summary, 0u);
+  } else {
+    EXPECT_EQ(fanout.shards_from_summary, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, ColumnarCurveWindows,
+    ::testing::Values(Config{1, false}, Config{1, true}, Config{2, false},
+                      Config{2, true}, Config{4, false}, Config{4, true}),
+    config_name);
 
 // ---- Fused sweep inside QueryService -----------------------------------
 

@@ -22,9 +22,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "confsim/call.h"
@@ -33,7 +36,9 @@
 #include "core/histogram.h"
 #include "core/lru_cache.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "social/post.h"
+#include "usaas/post_store.h"
 #include "usaas/query_service.h"
 #include "usaas/shard_summary.h"
 #include "usaas/stream_ingestor.h"
@@ -611,8 +616,8 @@ TEST(ShardSummaries, MergeMatchesRescan) {
         core::Binner1D from_whole{cfg.axes[axis].lo, cfg.axes[axis].hi,
                                   cfg.axes[axis].bins};
         core::Binner1D from_merged = from_whole;
-        whole.add_curve_to(from_whole, axis, eng, access);
-        merged.add_curve_to(from_merged, axis, eng, access);
+        whole.add_curve_to(from_whole, axis, {&eng, 1}, access);
+        merged.add_curve_to(from_merged, axis, {&eng, 1}, access);
         const auto wb = from_whole.bins();
         const auto mb = from_merged.bins();
         ASSERT_EQ(wb.size(), mb.size());
@@ -652,6 +657,143 @@ TEST(ShardSummaries, MergeMatchesRescan) {
   EXPECT_FALSE(disabled.enabled());
   disabled.fold(rows, 0, 1);  // no-op, must not crash
   EXPECT_EQ(disabled.sessions(), 0u);
+}
+
+// ---- Post day buckets vs the post scan -----------------------------------
+// With summaries on, every month of a post window answers from its per-day
+// buckets — a cut month from the days the window keeps — and no post row
+// is read; with summaries off, every month scans with a date check. The
+// two must agree in every SocialAggregates field over 64 seeded windows,
+// at 1/2/4 threads.
+
+/// Nov 2021 - Feb 2022, 0-6 posts a day, and a dozen hot days of 25
+/// mostly-outage posts so windows raise alert days.
+std::vector<social::Post> daily_posts(std::uint64_t seed) {
+  static const char* kBodies[] = {
+      "service went down tonight, complete outage, everything offline",
+      "the connection has been great lately, fast and reliable",
+      "pretty average week, speeds are okay, nothing special",
+      "lost connection during calls, not working, is the network down",
+  };
+  core::Rng rng{seed};
+  const Date first{2021, 11, 1};
+  std::vector<std::int64_t> hot_days;
+  for (int i = 0; i < 12; ++i) hot_days.push_back(rng.uniform_int(0, 119));
+  std::vector<social::Post> posts;
+  for (std::int64_t d = 0; d < 120; ++d) {
+    const bool hot =
+        std::find(hot_days.begin(), hot_days.end(), d) != hot_days.end();
+    const int n = hot ? 25 : static_cast<int>(rng.uniform_int(0, 6));
+    for (int i = 0; i < n; ++i) {
+      social::Post post;
+      post.id = posts.size();
+      post.date = first.plus_days(d);
+      post.author_id = rng.uniform_int(1, 500);
+      post.title = "experience report";
+      post.body = kBodies[hot && i % 5 != 0 ? 0 : rng.uniform_int(0, 3)];
+      posts.push_back(std::move(post));
+    }
+  }
+  return posts;
+}
+
+/// 64 seeded windows over Oct 2021 - Mar 2022, cycling through five
+/// shapes: a single day, a window inside one month, a window across
+/// months, a window across the year edge, and whole months.
+std::vector<std::pair<Date, Date>> post_windows() {
+  core::Rng rng{25};
+  const auto day_in = [&](const Date& lo, const Date& hi) {
+    return lo.plus_days(rng.uniform_int(0, lo.days_until(hi)));
+  };
+  std::vector<std::pair<Date, Date>> out;
+  for (int i = 0; i < 64; ++i) {
+    Date a;
+    Date b;
+    switch (i % 5) {
+      case 0:
+        a = day_in(Date{2021, 10, 25}, Date{2022, 3, 5});
+        b = a;
+        break;
+      case 1: {
+        const Date month = Date{2021, 11, 1}.plus_months(
+            static_cast<int>(rng.uniform_int(0, 3)));
+        a = day_in(month, Date{month.year(), month.month(),
+                               month.days_in_month()});
+        b = day_in(a, Date{month.year(), month.month(),
+                           month.days_in_month()});
+        break;
+      }
+      case 2:
+        a = day_in(Date{2021, 10, 20}, Date{2022, 2, 20});
+        b = a.plus_days(rng.uniform_int(20, 70));
+        break;
+      case 3:
+        a = day_in(Date{2021, 11, 15}, Date{2021, 12, 31});
+        b = day_in(Date{2022, 1, 1}, Date{2022, 2, 15});
+        break;
+      default: {
+        a = Date{2021, 10, 1}.plus_months(
+            static_cast<int>(rng.uniform_int(0, 5)));
+        const Date end =
+            a.plus_months(static_cast<int>(rng.uniform_int(0, 2)));
+        b = Date{end.year(), end.month(), end.days_in_month()};
+        break;
+      }
+    }
+    out.emplace_back(a, b);
+  }
+  return out;
+}
+
+TEST(PostDayBuckets, SummaryAnswersEqualTheScanOnEveryWindow) {
+  const std::vector<social::Post> posts = daily_posts(2021);
+  const auto windows = post_windows();
+  std::vector<SocialAggregates> want;
+  std::vector<std::uint64_t> months;  // per window: months with posts
+  {
+    PostStore scan{false};
+    scan.ingest(posts);
+    for (const auto& [first, last] : windows) {
+      QueryFanoutStats fanout;
+      want.push_back(*scan.aggregate(first, last, &fanout));
+      EXPECT_EQ(fanout.shards_from_summary, 0u);
+      months.push_back(fanout.shards_scanned);
+    }
+  }
+  std::size_t alerting = 0;
+  for (const SocialAggregates& w : want) {
+    alerting += w.outage_alert_days.empty() ? 0 : 1;
+  }
+  EXPECT_GT(alerting, windows.size() / 4);  // the windows raise alerts
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    std::unique_ptr<core::ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
+    for (const bool summaries : {false, true}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, summaries "
+                                      << summaries);
+      PostStore store{summaries};
+      store.set_thread_pool(pool.get());
+      store.ingest(posts);
+      for (std::size_t i = 0; i < windows.size(); ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << "window " << windows[i].first.to_string() << " .. "
+                     << windows[i].second.to_string());
+        QueryFanoutStats fanout;
+        const std::optional<SocialAggregates> got =
+            store.aggregate(windows[i].first, windows[i].second, &fanout);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->posts, want[i].posts);
+        EXPECT_EQ(got->strong_positive_share, want[i].strong_positive_share);
+        EXPECT_EQ(got->outage_mention_days, want[i].outage_mention_days);
+        EXPECT_EQ(got->outage_alert_days, want[i].outage_alert_days);
+        // Every month visit, cut or whole, is a summary visit when
+        // summaries are on.
+        EXPECT_EQ(fanout.shards_from_summary, summaries ? months[i] : 0u);
+        EXPECT_EQ(fanout.shards_scanned, summaries ? 0u : months[i]);
+      }
+    }
+  }
 }
 
 TEST(ShardSummaries, ConfigureAfterIngestThrows) {
