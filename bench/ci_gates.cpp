@@ -14,6 +14,11 @@
 //              windows, rows predicted from the feature columns, vs the
 //              per-record std::function tally (checked bit-identical
 //              before any timing);
+//   insight    the engine's curves_and_tally — curves and predicted-MOS
+//              tally from one fan-out, one pass per scanned shard — over
+//              the tally gate's 12 windows on an axis no summary holds, vs
+//              the separate engagement_curves + tally calls it replaced
+//              (checked bit-identical before any timing);
 //   telemetry  ingest, and the battery through the admission scheduler,
 //              on a live registry vs Registry{false}; one gate each.
 // Each gate prints
@@ -55,6 +60,7 @@ constexpr double kPostsFloor = 3.89;
 constexpr double kScanFloor = 2.11;
 constexpr double kSweepFloor = 1.10;
 constexpr double kTallyFloor = 2.58;
+constexpr double kInsightFloor = 0.90;
 // At most 5 % telemetry overhead: off/on >= 1 / 1.05.
 constexpr double kTelemetryFloor = 1.0 / 1.05;
 
@@ -540,6 +546,21 @@ bool sweep_gate(std::span<const confsim::CallRecord> calls) {
 
 // ---- tally: columnar predicted MOS vs the per-record predictor -------
 
+/// The 12 windows the tally and insight gates time: each cuts into its
+/// first and last month, every other one is access-filtered.
+std::vector<service::ShardSelector> cut_windows() {
+  std::vector<service::ShardSelector> windows;
+  for (int w = 0; w < 12; ++w) {
+    service::ShardSelector sel;
+    sel.first = core::Date(2022, 1 + w % 11, 3 + w);
+    sel.last = sel.first->plus_days(35 + 4 * w);
+    if (w % 2 == 1) sel.access = netsim::AccessTechnology::kCable;
+    windows.push_back(sel);
+  }
+  return windows;
+}
+
+
 bool tally_gate(std::span<const confsim::CallRecord> calls) {
   // No summaries: every selected row goes through the scan kernel, as the
   // boundary shards of a cut window do in the service.
@@ -551,16 +572,8 @@ bool tally_gate(std::span<const confsim::CallRecord> calls) {
       [&](const confsim::ParticipantRecord& rec) {
         return predictor.predict(rec);
       };
-  // 12 windows, each cutting into its first and last month, every other
-  // one access-filtered. One window is one grain.
-  std::vector<service::ShardSelector> windows;
-  for (int w = 0; w < 12; ++w) {
-    service::ShardSelector sel;
-    sel.first = core::Date(2022, 1 + w % 11, 3 + w);
-    sel.last = sel.first->plus_days(35 + 4 * w);
-    if (w % 2 == 1) sel.access = netsim::AccessTechnology::kCable;
-    windows.push_back(sel);
-  }
+  // One window is one grain.
+  const std::vector<service::ShardSelector> windows = cut_windows();
 
   // Equivalence guard before any timing: every Tally field, ==.
   for (const service::ShardSelector& sel : windows) {
@@ -588,6 +601,83 @@ bool tally_gate(std::span<const confsim::CallRecord> calls) {
         }));
   }
   return report("tally", rounds, kTallyFloor);
+}
+
+// ---- insight: one fan-out for curves and tally vs two ----------------
+
+bool insight_gate(std::span<const confsim::CallRecord> calls) {
+  // The service's engine: summaries on and predicted sums fresh, so the
+  // cut months scan both answers in one pass, and the whole months
+  // between them merge the tally and scan the sweep (no summary holds
+  // the axis).
+  service::CorrelationEngine engine;
+  engine.configure_summaries(service::SummaryConfig{});
+  engine.ingest(calls);
+  service::MosPredictor predictor;
+  predictor.train(engine.rated_sessions_canonical());
+  engine.refresh_predicted_tallies(&predictor);
+  service::SweepSpec spec;
+  spec.metric = netsim::Metric::kLatency;
+  spec.lo = 0.0;
+  spec.hi = 250.0;
+  spec.bins = 12;
+  spec.control_others = false;
+  const std::vector<service::ShardSelector> windows = cut_windows();
+
+  // Equivalence guard before any timing: every curve point and Tally
+  // field, ==, and the same shard visits.
+  for (const service::ShardSelector& sel : windows) {
+    service::QueryFanoutStats fused_visits, separate_visits;
+    const auto fused = engine.curves_and_tally(spec, nullptr, sel, &predictor,
+                                               &fused_visits);
+    const auto curves =
+        engine.engagement_curves(spec, nullptr, sel, &separate_visits);
+    const auto tally =
+        engine.tally(nullptr, sel, &predictor, &separate_visits);
+    bool same = fused.tally.sessions == tally.sessions &&
+                fused.tally.rated == tally.rated &&
+                fused.tally.observed_mos_sum == tally.observed_mos_sum &&
+                fused.tally.predicted_mos_sum == tally.predicted_mos_sum &&
+                fused.tally.predicted == tally.predicted &&
+                tally.predicted > 0 &&
+                fused_visits.shards_from_summary ==
+                    separate_visits.shards_from_summary &&
+                fused_visits.shards_scanned == separate_visits.shards_scanned &&
+                fused.curves.size() == curves.size();
+    for (std::size_t k = 0; same && k < curves.size(); ++k) {
+      const auto& got = fused.curves[k].points;
+      const auto& want = curves[k].points;
+      same = got.size() == want.size() && !want.empty();
+      for (std::size_t i = 0; same && i < want.size(); ++i) {
+        same = got[i].metric_value == want[i].metric_value &&
+               got[i].engagement == want[i].engagement &&
+               got[i].sessions == want[i].sessions;
+      }
+    }
+    if (!same) {
+      std::printf("GATE insight FAIL: a window differs from the separate "
+                  "curves + tally calls\n");
+      return false;
+    }
+  }
+
+  std::vector<Round> rounds;
+  for (int i = 0; i < 2 * 10; ++i) {  // 10 pairs
+    rounds.push_back(interleave(
+        windows.size(), i % 2 == 1,
+        [&](std::size_t g) {
+          sink += engine.curves_and_tally(spec, nullptr, windows[g],
+                                          &predictor)
+                      .tally.predicted;
+        },
+        [&](std::size_t g) {
+          sink += engine.engagement_curves(spec, nullptr, windows[g])
+                      .front()
+                      .points.size();
+          sink += engine.tally(nullptr, windows[g], &predictor).predicted;
+        }));
+  }
+  return report("insight", rounds, kInsightFloor);
 }
 
 // ---- telemetry: live registry vs the kill switch ---------------------
@@ -650,6 +740,7 @@ int main() {
   ok = scan_gate(calls) && ok;
   ok = sweep_gate(calls) && ok;
   ok = tally_gate(calls) && ok;
+  ok = insight_gate(calls) && ok;
   ok = telemetry_gates(calls, std::span{posts}.first(kTelemetryPosts)) && ok;
   std::printf("gates %s (sink %zu)\n", ok ? "PASS" : "FAIL", sink);
   return ok ? 0 : 1;

@@ -49,6 +49,20 @@
 #      3.57-4.17 (median 3.69); floor 2.58. Catches the column predictor
 #      reverted to predict(cols.record(r)): 1.03-1.04.
 #
+#      insight: subject the engine's curves_and_tally (three engagement
+#      curves and the predicted-MOS tally from one fan-out, one pass per
+#      scanned shard) over the tally gate's 12 windows, latency 0-250 ms
+#      in 12 bins (no summary holds that axis), summaries on and the
+#      predicted sums fresh, as the service runs it; control the separate
+#      engagement_curves + tally(&predictor) calls, checked bit-identical
+#      (curves, all five Tally fields, shard visits) before any timing.
+#      Unmodified 1.212-1.321 (median 1.283); floor 0.90 (0.7x the
+#      median). Catches a fused pass that falls more than ~30 % behind
+#      the two calls it replaced. It does NOT catch a plain de-fusion
+#      (curves_and_tally calling the two fan-outs in turn reads
+#      0.987-1.002, above the floor): at one thread the fusion gains
+#      ~1.28x, and 0.7x of that sits below 1.0.
+#
 #      telemetry_ingest / telemetry_query: subject 200 K sessions + 30 K
 #      posts ingested, and the 6-query scan-config battery submitted
 #      through the QueryScheduler, on a live registry; control the same

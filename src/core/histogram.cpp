@@ -91,49 +91,41 @@ void Binner1D::merge_series(const Binner1D& other, const From& from) {
 Grid2D::Grid2D(double x_lo, double x_hi, std::size_t x_bins,
                double y_lo, double y_hi, std::size_t y_bins)
     : x_lo_{x_lo}, x_hi_{x_hi}, y_lo_{y_lo}, y_hi_{y_hi},
-      x_bins_{x_bins}, y_bins_{y_bins} {
+      x_bins_{x_bins}, y_bins_{y_bins},
+      x_width_{(x_hi - x_lo) / static_cast<double>(x_bins)},
+      y_width_{(y_hi - y_lo) / static_cast<double>(y_bins)} {
   if (!(x_lo < x_hi) || !(y_lo < y_hi)) {
     throw std::invalid_argument("Grid2D: lo must be < hi");
   }
   if (x_bins == 0 || y_bins == 0) {
     throw std::invalid_argument("Grid2D: bins must be >= 1");
   }
-  stats_.resize(x_bins * y_bins);
-}
-
-void Grid2D::add(double x, double y, double value) {
-  if (x < x_lo_ || x >= x_hi_ || y < y_lo_ || y >= y_hi_) return;
-  const double xw = (x_hi_ - x_lo_) / static_cast<double>(x_bins_);
-  const double yw = (y_hi_ - y_lo_) / static_cast<double>(y_bins_);
-  auto xi = std::min(static_cast<std::size_t>((x - x_lo_) / xw), x_bins_ - 1);
-  auto yi = std::min(static_cast<std::size_t>((y - y_lo_) / yw), y_bins_ - 1);
-  stats_[index(xi, yi)].add(value);
+  counts_.resize(x_bins * y_bins);
+  means_.resize(x_bins * y_bins);
 }
 
 std::optional<double> Grid2D::cell_mean(std::size_t xi, std::size_t yi) const {
-  const auto& s = stats_.at(index(xi, yi));
-  if (s.empty()) return std::nullopt;
-  return s.mean();
+  const std::size_t c = index(xi, yi);
+  if (counts_.at(c) == 0) return std::nullopt;
+  return means_[c];
 }
 
 std::size_t Grid2D::cell_count(std::size_t xi, std::size_t yi) const {
-  return stats_.at(index(xi, yi)).count();
+  return counts_.at(index(xi, yi));
 }
 
 std::vector<GridCell> Grid2D::cells() const {
   std::vector<GridCell> out;
-  const double xw = (x_hi_ - x_lo_) / static_cast<double>(x_bins_);
-  const double yw = (y_hi_ - y_lo_) / static_cast<double>(y_bins_);
   for (std::size_t yi = 0; yi < y_bins_; ++yi) {
     for (std::size_t xi = 0; xi < x_bins_; ++xi) {
-      const auto& s = stats_[index(xi, yi)];
-      if (s.empty()) continue;
-      GridCell c;
-      c.x_center = x_lo_ + xw * (static_cast<double>(xi) + 0.5);
-      c.y_center = y_lo_ + yw * (static_cast<double>(yi) + 0.5);
-      c.count = s.count();
-      c.mean_value = s.mean();
-      out.push_back(c);
+      const std::size_t c = index(xi, yi);
+      if (counts_[c] == 0) continue;
+      GridCell cell;
+      cell.x_center = x_lo_ + x_width_ * (static_cast<double>(xi) + 0.5);
+      cell.y_center = y_lo_ + y_width_ * (static_cast<double>(yi) + 0.5);
+      cell.count = counts_[c];
+      cell.mean_value = means_[c];
+      out.push_back(cell);
     }
   }
   return out;
@@ -141,9 +133,9 @@ std::vector<GridCell> Grid2D::cells() const {
 
 std::optional<double> Grid2D::max_cell_mean() const {
   std::optional<double> best;
-  for (const auto& s : stats_) {
-    if (s.empty()) continue;
-    if (!best || s.mean() > *best) best = s.mean();
+  for (std::size_t c = 0; c < counts_.size(); ++c) {
+    if (counts_[c] == 0) continue;
+    if (!best || means_[c] > *best) best = means_[c];
   }
   return best;
 }
@@ -154,16 +146,26 @@ void Grid2D::merge(const Grid2D& other) {
       other.y_bins_ != y_bins_) {
     throw std::invalid_argument("Grid2D::merge: layout mismatch");
   }
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    stats_[i].merge(other.stats_[i]);
+  for (std::size_t c = 0; c < counts_.size(); ++c) {
+    const std::size_t m_count = other.counts_[c];
+    if (m_count == 0) continue;
+    if (counts_[c] == 0) {
+      means_[c] = other.means_[c];
+    } else {
+      const auto n = static_cast<double>(counts_[c]);
+      const auto m = static_cast<double>(m_count);
+      const double delta = other.means_[c] - means_[c];
+      means_[c] += delta * m / (n + m);
+    }
+    counts_[c] += m_count;
   }
 }
 
 std::optional<double> Grid2D::min_cell_mean() const {
   std::optional<double> worst;
-  for (const auto& s : stats_) {
-    if (s.empty()) continue;
-    if (!worst || s.mean() < *worst) worst = s.mean();
+  for (std::size_t c = 0; c < counts_.size(); ++c) {
+    if (counts_[c] == 0) continue;
+    if (!worst || means_[c] < *worst) worst = means_[c];
   }
   return worst;
 }

@@ -120,17 +120,37 @@ struct GridCell {
   double mean_value{0.0};
 };
 
-/// Fixed 2-D grid accumulating a value statistic per (x, y) cell.
+/// Fixed 2-D grid keeping the running mean of a value per (x, y) cell.
+/// A cell is one count and one mean, nothing else (the heat map reads
+/// only those), following RunningStats' recurrences verbatim — add:
+/// `++n; mean += (v - mean) / n`; merge: `mean += delta * m / (n + m)`,
+/// or a copy into an empty cell — so every cell reads bit-identical to a
+/// RunningStats fed the same values in the same order and merge tree.
 class Grid2D {
  public:
   Grid2D(double x_lo, double x_hi, std::size_t x_bins,
          double y_lo, double y_hi, std::size_t y_bins);
 
   /// Adds an observation; coordinates outside the grid are ignored.
-  void add(double x, double y, double value);
+  /// Inline: the summary fold calls it once per row and grid.
+  void add(double x, double y, double value) {
+    if (x < x_lo_ || x >= x_hi_ || y < y_lo_ || y >= y_hi_) return;
+    const auto xi =
+        std::min(static_cast<std::size_t>((x - x_lo_) / x_width_), x_bins_ - 1);
+    const auto yi =
+        std::min(static_cast<std::size_t>((y - y_lo_) / y_width_), y_bins_ - 1);
+    const std::size_t c = index(xi, yi);
+    const auto n = static_cast<double>(++counts_[c]);
+    means_[c] += (value - means_[c]) / n;
+  }
 
   [[nodiscard]] std::size_t x_bins() const { return x_bins_; }
   [[nodiscard]] std::size_t y_bins() const { return y_bins_; }
+  /// Heap bytes of the cells.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return counts_.size() * sizeof(std::size_t) +
+           means_.size() * sizeof(double);
+  }
 
   /// Mean value in cell (xi, yi); nullopt when the cell is empty.
   [[nodiscard]] std::optional<double> cell_mean(std::size_t xi,
@@ -157,7 +177,9 @@ class Grid2D {
 
   double x_lo_, x_hi_, y_lo_, y_hi_;
   std::size_t x_bins_, y_bins_;
-  std::vector<RunningStats> stats_;
+  double x_width_, y_width_;
+  std::vector<std::size_t> counts_;  // [cell]
+  std::vector<double> means_;        // [cell]
 };
 
 }  // namespace usaas::core

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/correlation.h"
@@ -81,9 +82,9 @@ struct ScanSet {
 /// filter columns only.
 [[nodiscard]] ScanSet select_structural(const SessionColumns& cols,
                                         const Residual& p,
-                                        std::vector<std::uint32_t>& scratch) {
+                                        ShardScratch& scratch) {
   const std::size_t n = cols.size();
-  scratch.resize(n);
+  scratch.resize_uninit(n);
   const std::int32_t* day = cols.day_key.data();
   const std::uint8_t* acc = cols.access.data();
   std::size_t m = 0;
@@ -95,7 +96,7 @@ struct ScanSet {
     scratch[m] = static_cast<std::uint32_t>(i);
     m += keep;
   }
-  scratch.resize(m);
+  scratch.resize_uninit(m);
   return {scratch.data(), m};
 }
 
@@ -114,11 +115,10 @@ void for_each_row(ScanSet set, F&& f) {
 /// alias `scratch.data()` (the write cursor never passes the read cursor);
 /// an identity input materializes into `scratch`.
 template <typename Keep>
-[[nodiscard]] ScanSet refine(ScanSet in, std::vector<std::uint32_t>& scratch,
-                             Keep&& keep) {
+[[nodiscard]] ScanSet refine(ScanSet in, ShardScratch& scratch, Keep&& keep) {
   std::size_t m = 0;
   if (in.idx == nullptr) {
-    scratch.resize(in.n);
+    scratch.resize_uninit(in.n);
     for (std::size_t i = 0; i < in.n; ++i) {
       scratch[m] = static_cast<std::uint32_t>(i);
       m += static_cast<std::size_t>(keep(i) ? 1 : 0);
@@ -130,7 +130,7 @@ template <typename Keep>
       m += static_cast<std::size_t>(keep(r) ? 1 : 0);
     }
   }
-  scratch.resize(m);
+  scratch.resize_uninit(m);
   return {scratch.data(), m};
 }
 
@@ -161,6 +161,17 @@ struct ControlColumns {
     ++j;
   }
   return out;
+}
+
+/// The confounder-control check: row r's three non-swept metrics all lie
+/// inside their control windows.
+[[nodiscard]] bool in_control(const ControlColumns& cc, std::size_t r) {
+  unsigned ok = 1;
+  for (std::size_t j = 0; j < 3; ++j) {
+    ok &= static_cast<unsigned>(cc.col[j][r] >= cc.lo[j]) &
+          static_cast<unsigned>(cc.col[j][r] <= cc.hi[j]);
+  }
+  return ok != 0;
 }
 
 /// Resolves the swept-metric value column for the requested aggregate —
@@ -202,30 +213,93 @@ struct ControlColumns {
   if (spec.control_others) {
     const ControlColumns cc =
         make_control_columns(cols, spec.metric, spec.control, spec.aggregate);
-    set = refine(set, scratch, [&](std::size_t r) {
-      unsigned ok = 1;
-      for (std::size_t j = 0; j < 3; ++j) {
-        ok &= static_cast<unsigned>(cc.col[j][r] >= cc.lo[j]) &
-              static_cast<unsigned>(cc.col[j][r] <= cc.hi[j]);
-      }
-      return ok != 0;
-    });
+    set = refine(set, scratch,
+                 [&](std::size_t r) { return in_control(cc, r); });
   }
   return set;
 }
 
-/// Phase-2 sweep aggregation: add-only loop over the selected rows that
-/// bins each row's x once and adds y[k][row] to the binner's series k.
-/// `K` is the binner's series count when known at compile time (0: read
-/// it at run time).
-template <std::size_t K = 0>
-void accumulate_sweep(core::Binner1D& binner, const double* x,
-                      const double* const* y, ScanSet set) {
-  for_each_row(set, [&](std::size_t r) {
+/// The sweep's phase-2 row body: bins row r's x once and adds y[k][r] to
+/// the binner's series k. `K` is the binner's series count when known at
+/// compile time (0: read it at run time).
+template <std::size_t K>
+struct SweepRow {
+  core::Binner1D& binner;
+  const double* x;
+  const double* const* y;
+
+  void operator()(std::size_t r) const {
     const std::size_t bin = binner.bin_index(x[r]);
     if (bin == core::Binner1D::kNoBin) return;
     binner.add_to_bin<K>(bin, [&](std::size_t k) { return y[k][r]; });
-  });
+  }
+};
+
+/// Calls f(sweep_row) with the sweep row body of `binner` over `cols`:
+/// x is the swept column, series k reads metrics[k]'s engagement column.
+/// The three-series sweep gets the unrolled body.
+template <typename F>
+void with_sweep_row(core::Binner1D& binner, const SessionColumns& cols,
+                    const SweepSpec& spec,
+                    std::span<const EngagementMetric> metrics, F&& f) {
+  std::array<const double*, kNumEngagementMetrics> y{};
+  for (std::size_t k = 0; k < metrics.size(); ++k) {
+    y[k] = cols.engagement_column(metrics[k]);
+  }
+  const double* x = sweep_column(cols, spec.metric, spec.aggregate);
+  if (metrics.size() == kNumEngagementMetrics) {
+    f(SweepRow<kNumEngagementMetrics>{binner, x, y.data()});
+  } else {
+    f(SweepRow<0>{binner, x, y.data()});
+  }
+}
+
+/// The tally's phase-2 row body: counts the session, adds its observed
+/// MOS when rated, and, unless `Predict` is std::nullptr_t, its predicted
+/// MOS. The per-record accumulators are independent, so a split over
+/// selected rows replays each one's add sequence exactly (same rows, same
+/// order). `t` should be a local, so the loop keeps it in registers.
+template <typename Predict>
+struct TallyRow {
+  CorrelationEngine::Tally& t;
+  const std::uint8_t* valid;
+  const double* mos;
+  Predict predict;
+
+  void operator()(std::size_t r) const {
+    ++t.sessions;
+    if (valid[r] != 0) {
+      t.observed_mos_sum += mos[r];
+      ++t.rated;
+    }
+    if constexpr (!std::is_same_v<Predict, std::nullptr_t>) {
+      t.predicted_mos_sum += predict(r);
+      ++t.predicted;
+    }
+  }
+};
+
+/// Calls f(tally_row) with the tally row body over `cols` accumulating
+/// into `t`: `bind`, when set, binds the shard's row predictor.
+template <typename Bind, typename F>
+void with_tally_row(CorrelationEngine::Tally& t, const SessionColumns& cols,
+                    const Bind* bind, F&& f) {
+  const std::uint8_t* valid = cols.mos_valid.data();
+  const double* mos = cols.mos.data();
+  if (bind == nullptr) {
+    f(TallyRow<std::nullptr_t>{t, valid, mos, nullptr});
+  } else {
+    f(TallyRow<decltype((*bind)(cols))>{t, valid, mos, (*bind)(cols)});
+  }
+}
+
+void add_tally(CorrelationEngine::Tally& into,
+               const CorrelationEngine::Tally& part) {
+  into.sessions += part.sessions;
+  into.rated += part.rated;
+  into.observed_mos_sum += part.observed_mos_sum;
+  into.predicted_mos_sum += part.predicted_mos_sum;
+  into.predicted += part.predicted;
 }
 
 constexpr EngagementMetric kAllEngagements[] = {EngagementMetric::kPresence,
@@ -456,11 +530,12 @@ void CorrelationEngine::refresh_predicted_tallies(
 }
 
 std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::plan_fanout(
-    const ShardSelector& selector, bool summary_capable,
-    QueryFanoutStats* fanout, std::uint64_t visits) const {
+    const ShardSelector& selector, FanoutSide side, QueryFanoutStats* fanout,
+    FanoutSide tally) const {
   std::vector<SelectedShard> plan;
   plan.reserve(shards_.size());
-  std::uint64_t n_summary = 0;
+  std::uint64_t from_summary = 0;
+  std::uint64_t scanned = 0;
   for (const auto& [key, idx] : shard_index_) {
     const SessionShard& shard = shards_[idx];
     if (selector.platform && shard.platform != *selector.platform) continue;
@@ -474,14 +549,23 @@ std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::plan_fanout(
     sel.shard = &shard;
     sel.check_dates =
         core::window_cuts_month(selector.first, selector.last, shard.month_key);
-    sel.use_summary =
-        answers_from_summary(summary_capable && shard.summary.enabled(),
-                             selector.first, selector.last, shard.month_key);
-    n_summary += sel.use_summary ? 1 : 0;
-    shard.touches.note(sel.use_summary, visits);
+    // Each side that is on decides, counts and touches on its own.
+    const auto decide = [&](const FanoutSide& s) {
+      const bool use = answers_from_summary(
+          s.summary_capable && shard.summary.enabled(), selector.first,
+          selector.last, shard.month_key);
+      if (s.visits != 0) {
+        (use ? from_summary : scanned) += s.visits;
+        shard.touches.note(use, s.visits);
+        sel.scans = sel.scans || !use;
+      }
+      return use;
+    };
+    sel.use_summary = decide(side);
+    sel.tally_summary = decide(tally);
     plan.push_back(sel);
   }
-  note_fanout(visits * n_summary, visits * (plan.size() - n_summary), fanout);
+  note_fanout(from_summary, scanned, fanout);
   return plan;
 }
 
@@ -497,7 +581,7 @@ auto CorrelationEngine::fan_out(const std::vector<SelectedShard>& plan,
   // cost more than the merges, so it runs on the calling thread.
   const bool scans =
       std::any_of(plan.begin(), plan.end(),
-                  [](const SelectedShard& sel) { return !sel.use_summary; });
+                  [](const SelectedShard& sel) { return sel.scans; });
   for_each_shard(scans ? pool_ : nullptr, plan.size(), cancelled,
                  [&](std::size_t i, ShardScratch& scratch) {
                    fill(plan[i], partials[i], scratch);
@@ -509,32 +593,52 @@ EngagementCurve CorrelationEngine::engagement_curve(
     const SweepSpec& spec, EngagementMetric engagement,
     const ParticipantFilter& filter, const ShardSelector& selector,
     QueryFanoutStats* fanout) const {
-  std::vector<EngagementCurve> curves = sweep_engagement(
-      spec, {&engagement, 1}, filter, selector, fanout, nullptr);
-  return std::move(curves.front());
+  CurvesAndTally out = scan_insight<ColumnPredictor>(
+      &spec, {&engagement, 1}, /*tally=*/false, nullptr, filter, selector,
+      fanout, nullptr);
+  return std::move(out.curves.front());
 }
 
 std::vector<EngagementCurve> CorrelationEngine::engagement_curves(
     const SweepSpec& spec, const ParticipantFilter& filter,
     const ShardSelector& selector, QueryFanoutStats* fanout,
     const CancelProbe& cancelled) const {
-  return sweep_engagement(spec, kAllEngagements, filter, selector, fanout,
-                          cancelled);
+  return scan_insight<ColumnPredictor>(&spec, kAllEngagements,
+                                       /*tally=*/false, nullptr, filter,
+                                       selector, fanout, cancelled)
+      .curves;
 }
 
-std::vector<EngagementCurve> CorrelationEngine::sweep_engagement(
-    const SweepSpec& spec, std::span<const EngagementMetric> metrics,
-    const ParticipantFilter& filter, const ShardSelector& selector,
+CorrelationEngine::CurvesAndTally CorrelationEngine::curves_and_tally(
+    const SweepSpec& spec, const ParticipantFilter& filter,
+    const ShardSelector& selector, const MosPredictor* predictor,
     QueryFanoutStats* fanout, const CancelProbe& cancelled) const {
-  // Summary fast path: the query shape must match a precomputed axis
-  // exactly (metric/lo/hi/bins, mean aggregate, no confounder filter, no
-  // opaque row filter) — then each shard whose pruning is fully
-  // discharged at the shard level merges its summary binner instead of
-  // rescanning records. Boundary shards still scan.
+  if (predictor == nullptr) {
+    return scan_insight<ColumnPredictor>(&spec, kAllEngagements,
+                                         /*tally=*/true, nullptr, filter,
+                                         selector, fanout, cancelled);
+  }
+  expect_trained(*predictor);
+  const ColumnPredictor bind{*predictor};
+  return scan_insight(&spec, kAllEngagements, /*tally=*/true, &bind, filter,
+                      selector, fanout, cancelled);
+}
+
+template <typename Bind>
+CorrelationEngine::CurvesAndTally CorrelationEngine::scan_insight(
+    const SweepSpec* spec, std::span<const EngagementMetric> metrics,
+    bool tally, const Bind* bind, const ParticipantFilter& filter,
+    const ShardSelector& selector, QueryFanoutStats* fanout,
+    const CancelProbe& cancelled) const {
+  // The sweep's summary fast path: the query shape must match a
+  // precomputed axis exactly (metric/lo/hi/bins, mean aggregate, no
+  // confounder filter, no opaque row filter) — then each shard whose
+  // pruning is fully discharged at the shard level merges its summary
+  // binner instead of rescanning records. Boundary shards still scan.
   std::optional<std::size_t> axis;
-  if (summary_cfg_ && !filter && !spec.control_others &&
-      spec.aggregate == SessionAggregate::kMean) {
-    const SummaryAxis wanted{spec.metric, spec.lo, spec.hi, spec.bins};
+  if (spec != nullptr && summary_cfg_ && !filter && !spec->control_others &&
+      spec->aggregate == SessionAggregate::kMean) {
+    const SummaryAxis wanted{spec->metric, spec->lo, spec->hi, spec->bins};
     for (std::size_t a = 0; a < summary_cfg_->axes.size(); ++a) {
       if (summary_cfg_->axes[a] == wanted) {
         axis = a;
@@ -542,55 +646,112 @@ std::vector<EngagementCurve> CorrelationEngine::sweep_engagement(
       }
     }
   }
-  const std::size_t n_metrics = metrics.size();
+  // The tally's: counts and MOS sums live pre-accumulated per shard
+  // (whole-shard and per-access buckets, both in ingest order — identical
+  // add sequence to the scan). Predicted sums are only usable while
+  // they're fresh for the caller's predictor (refresh_predicted_tallies).
+  const bool tally_capable = summary_cfg_.has_value() && !filter &&
+                             (bind == nullptr || predicted_fresh_);
+  const std::size_t n_metrics = spec != nullptr ? metrics.size() : 0;
   const auto plan =
-      plan_fanout(selector, axis.has_value(), fanout, n_metrics);
-  // Each shard's partial is one binner with a series per requested
-  // metric: a scanned row is binned once and counted once.
-  const auto make_binner = [&] {
-    return core::Binner1D{spec.lo, spec.hi, spec.bins, n_metrics};
+      plan_fanout(selector, {axis.has_value(), n_metrics}, fanout,
+                  {tally_capable, tally ? 1U : 0U});
+
+  // Each shard's partial: one binner with a series per requested metric
+  // (a scanned row is binned once and counted once), and one tally.
+  struct Partial {
+    std::optional<core::Binner1D> binner;
+    Tally tally;
+  };
+  const auto make_partial = [&] {
+    Partial p;
+    if (spec != nullptr) {
+      p.binner.emplace(spec->lo, spec->hi, spec->bins, n_metrics);
+    }
+    return p;
   };
   const auto partials = fan_out(
-      plan, make_binner,
-      [&](const SelectedShard& sel, core::Binner1D& binner,
-          ShardScratch& scratch) {
-        if (sel.use_summary) {
-          sel.shard->summary.add_curve_to(binner, *axis, metrics,
-                                          selector.access);
+      plan, make_partial,
+      [&](const SelectedShard& sel, Partial& part, ShardScratch& scratch) {
+        const ShardSummary& summary = sel.shard->summary;
+        const bool sweep_scans = spec != nullptr && !sel.use_summary;
+        const bool tally_scans = tally && !sel.tally_summary;
+        if (spec != nullptr && sel.use_summary) {
+          summary.add_curve_to(*part.binner, *axis, metrics, selector.access);
+        }
+        if (tally && sel.tally_summary) {
+          const SummaryTally& st = summary.tally(selector.access);
+          part.tally.sessions += st.sessions;
+          part.tally.rated += st.rated;
+          part.tally.observed_mos_sum += st.observed_mos_sum;
+          if (bind != nullptr) {
+            part.tally.predicted_mos_sum += st.predicted_mos_sum;
+            part.tally.predicted += st.predicted;
+          }
+        }
+        if (!sweep_scans && !tally_scans) return;
+
+        const SessionColumns& cols = sel.shard->columns;
+        const Residual res = make_residual(sel.check_dates, selector);
+        if (!tally_scans) {
+          // The sweep alone: the confounder refine joins the selection.
+          const ScanSet set =
+              select_sweep_rows(cols, res, filter, *spec, scratch);
+          with_sweep_row(*part.binner, cols, *spec, metrics,
+                         [&](const auto& sweep_row) {
+                           for_each_row(set, sweep_row);
+                         });
           return;
         }
-        const SessionColumns& cols = sel.shard->columns;
-        const ScanSet set = select_sweep_rows(
-            cols, make_residual(sel.check_dates, selector), filter, spec,
-            scratch);
-        std::array<const double*, kNumEngagementMetrics> y{};
-        for (std::size_t k = 0; k < n_metrics; ++k) {
-          y[k] = cols.engagement_column(metrics[k]);
-        }
-        const double* x = sweep_column(cols, spec.metric, spec.aggregate);
-        if (n_metrics == kNumEngagementMetrics) {  // the fused sweep
-          accumulate_sweep<kNumEngagementMetrics>(binner, x, y.data(), set);
-        } else {
-          accumulate_sweep(binner, x, y.data(), set);
-        }
+        // One selection, then one loop: the tally counts every selected
+        // row; the sweep bins those in control.
+        const ScanSet set = select_rows(cols, res, filter, scratch);
+        Tally t;
+        with_tally_row(t, cols, bind, [&](const auto& tally_row) {
+          if (!sweep_scans) {
+            for_each_row(set, tally_row);
+            return;
+          }
+          with_sweep_row(
+              *part.binner, cols, *spec, metrics, [&](const auto& sweep_row) {
+                if (!spec->control_others) {
+                  for_each_row(set, [&](std::size_t r) {
+                    tally_row(r);
+                    sweep_row(r);
+                  });
+                  return;
+                }
+                const ControlColumns cc = make_control_columns(
+                    cols, spec->metric, spec->control, spec->aggregate);
+                for_each_row(set, [&](std::size_t r) {
+                  tally_row(r);
+                  if (in_control(cc, r)) sweep_row(r);
+                });
+              });
+        });
+        part.tally = t;
       },
       cancelled);
 
-  core::Binner1D total = make_binner();
-  for (const core::Binner1D& part : partials) total.merge(part);
-  std::vector<EngagementCurve> curves(n_metrics);
-  for (std::size_t k = 0; k < n_metrics; ++k) {
-    curves[k].network_metric = spec.metric;
-    curves[k].engagement_metric = metrics[k];
-    curves[k].points = curve_points(total, k);
+  CurvesAndTally out;
+  if (spec != nullptr) {
+    core::Binner1D total{spec->lo, spec->hi, spec->bins, n_metrics};
+    for (const Partial& part : partials) total.merge(*part.binner);
+    out.curves.resize(n_metrics);
+    for (std::size_t k = 0; k < n_metrics; ++k) {
+      out.curves[k].network_metric = spec->metric;
+      out.curves[k].engagement_metric = metrics[k];
+      out.curves[k].points = curve_points(total, k);
+    }
   }
-  return curves;
+  for (const Partial& part : partials) add_tally(out.tally, part.tally);
+  return out;
 }
 
 std::vector<CurvePoint> CorrelationEngine::dropoff_curve(
     const SweepSpec& spec, const ParticipantFilter& filter,
     const ShardSelector& selector) const {
-  const auto plan = plan_fanout(selector, /*summary_capable=*/false, nullptr);
+  const auto plan = plan_fanout(selector, {/*summary_capable=*/false}, nullptr);
   const auto partials = fan_out(
       plan, [&] { return core::Binner1D{spec.lo, spec.hi, spec.bins}; },
       [&](const SelectedShard& sel, core::Binner1D& binner,
@@ -622,7 +783,7 @@ core::Grid2D CorrelationEngine::compounding_grid(EngagementMetric engagement,
   // add sequence as the scan — bit-identical).
   const SummaryGrid wanted{latency_hi_ms, lat_bins, loss_hi_pct, loss_bins};
   const auto plan = plan_fanout(
-      {}, summary_cfg_.has_value() && wanted == summary_cfg_->grid, nullptr);
+      {}, {summary_cfg_.has_value() && wanted == summary_cfg_->grid}, nullptr);
   const auto make_grid = [&] {
     return core::Grid2D{0.0, latency_hi_ms, lat_bins,
                         0.0, loss_hi_pct,   loss_bins};
@@ -656,7 +817,7 @@ CorrelationEngine::mos_correlation(EngagementMetric engagement,
   // Planned (and counted) on hits too: the per-query fan-out report and
   // the per-shard touch counters describe the answer's data lineage, not
   // the work done.
-  const auto plan = plan_fanout({}, summary_cfg_.has_value(), fanout);
+  const auto plan = plan_fanout({}, {summary_cfg_.has_value()}, fanout);
 
   // The answer depends on the corpus alone (no selector, min_samples is
   // applied below), so it is computed once per corpus state.
@@ -755,80 +916,20 @@ CorrelationEngine::MosCorrelation CorrelationEngine::correlate_rated(
   return out;
 }
 
-template <typename Bind>
-CorrelationEngine::Tally CorrelationEngine::tally_with(
-    const ParticipantFilter& filter, const ShardSelector& selector,
-    const Bind* bind, QueryFanoutStats* fanout) const {
-  // Summary fast path: counts and MOS sums live pre-accumulated per shard
-  // (whole-shard and per-access buckets, both in ingest order — identical
-  // add sequence to the scan). Predicted sums are only usable while
-  // they're fresh for the caller's predictor (refresh_predicted_tallies).
-  const bool summary_capable = summary_cfg_.has_value() && !filter &&
-                               (bind == nullptr || predicted_fresh_);
-  const auto plan = plan_fanout(selector, summary_capable, fanout);
-  const auto partials = fan_out(
-      plan, [] { return Tally{}; },
-      [&](const SelectedShard& sel, Tally& part, ShardScratch& scratch) {
-        if (sel.use_summary) {
-          const SummaryTally& st = sel.shard->summary.tally(selector.access);
-          part.sessions += st.sessions;
-          part.rated += st.rated;
-          part.observed_mos_sum += st.observed_mos_sum;
-          if (bind != nullptr) {
-            part.predicted_mos_sum += st.predicted_mos_sum;
-            part.predicted += st.predicted;
-          }
-          return;
-        }
-        const SessionColumns& cols = sel.shard->columns;
-        const ScanSet set = select_rows(
-            cols, make_residual(sel.check_dates, selector), filter, scratch);
-        const std::uint8_t* valid = cols.mos_valid.data();
-        const double* mos = cols.mos.data();
-        // The row scan's per-record accumulators are independent, so the
-        // split over selected rows below replays each one's add sequence
-        // exactly (same rows, same order). They live in a local so the
-        // loop keeps them in registers: `part` could alias the columns.
-        Tally t;
-        const auto count = [&](std::size_t r) {
-          ++t.sessions;
-          if (valid[r] != 0) {
-            t.observed_mos_sum += mos[r];
-            ++t.rated;
-          }
-        };
-        if (bind == nullptr) {
-          for_each_row(set, count);
-        } else {
-          const auto predict_row = (*bind)(cols);
-          for_each_row(set, [&](std::size_t r) {
-            count(r);
-            t.predicted_mos_sum += predict_row(r);
-            ++t.predicted;
-          });
-        }
-        part = t;
-      });
-  Tally total;
-  for (const Tally& part : partials) {
-    total.sessions += part.sessions;
-    total.rated += part.rated;
-    total.observed_mos_sum += part.observed_mos_sum;
-    total.predicted_mos_sum += part.predicted_mos_sum;
-    total.predicted += part.predicted;
-  }
-  return total;
-}
-
 CorrelationEngine::Tally CorrelationEngine::tally(
     const ParticipantFilter& filter, const ShardSelector& selector,
     const MosPredictor* predictor, QueryFanoutStats* fanout) const {
   if (predictor == nullptr) {
-    return tally_with<ColumnPredictor>(filter, selector, nullptr, fanout);
+    return scan_insight<ColumnPredictor>(nullptr, {}, /*tally=*/true,
+                                         nullptr, filter, selector, fanout,
+                                         nullptr)
+        .tally;
   }
   expect_trained(*predictor);
   const ColumnPredictor bind{*predictor};
-  return tally_with(filter, selector, &bind, fanout);
+  return scan_insight(nullptr, {}, /*tally=*/true, &bind, filter, selector,
+                      fanout, nullptr)
+      .tally;
 }
 
 CorrelationEngine::Tally CorrelationEngine::tally(
@@ -837,7 +938,9 @@ CorrelationEngine::Tally CorrelationEngine::tally(
     QueryFanoutStats* fanout) const {
   if (!predictor) return tally(filter, selector, nullptr, fanout);
   const RecordPredictor bind{predictor};
-  return tally_with(filter, selector, &bind, fanout);
+  return scan_insight(nullptr, {}, /*tally=*/true, &bind, filter, selector,
+                      fanout, nullptr)
+      .tally;
 }
 
 std::vector<confsim::ParticipantRecord> CorrelationEngine::sessions() const {

@@ -191,7 +191,8 @@ class CorrelationEngine {
   /// `fanout`, here and on mos_correlation/tally, additionally receives
   /// this one call's summary-vs-scan shard visits (the cumulative
   /// fanout_stats() counters are always bumped) — the per-query execution
-  /// shape QueryService reports in Insight::execution.
+  /// shape QueryService reports in Insight::execution. A caller of the
+  /// insight-scan kernel (see curves_and_tally) with its tally side off.
   [[nodiscard]] EngagementCurve engagement_curve(
       const SweepSpec& spec, EngagementMetric engagement,
       const ParticipantFilter& filter = nullptr,
@@ -207,6 +208,7 @@ class CorrelationEngine {
   /// once it answers true the shards not yet started are skipped and the
   /// curves are partial, so the caller must discard them (a deadline probe
   /// on a monotone clock stays true: re-checking it afterwards suffices).
+  /// The insight-scan kernel with its tally side off.
   [[nodiscard]] std::vector<EngagementCurve> engagement_curves(
       const SweepSpec& spec, const ParticipantFilter& filter = nullptr,
       const ShardSelector& selector = {}, QueryFanoutStats* fanout = nullptr,
@@ -243,11 +245,14 @@ class CorrelationEngine {
 
   /// Per-query session tallies: counts, observed-MOS sum over rated
   /// sessions, and (when `predictor` is set) predicted-MOS sum over every
-  /// matching session — the fan-out behind QueryService::run. Scanned rows
-  /// are predicted from the seven feature columns in place (one dot
-  /// product and one clamp per row, no record materialized), and each sum
-  /// is bit-identical to predicting every row through predict(record).
-  /// Throws std::logic_error for an untrained predictor.
+  /// matching session. Scanned rows are predicted from the seven feature
+  /// columns in place (one dot product and one clamp per row, no record
+  /// materialized), and each sum is bit-identical to predicting every row
+  /// through predict(record). A shard answers from its summary when
+  /// summaries are on, no opaque filter is set, and the predicted sums
+  /// are fresh (or no predictor is asked for). The insight-scan kernel
+  /// with its sweep side off. Throws std::logic_error for an untrained
+  /// predictor.
   struct Tally {
     std::size_t sessions{0};
     std::size_t rated{0};
@@ -260,13 +265,41 @@ class CorrelationEngine {
                             const MosPredictor* predictor = nullptr,
                             QueryFanoutStats* fanout = nullptr) const;
   /// The same with an opaque per-record predictor, each scanned row
-  /// materialized back into its record. Kept for usaasbench's
-  /// EngineReplay; delete with it (ROADMAP item 2).
+  /// materialized back into its record (the same kernel, bound to the
+  /// record predictor). Kept for usaasbench's EngineReplay; delete with
+  /// it (ROADMAP item 2).
   [[nodiscard]] Tally tally(
       const ParticipantFilter& filter, const ShardSelector& selector,
       const std::function<double(const confsim::ParticipantRecord&)>&
           predictor,
       QueryFanoutStats* fanout = nullptr) const;
+
+  /// An uncached insight's implicit side from one fan-out, the call behind
+  /// QueryService::run: the three engagement_curves(spec, filter,
+  /// selector) and the tally(filter, selector, predictor), equal to those
+  /// two calls in every CurvePoint and Tally field, bit for bit.
+  ///
+  /// One plan gives each shard two summary decisions, the sweep's (its
+  /// axis matches a summary axis) and the tally's (as in tally()), and
+  /// counts shard visits as the two calls do: 3 for the sweep and 1 for
+  /// the tally, each under its own decision. A shard where both sides
+  /// scan runs phase-1 selection once, then one row loop that bins the
+  /// swept column (rows outside [lo, hi), or out of control when
+  /// spec.control_others is set, are not binned) and tallies every
+  /// selected row. A shard where one side merges its summary scans only
+  /// for the other. Partials merge in plan order. `cancelled` is polled
+  /// once per shard, for both sides: once it answers true the result is
+  /// partial and must be discarded (see engagement_curves). Throws
+  /// std::logic_error for an untrained predictor.
+  struct CurvesAndTally {
+    std::vector<EngagementCurve> curves;  // presence, cam-on, mic-on
+    Tally tally;
+  };
+  [[nodiscard]] CurvesAndTally curves_and_tally(
+      const SweepSpec& spec, const ParticipantFilter& filter,
+      const ShardSelector& selector, const MosPredictor* predictor,
+      QueryFanoutStats* fanout = nullptr,
+      const CancelProbe& cancelled = nullptr) const;
 
   /// Materializes every stored session in shard-key order (a copy; the
   /// sharded store has no single contiguous buffer). Prefer the query
@@ -290,54 +323,64 @@ class CorrelationEngine {
     ShardSummary summary;
     ShardTouches touches;
   };
+  /// One answer a fan-out fills per shard: whether it may merge shard
+  /// summaries, and how many calls' shard visits it counts per shard (a
+  /// fused sweep stands for several calls; 0 turns the answer off).
+  struct FanoutSide {
+    bool summary_capable{false};
+    std::uint64_t visits{1};
+  };
   /// A shard surviving selector pruning: whether a window boundary cuts
-  /// into its month (per-record date checks), and whether the query
-  /// answers it from its summary instead of scanning its rows.
+  /// into its month (per-record date checks), whether each answer merges
+  /// its summary instead of scanning its rows — `use_summary` for the
+  /// plan's first side, `tally_summary` for the second, which only the
+  /// insight scan's tally uses — and whether some answer that is on
+  /// reads its rows.
   struct SelectedShard {
     const SessionShard* shard{nullptr};
     bool check_dates{false};
     bool use_summary{false};
+    bool tally_summary{false};
+    bool scans{false};
   };
 
   /// Finds or creates the shard for a packed (month_key, platform) key —
   /// shards are addressed by key alone, never re-derived from records.
   /// Returns its index into shards_.
   std::size_t shard_for_key(int key);
-  /// The fan-out planner every query method starts with: prunes shards on
-  /// `selector`'s window and platform, marks each one summary-answered
-  /// under the one rule `summary_capable && !check_dates &&
-  /// summary.enabled()`, bumps each shard's touch counter for its source,
-  /// and folds the totals into note_fanout. `visits` counts each shard
-  /// that many times (a fused sweep stands for several calls).
+  /// The fan-out planner every query method starts with: one walk that
+  /// prunes shards on `selector`'s window and platform and, for each side
+  /// (`tally` defaults to off), marks each shard summary-answered under
+  /// the one rule `summary_capable && !check_dates && summary.enabled()`,
+  /// bumps the shard's touch counter for that source `visits` times, and
+  /// folds the totals into note_fanout.
   [[nodiscard]] std::vector<SelectedShard> plan_fanout(
-      const ShardSelector& selector, bool summary_capable,
-      QueryFanoutStats* fanout, std::uint64_t visits = 1) const;
+      const ShardSelector& selector, FanoutSide side,
+      QueryFanoutStats* fanout, FanoutSide tally = {false, 0}) const;
   /// The fan-out skeleton: one `init()` partial per planned shard, filled
   /// by fill(shard, partial, scratch) through for_each_shard (`cancelled`
   /// polled per shard) — on the pool when some shard scans rows, on the
-  /// calling thread when every shard merges its summary. Callers merge
+  /// calling thread when every shard merges its summaries. Callers merge
   /// the partials in plan order, which is shard-key order.
   template <typename Init, typename Fill>
   [[nodiscard]] auto fan_out(const std::vector<SelectedShard>& plan,
                              const Init& init, const Fill& fill,
                              const CancelProbe& cancelled = nullptr) const
       -> std::vector<decltype(init())>;
-  /// The one engagement-sweep kernel behind engagement_curve (one metric)
-  /// and engagement_curves (all three).
-  [[nodiscard]] std::vector<EngagementCurve> sweep_engagement(
-      const SweepSpec& spec, std::span<const EngagementMetric> metrics,
-      const ParticipantFilter& filter, const ShardSelector& selector,
-      QueryFanoutStats* fanout, const CancelProbe& cancelled) const;
-  /// The one tally kernel behind both tally() overloads. `bind`, when
-  /// set, turns a shard's columns into that shard's row predictor,
+  /// The insight-scan kernel behind curves_and_tally, engagement_curve,
+  /// engagement_curves and both tally() overloads: the sweep of `spec`
+  /// over `metrics` (off when `spec` is null) and the tally (off unless
+  /// `tally`) from one plan and one fan-out. `bind`, when set, turns a
+  /// shard's columns into that shard's row predictor,
   /// `double(std::size_t row)`; null tallies no predictions.
   template <typename Bind>
-  [[nodiscard]] Tally tally_with(const ParticipantFilter& filter,
-                                 const ShardSelector& selector,
-                                 const Bind* bind,
-                                 QueryFanoutStats* fanout) const;
+  [[nodiscard]] CurvesAndTally scan_insight(
+      const SweepSpec* spec, std::span<const EngagementMetric> metrics,
+      bool tally, const Bind* bind, const ParticipantFilter& filter,
+      const ShardSelector& selector, QueryFanoutStats* fanout,
+      const CancelProbe& cancelled) const;
   /// The one refresh pass behind both refresh_predicted_tallies()
-  /// overloads (`bind` as in tally_with; null clears).
+  /// overloads (`bind` as in scan_insight; null clears).
   template <typename Bind>
   void refresh_predicted_with(const Bind* bind);
   /// Gathers every rated session of `plan` and correlates engagement

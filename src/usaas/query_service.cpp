@@ -456,17 +456,20 @@ Insight QueryService::compute_insight(const Query& query,
   spec.bins = query.bins;
   spec.control_others = false;  // queries want the full population view
   if (budget.expired()) return expired_skeleton();
-  // One fused pass bins all three engagement curves; it polls the budget
-  // per shard (like the social fan-out below) and its partial curves are
-  // discarded by the check after it. A budget without a clock never
-  // expires, so it passes no probe at all.
+  // One fan-out bins all three engagement curves and tallies the
+  // sessions, one pass per scanned shard; it polls the budget per shard
+  // (like the social fan-out below) and its partial answer is discarded
+  // by the check after it. A budget without a clock never expires, so it
+  // passes no probe at all.
   CancelProbe deadline_probe;
   if (budget.clock != nullptr) {
     deadline_probe = [&budget] { return budget.expired(); };
   }
-  insight.engagement = engine_.engagement_curves(spec, filter, selector,
-                                                 &fanout, deadline_probe);
+  CorrelationEngine::CurvesAndTally implicit = engine_.curves_and_tally(
+      spec, filter, selector, predictor_trained_ ? &predictor_ : nullptr,
+      &fanout, deadline_probe);
   if (budget.expired()) return expired_skeleton();
+  insight.engagement = std::move(implicit.curves);
   for (const EngagementMetric m :
        {EngagementMetric::kPresence, EngagementMetric::kCamOn,
         EngagementMetric::kMicOn}) {
@@ -475,8 +478,7 @@ Insight QueryService::compute_insight(const Query& query,
     }
   }
 
-  const CorrelationEngine::Tally tally = engine_.tally(
-      filter, selector, predictor_trained_ ? &predictor_ : nullptr, &fanout);
+  const CorrelationEngine::Tally& tally = implicit.tally;
   insight.sessions = tally.sessions;
   insight.rated_sessions = tally.rated;
   if (tally.rated > 0) {

@@ -132,8 +132,8 @@ enum class ServedBy {
 /// absolute clock-seconds instant after which continuing the computation
 /// is pointless (the client has already timed out). compute_insight
 /// checks it cooperatively at phase boundaries — before and after the
-/// fused engagement sweep, before the tally — and per shard inside the
-/// sweep and the social fan-out, and abandons the run with
+/// implicit side's one fan-out (curves and tally), before the social
+/// side — and per shard inside both fan-outs, and abandons the run with
 /// QueryError::kDeadlineExceeded instead of burning pool time on an
 /// answer nobody is waiting for. An abandoned run returns a fresh
 /// skeleton Insight (never a torn partial) and is never cached. A default

@@ -46,8 +46,10 @@ struct QueryFanoutStats {
 /// (see CorrelationEngine::engagement_curves).
 using CancelProbe = std::function<bool()>;
 
-/// Per-worker row-index scratch a shard scan selects into.
-using ShardScratch = std::vector<std::uint32_t>;
+/// Per-worker row-index scratch a shard scan selects into. Growing it
+/// leaves the new slots uninitialized: selection writes every slot it
+/// keeps before reading it, so zero-filling them is wasted work.
+using ShardScratch = PodColumn<std::uint32_t>;
 
 /// The one cancellable per-shard loop behind every fan-out (both stores'):
 /// runs body(i, scratch) for each i in [0, n) across `pool`, with one

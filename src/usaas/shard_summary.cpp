@@ -149,9 +149,7 @@ void ShardSummary::clear_predicted() {
 std::size_t ShardSummary::memory_bytes() const {
   std::size_t bytes = sizeof(ShardSummary);
   for (const core::Binner1D& b : binners_) bytes += b.memory_bytes();
-  for (const core::Grid2D& g : grids_) {
-    bytes += g.x_bins() * g.y_bins() * sizeof(core::RunningStats);
-  }
+  for (const core::Grid2D& g : grids_) bytes += g.memory_bytes();
   bytes += rated_.size() * sizeof(RatedSample);
   return bytes;
 }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/stats.h"
@@ -365,6 +367,134 @@ TEST(Grid2D, MergeMatchesSequentialFill) {
       if (whole.cell_mean(xi, yi)) {
         EXPECT_NEAR(*a.cell_mean(xi, yi), *whole.cell_mean(xi, yi), 1e-12);
       }
+    }
+  }
+}
+
+/// The grid cell before count + mean: a full RunningStats per cell, with
+/// the cell index computed as Grid2D always has.
+struct StatsGrid {
+  double x_lo, x_hi, y_lo, y_hi;
+  std::size_t x_bins, y_bins;
+  std::vector<RunningStats> cells;
+  StatsGrid(double xl, double xh, std::size_t xb, double yl, double yh,
+            std::size_t yb)
+      : x_lo{xl}, x_hi{xh}, y_lo{yl}, y_hi{yh}, x_bins{xb}, y_bins{yb},
+        cells(xb * yb) {}
+  void add(double x, double y, double v) {
+    if (x < x_lo || x >= x_hi || y < y_lo || y >= y_hi) return;
+    const double xw = (x_hi - x_lo) / static_cast<double>(x_bins);
+    const double yw = (y_hi - y_lo) / static_cast<double>(y_bins);
+    const auto xi =
+        std::min(static_cast<std::size_t>((x - x_lo) / xw), x_bins - 1);
+    const auto yi =
+        std::min(static_cast<std::size_t>((y - y_lo) / yw), y_bins - 1);
+    cells[yi * x_bins + xi].add(v);
+  }
+  void merge(const StatsGrid& other) {
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      cells[c].merge(other.cells[c]);
+    }
+  }
+};
+
+void expect_grid_matches_stats(const Grid2D& got, const StatsGrid& want) {
+  std::optional<double> best;
+  std::optional<double> worst;
+  std::size_t populated = 0;
+  for (std::size_t yi = 0; yi < want.y_bins; ++yi) {
+    for (std::size_t xi = 0; xi < want.x_bins; ++xi) {
+      const RunningStats& cell = want.cells[yi * want.x_bins + xi];
+      EXPECT_EQ(got.cell_count(xi, yi), cell.count());
+      ASSERT_EQ(got.cell_mean(xi, yi).has_value(), !cell.empty());
+      if (cell.empty()) continue;
+      EXPECT_EQ(*got.cell_mean(xi, yi), cell.mean());
+      if (!best || cell.mean() > *best) best = cell.mean();
+      if (!worst || cell.mean() < *worst) worst = cell.mean();
+      ++populated;
+    }
+  }
+  EXPECT_EQ(got.cells().size(), populated);
+  EXPECT_EQ(got.max_cell_mean(), best);
+  EXPECT_EQ(got.min_cell_mean(), worst);
+}
+
+TEST(Grid2D, AnySplitAndMergeGroupingMatchesRunningStatsBitForBit) {
+  // Fig 2's latency x loss layout (the summary grid) plus a small odd
+  // one. Each cell must read as a RunningStats fed the same values in
+  // the same grouping: one pass, random chunks folded left to right (the
+  // shard partials merged in key order), and the chunks merged as a
+  // balanced tree.
+  struct Layout {
+    double x_hi;
+    std::size_t x_bins;
+    double y_hi;
+    std::size_t y_bins;
+  };
+  const Layout layouts[] = {{320.0, 8, 3.4, 8}, {7.0, 3, 5.0, 5}};
+  std::uint64_t seed = 2022;
+  for (const Layout& l : layouts) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::size_t n = 1 + next_u64(seed) % 4000;
+      struct Obs {
+        double x, y, v;
+      };
+      std::vector<Obs> obs(n);
+      for (Obs& o : obs) {  // about a tenth outside the grid on each axis
+        o.x = l.x_hi * (1.2 * unit(seed) - 0.1);
+        o.y = l.y_hi * (1.2 * unit(seed) - 0.1);
+        o.v = 100.0 * unit(seed);
+      }
+      const auto grid = [&] { return Grid2D{0.0, l.x_hi, l.x_bins,
+                                            0.0, l.y_hi, l.y_bins}; };
+      const auto stats = [&] { return StatsGrid{0.0, l.x_hi, l.x_bins,
+                                                0.0, l.y_hi, l.y_bins}; };
+      std::vector<std::size_t> cuts{0};
+      while (cuts.back() < n) {
+        cuts.push_back(std::min(n, cuts.back() + 1 + next_u64(seed) % 500));
+      }
+      std::vector<Grid2D> parts;
+      std::vector<StatsGrid> stat_parts;
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        parts.push_back(grid());
+        stat_parts.push_back(stats());
+        for (std::size_t i = cuts[c]; i < cuts[c + 1]; ++i) {
+          parts.back().add(obs[i].x, obs[i].y, obs[i].v);
+          stat_parts.back().add(obs[i].x, obs[i].y, obs[i].v);
+        }
+      }
+
+      Grid2D one_pass = grid();
+      StatsGrid one_pass_stats = stats();
+      for (const Obs& o : obs) {
+        one_pass.add(o.x, o.y, o.v);
+        one_pass_stats.add(o.x, o.y, o.v);
+      }
+      expect_grid_matches_stats(one_pass, one_pass_stats);
+
+      Grid2D folded = grid();
+      StatsGrid folded_stats = stats();
+      for (std::size_t p = 0; p < parts.size(); ++p) {
+        folded.merge(parts[p]);
+        folded_stats.merge(stat_parts[p]);
+      }
+      expect_grid_matches_stats(folded, folded_stats);
+
+      while (parts.size() > 1) {
+        std::vector<Grid2D> next;
+        std::vector<StatsGrid> next_stats;
+        for (std::size_t p = 0; p < parts.size(); p += 2) {
+          next.push_back(parts[p]);
+          next_stats.push_back(stat_parts[p]);
+          if (p + 1 < parts.size()) {
+            next.back().merge(parts[p + 1]);
+            next_stats.back().merge(stat_parts[p + 1]);
+          }
+        }
+        parts = std::move(next);
+        stat_parts = std::move(next_stats);
+      }
+      expect_grid_matches_stats(parts.front(), stat_parts.front());
     }
   }
 }

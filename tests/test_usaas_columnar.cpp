@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -37,6 +38,7 @@
 #include "core/correlation.h"
 #include "core/date.h"
 #include "core/histogram.h"
+#include "core/scheduler_clock.h"
 #include "core/stats.h"
 #include "core/telemetry/metrics.h"
 #include "core/thread_pool.h"
@@ -1212,6 +1214,298 @@ TEST(FusedSweepExecution, InsightFanoutAndServedByMatchTheSingleCallSequence) {
                        "service curve");
     }
   }
+}
+
+// ---- One pass per scanned shard: curves and tally from one fan-out -----
+// curves_and_tally() plans once and scans each boundary shard once for
+// both answers. Over the 64 seeded windows, each with a summary axis or
+// one no summary holds, it must equal the separate engagement_curves() +
+// tally() calls and the frozen row reference in every CurvePoint and
+// Tally field, and count the same shard visits, per call and per shard,
+// with no predictor, a cold one (predicted sums scanned) and a warm one
+// (predicted sums merged from summaries), at 1/2/4 threads.
+
+/// Every session shard's touch counters, keyed by their label set.
+std::map<std::string, std::uint64_t> session_touches(
+    const core::telemetry::Registry& registry) {
+  std::map<std::string, std::uint64_t> out;
+  for (const core::telemetry::MetricFamily& family : registry.collect()) {
+    if (family.name != "usaas_shard_touches_total") continue;
+    for (const core::telemetry::Sample& sample : family.samples) {
+      if (sample.labels.find("corpus=\"sessions\"") != std::string::npos) {
+        out[sample.labels] = sample.value_u;
+      }
+    }
+  }
+  return out;
+}
+
+/// `after` minus `before`, label by label.
+std::map<std::string, std::uint64_t> touch_delta(
+    const std::map<std::string, std::uint64_t>& before,
+    const std::map<std::string, std::uint64_t>& after) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [labels, n] : after) {
+    const auto it = before.find(labels);
+    out[labels] = n - (it == before.end() ? 0 : it->second);
+  }
+  return out;
+}
+
+class FusedInsightScan : public ::testing::TestWithParam<Config> {
+ protected:
+  FusedInsightScan() {
+    if (GetParam().threads > 1) {
+      pool_ = std::make_unique<core::ThreadPool>(GetParam().threads);
+      engine_.set_thread_pool(pool_.get());
+    }
+    engine_.set_telemetry(&registry_);
+    if (GetParam().summaries) engine_.configure_summaries(layout_);
+    engine_.ingest(std::span<const confsim::CallRecord>{year_edge_corpus()});
+    predictor_.train(engine_.rated_sessions_canonical());
+  }
+
+  const SummaryConfig layout_{};
+  core::telemetry::Registry registry_{true};
+  std::unique_ptr<core::ThreadPool> pool_;
+  CorrelationEngine engine_;
+  MosPredictor predictor_;
+};
+
+TEST_P(FusedInsightScan, CurvesAndTallyEqualTheSeparateCallsAndTheReference) {
+  const RowReference& ref = year_edge_reference();
+  const SummaryConfig* summaries = GetParam().summaries ? &layout_ : nullptr;
+  const std::function<double(const confsim::ParticipantRecord&)> per_record =
+      [this](const confsim::ParticipantRecord& rec) {
+        return predictor_.predict(rec);
+      };
+  const std::vector<ShardSelector> windows = random_windows();
+  struct Mode {
+    const char* name;
+    const MosPredictor* predictor;
+    bool warm;
+  };
+  const Mode modes[] = {{"no predictor", nullptr, false},
+                        {"cold predictor", &predictor_, false},
+                        {"warm predictor", &predictor_, true}};
+  QueryFanoutStats total;
+  std::size_t reached = 0;
+  for (const Mode& mode : modes) {
+    if (mode.warm) engine_.refresh_predicted_tallies(&predictor_);
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      const std::string what =
+          std::string(mode.name) + " window " + std::to_string(i);
+      const SweepSpec spec = window_sweep(i);
+      const ShardSelector& sel = windows[i];
+
+      QueryFanoutStats fused_fanout;
+      const auto touches0 = session_touches(registry_);
+      const CorrelationEngine::CurvesAndTally fused = engine_.curves_and_tally(
+          spec, nullptr, sel, mode.predictor, &fused_fanout);
+      const auto touches1 = session_touches(registry_);
+      QueryFanoutStats separate_fanout;
+      const std::vector<EngagementCurve> curves =
+          engine_.engagement_curves(spec, nullptr, sel, &separate_fanout);
+      const CorrelationEngine::Tally tally =
+          engine_.tally(nullptr, sel, mode.predictor, &separate_fanout);
+      const auto touches2 = session_touches(registry_);
+
+      ASSERT_EQ(fused.curves.size(), std::size(kEngagements)) << what;
+      for (std::size_t k = 0; k < std::size(kEngagements); ++k) {
+        const std::string series = what + " series " + std::to_string(k);
+        EXPECT_EQ(fused.curves[k].network_metric, spec.metric) << series;
+        EXPECT_EQ(fused.curves[k].engagement_metric, kEngagements[k])
+            << series;
+        expect_points_eq(fused.curves[k].points, curves[k].points,
+                         "vs separate " + series);
+        expect_points_eq(
+            fused.curves[k].points,
+            ref.engagement_curve(spec, kEngagements[k], nullptr, sel,
+                                 summaries),
+            "vs reference " + series);
+      }
+      expect_tally_eq(fused.tally, tally, "vs separate " + what);
+      expect_tally_eq(
+          fused.tally,
+          ref.tally(nullptr, sel, mode.predictor ? per_record : nullptr),
+          "vs reference " + what);
+
+      EXPECT_EQ(fused_fanout.shards_from_summary,
+                separate_fanout.shards_from_summary)
+          << what;
+      EXPECT_EQ(fused_fanout.shards_scanned, separate_fanout.shards_scanned)
+          << what;
+      EXPECT_EQ(touch_delta(touches0, touches1),
+                touch_delta(touches1, touches2))
+          << what;
+      total.shards_from_summary += fused_fanout.shards_from_summary;
+      total.shards_scanned += fused_fanout.shards_scanned;
+      reached += fused.tally.sessions > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(reached, windows.size());  // the windows reach rows
+  EXPECT_GT(total.shards_scanned, 0u);
+  if (GetParam().summaries) {
+    EXPECT_GT(total.shards_from_summary, 0u);
+  } else {
+    EXPECT_EQ(total.shards_from_summary, 0u);
+  }
+}
+
+TEST_P(FusedInsightScan, ConfounderControlledAndFilteredShapesMatch) {
+  // Shapes the service never sends but the entry accepts: a confounder-
+  // controlled sweep (rows out of control are tallied, not binned), a
+  // P95 sweep, and an opaque filter that forces every shard to scan.
+  ShardSelector cut;
+  cut.first = Date{2021, 11, 20};
+  cut.last = Date{2022, 1, 10};
+  const SweepSpec specs[] = {
+      sweep_for(netsim::Metric::kJitter, 12, /*control=*/true),
+      sweep_for(netsim::Metric::kLatency, 10, false, SessionAggregate::kP95),
+      sweep_for(netsim::Metric::kLatency, 10)};
+  const RowReference& ref = year_edge_reference();
+  for (const ParticipantFilter& filter : {ParticipantFilter{}, kOpaqueFilter}) {
+    for (const SweepSpec& spec : specs) {
+      for (const ShardSelector& sel : {ShardSelector{}, cut}) {
+        QueryFanoutStats fused_fanout;
+        QueryFanoutStats separate_fanout;
+        const auto fused = engine_.curves_and_tally(spec, filter, sel,
+                                                    &predictor_, &fused_fanout);
+        const auto curves =
+            engine_.engagement_curves(spec, filter, sel, &separate_fanout);
+        expect_tally_eq(
+            fused.tally,
+            engine_.tally(filter, sel, &predictor_, &separate_fanout),
+            "vs separate tally");
+        for (std::size_t k = 0; k < std::size(kEngagements); ++k) {
+          expect_points_eq(fused.curves[k].points, curves[k].points,
+                           "vs separate curve");
+          expect_points_eq(
+              fused.curves[k].points,
+              ref.engagement_curve(spec, kEngagements[k], filter, sel,
+                                   GetParam().summaries ? &layout_ : nullptr),
+              "vs reference curve");
+        }
+        EXPECT_EQ(fused_fanout.shards_from_summary,
+                  separate_fanout.shards_from_summary);
+        EXPECT_EQ(fused_fanout.shards_scanned, separate_fanout.shards_scanned);
+      }
+    }
+  }
+}
+
+TEST_P(FusedInsightScan, CancelledScanSkipsTheTallysShardsToo) {
+  // A probe that answers true before the first shard abandons both
+  // answers; one that never fires changes nothing.
+  const SweepSpec spec = window_sweep(1);
+  const auto cancelled = engine_.curves_and_tally(
+      spec, nullptr, {}, &predictor_, nullptr, [] { return true; });
+  for (const EngagementCurve& curve : cancelled.curves) {
+    EXPECT_TRUE(curve.points.empty());
+  }
+  expect_tally_eq(cancelled.tally, {}, "cancelled tally");
+  const auto full = engine_.curves_and_tally(
+      spec, nullptr, {}, &predictor_, nullptr, [] { return false; });
+  expect_tally_eq(full.tally, engine_.tally(nullptr, {}, &predictor_),
+                  "never-cancelled tally");
+  EXPECT_GT(full.tally.sessions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, FusedInsightScan,
+    ::testing::Values(Config{1, false}, Config{1, true}, Config{2, false},
+                      Config{2, true}, Config{4, false}, Config{4, true}),
+    config_name);
+
+/// A clock that reads 0 for its first `live` reads and 1e9 from then on:
+/// a deadline of 1.0 expires at read number `live`, wherever that read
+/// happens — a phase boundary or a per-shard poll inside a fan-out.
+class ExpiringClock final : public core::SchedulerClock {
+ public:
+  explicit ExpiringClock(std::uint64_t live) : live_{live} {}
+  [[nodiscard]] double now() override {
+    return reads_.fetch_add(1, std::memory_order_relaxed) < live_ ? 0.0 : 1e9;
+  }
+  void wait(double /*seconds*/) override {}
+  [[nodiscard]] std::uint64_t reads() const {
+    return reads_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const std::uint64_t live_;
+  std::atomic<std::uint64_t> reads_{0};
+};
+
+TEST(FusedInsightDeadline, ExpiryAnywhereInTheFanOutReturnsTheSkeleton) {
+  // A cut window on an axis no summary holds, with a fresh predictor: the
+  // cut months scan both the sweep and the tally in one pass, the whole
+  // months merge the tally and scan the sweep. Expiring at every clock
+  // read in turn — before the fan-out, at each per-shard poll inside it,
+  // after it, and on the social side — must give the explicit skeleton:
+  // no partial curves, no partial tally, nothing cached or slow-logged.
+  QueryServiceConfig config;
+  config.threads = 2;
+  QueryService service{config};
+  service.ingest_calls(year_edge_corpus());
+  ASSERT_TRUE(service.train_predictor());
+  Query query;
+  query.first = Date{2021, 11, 9};
+  query.last = Date{2022, 2, 17};
+  query.bins = 12;
+
+  // The answer and the clock reads of a run that never expires, from a
+  // twin service (this one must stay uncached).
+  QueryService twin{config};
+  twin.ingest_calls(year_edge_corpus());
+  ASSERT_TRUE(twin.train_predictor());
+  ExpiringClock never{~std::uint64_t{0}};
+  const Insight want = twin.run(query, RunBudget{&never, 1.0});
+  ASSERT_EQ(want.error, QueryError::kNone);
+  ASSERT_EQ(want.execution.served_by, ServedBy::kMixed);
+  ASSERT_GT(want.sessions, 0u);
+  ASSERT_TRUE(want.predicted_mean_mos.has_value());
+  const std::uint64_t reads = never.reads();
+  const std::size_t shards = year_edge_reference()
+                                 .select({query.first, query.last,
+                                          query.platform, query.access})
+                                 .size();
+  // Besides the phase-boundary reads, one poll per shard of the implicit
+  // fan-out: some expiries land mid-fan-out.
+  ASSERT_GE(reads, shards + 3);
+
+  for (std::uint64_t live = 0; live < reads; ++live) {
+    SCOPED_TRACE("expires at read " + std::to_string(live));
+    ExpiringClock clock{live};
+    const Insight got = service.run(query, RunBudget{&clock, 1.0});
+    EXPECT_EQ(got.error, QueryError::kDeadlineExceeded);
+    EXPECT_EQ(got.execution.served_by, ServedBy::kExpired);
+    EXPECT_TRUE(got.engagement.empty());
+    EXPECT_TRUE(got.mos_spearman.empty());
+    EXPECT_EQ(got.sessions, 0u);
+    EXPECT_EQ(got.rated_sessions, 0u);
+    EXPECT_FALSE(got.observed_mean_mos.has_value());
+    EXPECT_FALSE(got.predicted_mean_mos.has_value());
+    EXPECT_EQ(got.posts, 0u);
+    EXPECT_EQ(service.stats().insight_cache.entries, 0u);
+    EXPECT_TRUE(service.slow_queries().empty());
+  }
+
+  // A budget that outlives every read answers in full, like the twin.
+  ExpiringClock late{reads};
+  const Insight got = service.run(query, RunBudget{&late, 1.0});
+  ASSERT_EQ(got.error, QueryError::kNone);
+  EXPECT_FALSE(got.execution.cache_hit);
+  EXPECT_EQ(got.sessions, want.sessions);
+  EXPECT_EQ(got.rated_sessions, want.rated_sessions);
+  EXPECT_EQ(got.observed_mean_mos, want.observed_mean_mos);
+  EXPECT_EQ(got.predicted_mean_mos, want.predicted_mean_mos);
+  ASSERT_EQ(got.engagement.size(), want.engagement.size());
+  for (std::size_t k = 0; k < got.engagement.size(); ++k) {
+    expect_points_eq(got.engagement[k].points, want.engagement[k].points,
+                     "late-deadline curve");
+  }
+  EXPECT_EQ(service.stats().insight_cache.entries, 1u);
+  EXPECT_EQ(service.slow_queries().size(), 1u);
 }
 
 // ---- Ingest-path equivalence -------------------------------------------
