@@ -29,31 +29,21 @@
 //   ./build/examples/usaas_frontend --in-process    the PR 7 deterministic
 //       demo: no sockets, a VirtualClock drives admission so the run is
 //       bit-identical every time.
-//   USAAS_FAULT_SOCKET='accept_fail=0.1,slow_read=0.05,slow_read_ms=200,
-//       partial=0.1,disconnect=0.1' ./build/examples/usaas_frontend
-//       chaos harness: the same listener under a seeded client-side fault
-//       storm (slow-loris, truncation, early disconnects) plus injected
-//       accept failures. Prints one parseable "CHAOS ..." line and exits
-//       nonzero if any ledger fails to reconcile, a worker fails to exit,
-//       or a request outlives its deadline by more than 2x —
-//       scripts/check.sh runs this as its chaos smoke stage.
+//
+// The socket fault storm (slow-loris, truncation, early disconnects,
+// injected accept failures) runs as the tier-1 test
+// HttpListenerChaos.FaultStormReconcilesExactlyAndShutsDownCleanly.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "confsim/dataset.h"
-#include "core/fault_injector.h"
 #include "core/scheduler_clock.h"
 #include "social/subreddit.h"
 #include "usaas/http_listener.h"
@@ -437,194 +427,11 @@ int run_in_process_demo() {
   return 0;
 }
 
-// ---- Mode 3 (USAAS_FAULT_SOCKET): the chaos harness ----------------------
-
-int run_chaos(const core::FaultInjector::Config& fault_cfg) {
-  service::QueryServiceConfig svc_cfg;
-  svc_cfg.threads = 2;
-  // sampling=all with headroom: the trace ledger must reconcile exactly
-  // against the scheduler's four-way ledger after the storm, so no
-  // request's trace may be sampled away or overwritten.
-  svc_cfg.trace.sampling = core::telemetry::TraceSampling::kAll;
-  svc_cfg.trace.tail_entries = 4096;
-  service::QueryService svc{svc_cfg};
-  {
-    confsim::DatasetConfig cfg = base_calls_config();
-    cfg.num_calls = 800;  // The chaos stage times sockets, not scans.
-    std::printf("ingesting chaos corpus...\n");
-    svc.ingest_calls(confsim::CallDatasetGenerator{cfg}.generate());
-  }
-
-  core::FaultInjector fault{fault_cfg};
-
-  service::SchedulerConfig sched_cfg;
-  sched_cfg.max_wait_seconds = 0.01;
-  sched_cfg.tenant_qos["storm-a"] = {50.0, 20.0};
-  sched_cfg.tenant_qos["storm-b"] = {50.0, 20.0};
-  service::QueryScheduler front{svc, sched_cfg};
-
-  service::HttpListenerConfig lcfg;
-  lcfg.worker_threads = 3;
-  lcfg.max_pending_connections = 8;
-  lcfg.read_timeout = std::chrono::milliseconds{250};
-  lcfg.write_timeout = std::chrono::milliseconds{250};
-  lcfg.default_budget_seconds = 0.2;
-  lcfg.fault = &fault;
-  service::HttpListener listener{front, svc, lcfg};
-  if (!listener.start()) {
-    std::fprintf(stderr, "FATAL: listener failed to bind loopback\n");
-    return 1;
-  }
-  const std::uint16_t port = listener.port();
-
-  // A request that reaches the server is owed an answer within its budget
-  // plus the socket timeouts; the client's own injected stall rides on
-  // top. Anything beyond 2x that envelope means a request outlived its
-  // deadline — the wedged-worker smell the harness exists to catch.
-  const double allowed_seconds =
-      lcfg.default_budget_seconds +
-      std::chrono::duration<double>(lcfg.read_timeout).count() +
-      std::chrono::duration<double>(lcfg.write_timeout).count() +
-      std::chrono::duration<double>(fault_cfg.slow_read_delay).count();
-
-  constexpr int kClients = 4;
-  constexpr int kPerClient = 25;
-  std::atomic<std::uint64_t> exchanges{0};
-  std::vector<double> worst_ratio(kClients, 0.0);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int i = 0; i < kPerClient; ++i) {
-        const char* tenant = (c % 2 == 0) ? "storm-a" : "storm-b";
-        std::string request;
-        if (i % 7 == 0) {
-          request = get_request("/query?tenant=" + std::string{tenant} +
-                                "&metric=vibes");
-        } else if (i % 3 == 0) {
-          request = post_request(
-              "/query", "{\"tenant\":\"" + std::string{tenant} +
-                            "\",\"first\":\"2022-01-05\","
-                            "\"last\":\"2022-03-25\","
-                            "\"metric\":\"latency\",\"lo\":0,\"hi\":300,"
-                            "\"bins\":8,\"budget_ms\":50}");
-        } else {
-          request = get_request("/query?tenant=" + std::string{tenant} +
-                                "&first=2022-01-01&last=2022-03-31"
-                                "&metric=latency&lo=0&hi=300&bins=10");
-        }
-
-        const auto t0 = std::chrono::steady_clock::now();
-        const int fd = connect_loopback(port);
-        if (fd < 0) continue;  // Saturated accept backlog or injected drop.
-        const auto stall = fault.slow_read_stall();
-        if (fault.truncate_this_request()) {
-          send_best_effort(fd,
-                           std::string_view{request}.substr(
-                               0, request.size() / 2));
-        } else if (stall.count() > 0) {
-          const std::size_t half = request.size() / 2;
-          send_best_effort(fd, std::string_view{request}.substr(0, half));
-          std::this_thread::sleep_for(stall);
-          send_best_effort(fd, std::string_view{request}.substr(half));
-          (void)read_to_eof(fd);
-        } else if (fault.disconnect_before_response()) {
-          send_best_effort(fd, request);
-        } else {
-          send_best_effort(fd, request);
-          (void)read_to_eof(fd);
-        }
-        ::close(fd);
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        worst_ratio[static_cast<std::size_t>(c)] =
-            std::max(worst_ratio[static_cast<std::size_t>(c)],
-                     elapsed / allowed_seconds);
-        exchanges.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-
-  const bool clean = listener.stop(std::chrono::seconds{5});
-  const service::HttpListenerStats ls = listener.stats();
-  const service::SchedulerStats stats = front.stats();
-  const double max_ratio =
-      *std::max_element(worst_ratio.begin(), worst_ratio.end());
-
-  // Trace-vs-ledger reconciliation: under sampling=all, every submission
-  // the scheduler counted — whichever outcome the storm forced — must
-  // have exactly one retained TraceRecord with the matching outcome.
-  const char* traces_verdict = "off";
-  if (svc.tracer().enabled()) {
-    const std::vector<core::telemetry::TraceRecord> traces =
-        svc.tracer().snapshot();
-    std::uint64_t by_outcome[4] = {0, 0, 0, 0};
-    std::set<std::uint64_t> ids;
-    bool unique = true;
-    for (const core::telemetry::TraceRecord& rec : traces) {
-      if (rec.outcome < 4) ++by_outcome[rec.outcome];
-      if (!ids.insert(rec.trace_id).second) unique = false;
-    }
-    const bool traces_ok =
-        svc.tracer().recorded() == stats.submitted &&
-        traces.size() == stats.submitted && unique &&
-        by_outcome[0] == stats.admitted && by_outcome[1] == stats.degraded &&
-        by_outcome[2] == stats.shed && by_outcome[3] == stats.expired;
-    traces_verdict = traces_ok ? "ok" : "FAIL";
-  }
-
-  std::printf(
-      "CHAOS submitted=%llu admitted=%llu degraded=%llu shed=%llu "
-      "expired=%llu reconcile=%s accepted=%llu accept_failures=%llu "
-      "saturated=%llu drained=%llu handled=%llu read_failures=%llu "
-      "responses=%llu write_failures=%llu listener_reconcile=%s "
-      "traces_reconcile=%s "
-      "clean_shutdown=%s shutdown_seconds=%.3f max_deadline_ratio=%.3f "
-      "exchanges=%llu\n",
-      static_cast<unsigned long long>(stats.submitted),
-      static_cast<unsigned long long>(stats.admitted),
-      static_cast<unsigned long long>(stats.degraded),
-      static_cast<unsigned long long>(stats.shed),
-      static_cast<unsigned long long>(stats.expired),
-      stats.reconciles() ? "ok" : "FAIL",
-      static_cast<unsigned long long>(ls.accepted),
-      static_cast<unsigned long long>(ls.accept_failures),
-      static_cast<unsigned long long>(ls.saturated),
-      static_cast<unsigned long long>(ls.drained),
-      static_cast<unsigned long long>(ls.handled),
-      static_cast<unsigned long long>(ls.read_failures),
-      static_cast<unsigned long long>(ls.responses_sent),
-      static_cast<unsigned long long>(ls.write_failures),
-      ls.reconciles() ? "ok" : "FAIL", traces_verdict, clean ? "yes" : "no",
-      ls.shutdown_seconds, max_ratio,
-      static_cast<unsigned long long>(
-          exchanges.load(std::memory_order_relaxed)));
-
-  const bool traces_clean = std::strcmp(traces_verdict, "FAIL") != 0;
-  const bool ok = stats.reconciles() && ls.reconciles() && traces_clean &&
-                  clean && max_ratio <= 2.0;
-  if (!ok) {
-    std::fprintf(stderr,
-                 "FATAL: chaos invariants violated (scheduler=%d "
-                 "listener=%d traces=%s clean_shutdown=%d "
-                 "max_deadline_ratio=%.3f)\n",
-                 stats.reconciles() ? 1 : 0, ls.reconciles() ? 1 : 0,
-                 traces_verdict, clean ? 1 : 0, max_ratio);
-  }
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool in_process =
       argc > 1 && std::strcmp(argv[1], "--in-process") == 0;
-  const std::optional<core::FaultInjector::Config> fault_cfg =
-      core::FaultInjector::config_from_env();
-  if (!in_process && fault_cfg.has_value()) return run_chaos(*fault_cfg);
   if (in_process) return run_in_process_demo();
   return run_wire_demo();
 }

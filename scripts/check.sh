@@ -1,7 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 + sanitizer gate, in the order CI runs it:
 #
-#   1. plain build, full ctest suite;
+#   1. plain build, full ctest suite. It includes the HTTP front end's
+#      fault storm,
+#        HttpListenerChaos.FaultStormReconcilesExactlyAndShutsDownCleanly:
+#      a seeded storm of injected accept failures and client-side
+#      slow-loris, truncation and early disconnects, after which the
+#      scheduler, listener-connection and sampling=all trace ledgers must
+#      reconcile exactly, every exchange must end within 2x its deadline
+#      envelope, and every worker must exit within the shutdown timeout.
+#      Its suite carries the `sanitize` label, so stages 2 and 3 run the
+#      same storm under TSan and ASan;
 #   2. ThreadSanitizer build of the concurrency suites (pool fan-out,
 #      shard equivalence, two-pass batch ingest, streaming ingest + fault
 #      injection, insight cache + shard summaries) plus the differential
@@ -61,7 +70,10 @@
 #      the two calls it replaced. It does NOT catch a plain de-fusion
 #      (curves_and_tally calling the two fan-outs in turn reads
 #      0.987-1.002, above the floor): at one thread the fusion gains
-#      ~1.28x, and 0.7x of that sits below 1.0.
+#      ~1.28x, and 0.7x of that sits below 1.0. The pass count is pinned
+#      by a test instead, not by this floor:
+#      FusedInsightScan.OpaqueFilterRunsOncePerSelectedRow counts the
+#      filter's calls, and a de-fused scan calls it twice per row.
 #
 #      telemetry_ingest / telemetry_query: subject 200 K sessions + 30 K
 #      posts ingested, and the 6-query scan-config battery submitted
@@ -76,16 +88,7 @@
 #      now (the real-clock case of
 #      QueryScheduler.MixedTenantStressReconcilesExactly), so stage 1
 #      runs it.
-#   5. chaos smoke: the usaas_frontend example under USAAS_FAULT_SOCKET
-#      runs the real HTTP listener on loopback through a seeded fault
-#      storm (injected accept failures; client-side slow-loris,
-#      truncation, early disconnects). The example exits non-zero — and
-#      the gate re-asserts from the printed CHAOS line — if any ledger
-#      (scheduler, listener connections, or the sampling=all trace ring
-#      vs the scheduler's four-way ledger) fails to reconcile exactly, a
-#      worker fails to exit within the shutdown timeout, or any request
-#      outlives its deadline envelope by more than 2x.
-#   6. wire-benchmark harness gate: `python3 usaasbench/run.py --test`
+#   5. wire-benchmark harness gate: `python3 usaasbench/run.py --test`
 #      builds the benchmark (its own CMake project over src/, into
 #      .bench_build) and runs its unit tests. The harness calls the
 #      engine's public API directly, so a src/ signature change that
@@ -131,65 +134,6 @@ ctest --test-dir build-asan -L sanitize --output-on-failure -j "${JOBS}"
 echo "==> performance gates: subject vs in-run control (bench/ci_gates)"
 cmake --build build -j "${JOBS}" --target ci_gates
 ./build/bench/ci_gates
-
-echo "==> chaos: HTTP listener fault-storm smoke (ledger + shutdown gate)"
-cmake --build build -j "${JOBS}" --target usaas_frontend
-CHAOS_LINE=$(USAAS_FAULT_SEED=42 \
-  USAAS_FAULT_SOCKET='accept_fail=0.1,slow_read=0.05,slow_read_ms=200,partial=0.1,disconnect=0.1' \
-  ./build/examples/usaas_frontend | grep '^CHAOS ')
-printf '%s\n' "${CHAOS_LINE}"
-# The example already exited 0 only if its invariants held; re-assert the
-# three CI contracts independently from the printed line.
-chaos_field() {
-  printf '%s\n' "${CHAOS_LINE}" \
-    | sed -n "s/.* ${1}=\([^ ]*\).*/\1/p"
-}
-C_SUBMITTED=$(printf '%s\n' "${CHAOS_LINE}" \
-  | sed -n 's/^CHAOS submitted=\([0-9]*\) .*/\1/p')
-C_ADMITTED=$(chaos_field admitted)
-C_DEGRADED=$(chaos_field degraded)
-C_SHED=$(chaos_field shed)
-C_EXPIRED=$(chaos_field expired)
-C_LISTENER=$(chaos_field listener_reconcile)
-C_SHUTDOWN=$(chaos_field clean_shutdown)
-C_RATIO=$(chaos_field max_deadline_ratio)
-if [[ -z "${C_SUBMITTED:-}" || -z "${C_RATIO:-}" ]]; then
-  echo "FATAL: chaos smoke produced no parseable CHAOS line" >&2
-  exit 1
-fi
-if [[ $((C_ADMITTED + C_DEGRADED + C_SHED + C_EXPIRED)) -ne "${C_SUBMITTED}" ]]; then
-  echo "FATAL: chaos admission ledger does not reconcile:" \
-       "${C_ADMITTED} + ${C_DEGRADED} + ${C_SHED} + ${C_EXPIRED}" \
-       "!= ${C_SUBMITTED}" >&2
-  exit 1
-fi
-if [[ "${C_LISTENER}" != "ok" ]]; then
-  echo "FATAL: listener connection ledger does not reconcile under faults" >&2
-  exit 1
-fi
-# Trace-ledger reconciliation: the chaos run samples at sampling=all, so
-# every submission the scheduler counted must have exactly one retained
-# TraceRecord with the matching outcome ("off" is only legal when the
-# telemetry kill switch disabled tracing entirely).
-C_TRACES=$(chaos_field traces_reconcile)
-if [[ "${C_TRACES}" != "ok" ]]; then
-  echo "FATAL: trace ledger does not reconcile under faults" \
-       "(traces_reconcile=${C_TRACES:-missing})" >&2
-  exit 1
-fi
-if [[ "${C_SHUTDOWN}" != "yes" ]]; then
-  echo "FATAL: a listener worker failed to exit within the shutdown timeout" >&2
-  exit 1
-fi
-awk -v ratio="${C_RATIO}" 'BEGIN {
-  if (ratio + 0.0 > 2.0) {
-    printf "FATAL: a request outlived its deadline envelope %.3fx (gate: " \
-           "2x)\n", ratio > "/dev/stderr"
-    exit 1
-  }
-  printf "chaos smoke clean: worst request at %.3fx of its deadline " \
-         "envelope (gate: 2x)\n", ratio
-}'
 
 echo "==> bench harness: build usaasbench against src/ + its unit tests"
 python3 usaasbench/run.py --test

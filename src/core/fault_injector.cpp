@@ -1,98 +1,9 @@
 #include "core/fault_injector.h"
 
-#include <cstdlib>
-#include <string>
-
 namespace usaas::core {
-
-namespace {
-
-[[nodiscard]] std::optional<double> env_double(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  return std::strtod(v, nullptr);
-}
-
-[[nodiscard]] std::optional<std::uint64_t> env_u64(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  return std::strtoull(v, nullptr, 10);
-}
-
-/// Parses the compact `key=value,key=value` socket-fault spec (see the
-/// header). Unknown keys are ignored so the spec can grow. Returns true
-/// when any probability knob was set above zero (the spec arms the
-/// injector).
-bool apply_socket_spec(std::string_view spec, FaultInjector::Config& config) {
-  bool armed = false;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string_view item = spec.substr(
-        pos, comma == std::string_view::npos ? spec.size() - pos
-                                             : comma - pos);
-    pos = comma == std::string_view::npos ? spec.size() : comma + 1;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) continue;
-    const std::string_view key = item.substr(0, eq);
-    const std::string value{item.substr(eq + 1)};
-    const double num = std::strtod(value.c_str(), nullptr);
-    if (key == "accept_fail") {
-      config.accept_failure_p = num;
-      armed = armed || num > 0.0;
-    } else if (key == "slow_read") {
-      config.slow_read_p = num;
-      armed = armed || num > 0.0;
-    } else if (key == "slow_read_ms") {
-      config.slow_read_delay =
-          std::chrono::milliseconds{static_cast<std::int64_t>(num)};
-    } else if (key == "partial") {
-      config.partial_request_p = num;
-      armed = armed || num > 0.0;
-    } else if (key == "disconnect") {
-      config.disconnect_p = num;
-      armed = armed || num > 0.0;
-    }
-  }
-  return armed;
-}
-
-}  // namespace
 
 FaultInjector::FaultInjector(Config config)
     : config_{config}, rng_{config.seed} {}
-
-std::optional<FaultInjector::Config> FaultInjector::config_from_env() {
-  Config config;
-  bool armed = false;
-  if (const auto seed = env_u64("USAAS_FAULT_SEED")) config.seed = *seed;
-  if (const auto n = env_u64("USAAS_FAULT_FAIL_FIRST_FLUSHES")) {
-    config.fail_first_flushes = static_cast<std::size_t>(*n);
-    armed = armed || *n > 0;
-  }
-  if (const auto p = env_double("USAAS_FAULT_FLUSH_FAIL_P")) {
-    config.flush_failure_p = *p;
-    armed = armed || *p > 0.0;
-  }
-  if (const auto p = env_double("USAAS_FAULT_CORRUPT_P")) {
-    config.corrupt_record_p = *p;
-    armed = armed || *p > 0.0;
-  }
-  if (const auto p = env_double("USAAS_FAULT_SLOW_FLUSH_P")) {
-    config.slow_flush_p = *p;
-    armed = armed || *p > 0.0;
-  }
-  if (const auto ms = env_u64("USAAS_FAULT_SLOW_FLUSH_MS")) {
-    config.slow_flush_delay =
-        std::chrono::milliseconds{static_cast<std::int64_t>(*ms)};
-  }
-  if (const char* spec = std::getenv("USAAS_FAULT_SOCKET");
-      spec != nullptr && *spec != '\0') {
-    armed = apply_socket_spec(spec, config) || armed;
-  }
-  if (!armed) return std::nullopt;
-  return config;
-}
 
 bool FaultInjector::fail_this_flush() {
   const std::lock_guard<std::mutex> lock{mu_};

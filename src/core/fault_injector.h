@@ -9,43 +9,20 @@
 // this record corrupt?"), it returns the same answers on every run — so a
 // fault-injection test failure replays exactly, including under TSan/ASan.
 //
-// The injector is configured programmatically (tests) or from the
-// environment (whole-binary chaos runs, e.g. driving a bench or example
-// through a lossy ingest path without recompiling):
-//
-//   USAAS_FAULT_SEED                decision-stream seed (default 1)
-//   USAAS_FAULT_FAIL_FIRST_FLUSHES  fail the first N flush attempts
-//   USAAS_FAULT_FLUSH_FAIL_P        then fail each attempt with prob. p
-//   USAAS_FAULT_CORRUPT_P           corrupt each record with prob. p
-//   USAAS_FAULT_SLOW_FLUSH_P        delay a flush with prob. p
-//   USAAS_FAULT_SLOW_FLUSH_MS       the injected delay, milliseconds
-//
-// Socket-level faults (the HTTP listener chaos harness) ride one compact
-// spec so a whole fault storm fits in a single variable:
-//
-//   USAAS_FAULT_SOCKET=accept_fail=0.1,slow_read=0.05,slow_read_ms=200,
-//                      partial=0.1,disconnect=0.1
-//
-//   accept_fail   drop a just-accepted connection (transient accept error)
-//   slow_read     the peer trickles its request (slow-loris); the stall
-//                 per read chunk is slow_read_ms
-//   partial       the peer sends only a prefix of its request, then stops
-//   disconnect    the peer closes before reading the response, so the
-//                 server's write hits a vanished socket
-//
-// config_from_env() returns nullopt unless at least one fault knob is set,
-// so production paths pay nothing when the variables are absent.
+// The injector is configured programmatically: a test builds a Config (the
+// flush/corrupt knobs for StreamIngestor, the socket knobs for HttpListener
+// and the test's own client fleet) and hands the injector to the component
+// under test.
 //
 // The injector only *decides*; it never touches domain records or sockets
 // (core does not know what a call, a post or a connection is). The
-// streaming layer applies the corruption, and the listener / chaos client
+// streaming layer applies the corruption, and the listener / test client
 // apply the socket misbehaviour, that it asks for.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 
 #include "core/rng.h"
 
@@ -67,7 +44,7 @@ class FaultInjector {
     /// Delay each flush with this probability, by `slow_flush_delay`.
     double slow_flush_p{0.0};
     std::chrono::milliseconds slow_flush_delay{0};
-    // ---- Socket-level faults (USAAS_FAULT_SOCKET) ----
+    // ---- Socket-level faults ----
     /// Drop a just-accepted connection with this probability (the listener
     /// treats it as a transient accept() failure and keeps serving).
     double accept_failure_p{0.0};
@@ -85,10 +62,6 @@ class FaultInjector {
 
   explicit FaultInjector(Config config);
 
-  /// Reads the USAAS_FAULT_* environment; nullopt when no fault knob is
-  /// set (seed alone does not arm the injector).
-  [[nodiscard]] static std::optional<Config> config_from_env();
-
   /// One call per flush attempt, in attempt order. True = the attempt
   /// must be treated as failed without touching the store.
   [[nodiscard]] bool fail_this_flush();
@@ -101,7 +74,7 @@ class FaultInjector {
   /// should corrupt its copy of the record before validation sees it.
   [[nodiscard]] bool corrupt_this_record();
 
-  // ---- Socket-level decisions (see USAAS_FAULT_SOCKET above) ----
+  // ---- Socket-level decisions ----
   /// One call per accepted connection. True = the listener must treat the
   /// accept as failed (close immediately, count, keep accepting).
   [[nodiscard]] bool fail_this_accept();

@@ -12,6 +12,12 @@ namespace usaas::service {
 
 namespace {
 
+/// Worst-queries log capacity (distinct query fingerprints kept).
+constexpr std::size_t kSlowQueryLogEntries = 32;
+/// Control-plane event journal capacity (breaker transitions, bias bumps,
+/// backpressure).
+constexpr std::size_t kEventJournalEntries = 256;
+
 /// Folds families sharing a name into the first, so two components
 /// rendering one family (two schedulers on one service), or two tenants
 /// whose names sanitize alike, give one series per label set. Counters
@@ -78,7 +84,7 @@ QueryService::QueryService(QueryServiceConfig config)
           (config.telemetry != nullptr ? config.telemetry->enabled()
                                        : core::telemetry::Registry::global()
                                              .enabled())
-              ? config.slow_query_log_entries
+              ? kSlowQueryLogEntries
               : 0)},
       pool_{config.threads >= 2
                 ? std::make_unique<core::ThreadPool>(config.threads)
@@ -100,7 +106,7 @@ QueryService::QueryService(QueryServiceConfig config)
   tracer_ = std::make_unique<core::telemetry::RequestTracer>(
       config_.trace, observability_on);
   journal_ = std::make_unique<core::telemetry::EventJournal>(
-      config_.event_journal_entries, observability_on);
+      kEventJournalEntries, observability_on);
   history_ = std::make_unique<core::telemetry::TelemetryHistory>(
       config_.history, observability_on);
 }

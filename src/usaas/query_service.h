@@ -271,20 +271,14 @@ struct QueryServiceConfig {
   /// telemetry::Registry::global(). Tests and A/B benches hand each
   /// service its own Registry for isolation. A disabled registry
   /// (USAAS_TELEMETRY=off or Registry{false}) turns every handle into a
-  /// no-op and disables the slow-query log.
+  /// no-op and disables the slow-query log and the event journal.
   core::telemetry::Registry* telemetry{nullptr};
-  /// Worst-queries log capacity (distinct query fingerprints kept);
-  /// 0 disables the log.
-  std::size_t slow_query_log_entries{32};
   /// Request-trace retention (rings + sampling policy). Forced off — no
   /// rings allocated, no IDs minted — when the registry is disabled.
   core::telemetry::TracerConfig trace{};
   /// Telemetry time-series history (snapshot cadence + retention). Also
   /// forced off with the registry.
   core::telemetry::HistoryConfig history{};
-  /// Control-plane event journal capacity (breaker transitions, bias
-  /// bumps, backpressure). 0 disables; forced off with the registry.
-  std::size_t event_journal_entries{256};
 };
 
 /// Thread safety: mutating operations (ingest_calls / ingest_posts /

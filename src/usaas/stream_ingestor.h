@@ -137,7 +137,7 @@ struct StreamIngestorConfig {
 class StreamIngestor {
  public:
   /// Borrows the service (must outlive the ingestor) and, optionally, a
-  /// fault injector (tests / chaos runs; nullptr = no faults).
+  /// fault injector (tests; nullptr = no faults).
   explicit StreamIngestor(QueryService& service,
                           StreamIngestorConfig config = {},
                           core::FaultInjector* faults = nullptr);

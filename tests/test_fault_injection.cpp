@@ -1,11 +1,10 @@
 // The fault-injection harness itself, and the streaming front-end's
-// behavior under injected faults: deterministic decision streams, env
-// configuration, retry-with-backoff on flush failure, corrupt-record
-// quarantine, slow-flush tolerance, and graceful degradation (queries keep
-// answering from the last good snapshot while the stream is stuck).
+// behavior under injected faults: deterministic decision streams,
+// retry-with-backoff on flush failure, corrupt-record quarantine,
+// slow-flush tolerance, and graceful degradation (queries keep answering
+// from the last good snapshot while the stream is stuck).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -73,44 +72,6 @@ TEST(FaultInjector, SlowFlushDelayRespectsProbability) {
   FaultInjector never{cfg};
   EXPECT_EQ(never.flush_delay(), std::chrono::milliseconds{0});
   EXPECT_EQ(never.slow_flushes_injected(), 0u);
-}
-
-class FaultEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    for (const char* var :
-         {"USAAS_FAULT_SEED", "USAAS_FAULT_FAIL_FIRST_FLUSHES",
-          "USAAS_FAULT_FLUSH_FAIL_P", "USAAS_FAULT_CORRUPT_P",
-          "USAAS_FAULT_SLOW_FLUSH_P", "USAAS_FAULT_SLOW_FLUSH_MS"}) {
-      unsetenv(var);
-    }
-  }
-};
-
-TEST_F(FaultEnvTest, NoEnvMeansNoInjector) {
-  EXPECT_FALSE(FaultInjector::config_from_env().has_value());
-}
-
-TEST_F(FaultEnvTest, SeedAloneDoesNotArm) {
-  setenv("USAAS_FAULT_SEED", "7", 1);
-  EXPECT_FALSE(FaultInjector::config_from_env().has_value());
-}
-
-TEST_F(FaultEnvTest, FaultKnobsParseFromEnv) {
-  setenv("USAAS_FAULT_SEED", "123", 1);
-  setenv("USAAS_FAULT_FAIL_FIRST_FLUSHES", "4", 1);
-  setenv("USAAS_FAULT_FLUSH_FAIL_P", "0.25", 1);
-  setenv("USAAS_FAULT_CORRUPT_P", "0.5", 1);
-  setenv("USAAS_FAULT_SLOW_FLUSH_P", "0.75", 1);
-  setenv("USAAS_FAULT_SLOW_FLUSH_MS", "12", 1);
-  const auto cfg = FaultInjector::config_from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->seed, 123u);
-  EXPECT_EQ(cfg->fail_first_flushes, 4u);
-  EXPECT_DOUBLE_EQ(cfg->flush_failure_p, 0.25);
-  EXPECT_DOUBLE_EQ(cfg->corrupt_record_p, 0.5);
-  EXPECT_DOUBLE_EQ(cfg->slow_flush_p, 0.75);
-  EXPECT_EQ(cfg->slow_flush_delay, std::chrono::milliseconds{12});
 }
 
 }  // namespace

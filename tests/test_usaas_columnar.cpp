@@ -1411,6 +1411,33 @@ TEST_P(FusedInsightScan, CancelledScanSkipsTheTallysShardsToo) {
   EXPECT_GT(full.tally.sessions, 0u);
 }
 
+TEST_P(FusedInsightScan, OpaqueFilterRunsOncePerSelectedRow) {
+  // One pass per scanned shard: the fused scan asks the filter once per
+  // structurally selected row, where the two fan-outs it replaced ask
+  // twice. An always-true filter turns summaries off, so every shard
+  // scans and the tally counts every row the filter saw.
+  std::atomic<std::size_t> filter_calls{0};
+  const ParticipantFilter counting = [&](const confsim::ParticipantRecord&) {
+    filter_calls.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+  ShardSelector cut;
+  cut.first = Date{2021, 11, 20};
+  cut.last = Date{2022, 1, 10};
+  for (const bool control : {false, true}) {
+    const SweepSpec spec = sweep_for(netsim::Metric::kJitter, 12, control);
+    for (const ShardSelector& sel : {ShardSelector{}, cut}) {
+      filter_calls.store(0);
+      const auto fused =
+          engine_.curves_and_tally(spec, counting, sel, &predictor_);
+      EXPECT_GT(fused.tally.sessions, 0u);
+      EXPECT_EQ(filter_calls.load(), fused.tally.sessions)
+          << "control_others=" << control
+          << " cut=" << sel.first.has_value();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Windows, FusedInsightScan,
     ::testing::Values(Config{1, false}, Config{1, true}, Config{2, false},

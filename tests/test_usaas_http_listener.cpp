@@ -8,10 +8,12 @@
 //   3. the socket-level chaos storm: a FaultInjector-driven client fleet
 //      (slow-loris stalls, truncated requests, early disconnects) plus
 //      server-side injected accept failures, after which the listener's
-//      connection ledger and the scheduler's admission ledger must both
-//      reconcile EXACTLY and every thread must exit within the shutdown
-//      timeout. Registered under the `sanitize` label: this is the TSan/
-//      ASan workload for the whole front end.
+//      connection ledger, the scheduler's admission ledger and the
+//      sampling=all trace ledger must all reconcile EXACTLY, every
+//      exchange must end within 2x its deadline envelope, and every
+//      thread must exit within the shutdown timeout. Registered under the
+//      `sanitize` label: this is the TSan/ASan workload for the whole
+//      front end, and the one place the fault storm runs.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,9 +21,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "confsim/call.h"
 #include "core/date.h"
 #include "core/fault_injector.h"
+#include "core/telemetry/request_trace.h"
 #include "usaas/http_listener.h"
 #include "usaas/query_scheduler.h"
 #include "usaas/query_service.h"
@@ -68,7 +73,8 @@ confsim::CallRecord sample_call(std::uint64_t id, const Date& day) {
 struct Fixture {
   core::telemetry::Registry reg{true};
   QueryService svc;
-  Fixture() : svc{make_config(&reg)} {
+  explicit Fixture(core::telemetry::TracerConfig trace = {})
+      : svc{make_config(&reg, trace)} {
     std::vector<confsim::CallRecord> calls;
     std::uint64_t id = 0;
     for (int month = 1; month <= 3; ++month) {
@@ -78,10 +84,12 @@ struct Fixture {
     }
     svc.ingest_calls(calls);
   }
-  static QueryServiceConfig make_config(core::telemetry::Registry* reg) {
+  static QueryServiceConfig make_config(core::telemetry::Registry* reg,
+                                        core::telemetry::TracerConfig trace) {
     QueryServiceConfig cfg;
     cfg.threads = 1;
     cfg.telemetry = reg;
+    cfg.trace = trace;
     return cfg;
   }
 };
@@ -191,21 +199,6 @@ TEST(WireForm, QueryStringValuesArePercentDecoded) {
   EXPECT_NE(error.find("truncated %-escape"), std::string::npos);
 }
 
-TEST(FaultInjectorEnv, SocketSpecParsesFromTheEnvironment) {
-  ::setenv("USAAS_FAULT_SOCKET",
-           "accept_fail=0.5,slow_read=0.25,slow_read_ms=123,partial=0.1,"
-           "disconnect=0.05",
-           1);
-  const auto cfg = core::FaultInjector::config_from_env();
-  ::unsetenv("USAAS_FAULT_SOCKET");
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_DOUBLE_EQ(cfg->accept_failure_p, 0.5);
-  EXPECT_DOUBLE_EQ(cfg->slow_read_p, 0.25);
-  EXPECT_EQ(cfg->slow_read_delay, std::chrono::milliseconds{123});
-  EXPECT_DOUBLE_EQ(cfg->partial_request_p, 0.1);
-  EXPECT_DOUBLE_EQ(cfg->disconnect_p, 0.05);
-}
-
 // ---- Loopback client helpers -------------------------------------------
 
 int connect_loopback(std::uint16_t port) {
@@ -219,7 +212,9 @@ int connect_loopback(std::uint16_t port) {
     ::close(fd);
     return -1;
   }
-  timeval tv{2, 0};  // a stuck test should fail, not hang
+  // A stuck test should fail, not hang. 5 s sits above the chaos storm's
+  // 2x deadline envelope (2.2 s), so an overrun is measured, not cut off.
+  timeval tv{5, 0};
   (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
   return fd;
@@ -276,8 +271,9 @@ struct Frontend {
   Fixture fx;
   QueryScheduler sched;
   HttpListener listener;
-  explicit Frontend(SchedulerConfig scfg = {}, HttpListenerConfig lcfg = {})
-      : sched{fx.svc, scfg}, listener{sched, fx.svc, lcfg} {}
+  explicit Frontend(SchedulerConfig scfg = {}, HttpListenerConfig lcfg = {},
+                    core::telemetry::TracerConfig trace = {})
+      : fx{trace}, sched{fx.svc, scfg}, listener{sched, fx.svc, lcfg} {}
 };
 
 TEST(HttpListener, ServesAdmittedQueriesOverBothSpellings) {
@@ -519,12 +515,29 @@ TEST(HttpListenerChaos, FaultStormReconcilesExactlyAndShutsDownCleanly) {
   core::FaultInjector fault{fcfg};
   lcfg.fault = &fault;
 
-  Frontend fe{scfg, lcfg};
+  // sampling=all with headroom: every submission's trace must survive the
+  // storm, so none may be sampled away or overwritten.
+  core::telemetry::TracerConfig trace;
+  trace.sampling = core::telemetry::TraceSampling::kAll;
+  trace.tail_entries = 1024;
+
+  Frontend fe{scfg, lcfg, trace};
   ASSERT_TRUE(fe.listener.start());
   const std::uint16_t port = fe.listener.port();
 
+  // A request that reaches the server is owed an answer within its budget
+  // plus the socket timeouts; the client's own injected stall rides on
+  // top. An exchange past 2x that envelope outlived its deadline: the
+  // wedged-worker smell.
+  const double envelope_seconds =
+      lcfg.default_budget_seconds +
+      std::chrono::duration<double>(lcfg.read_timeout).count() +
+      std::chrono::duration<double>(lcfg.write_timeout).count() +
+      std::chrono::duration<double>(fcfg.slow_read_delay).count();
+
   constexpr int kClients = 4;
   constexpr int kPerClient = 25;
+  std::vector<double> worst_ratio(kClients, 0.0);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -547,40 +560,50 @@ TEST(HttpListenerChaos, FaultStormReconcilesExactlyAndShutsDownCleanly) {
         const auto stall = fault.slow_read_stall();
         const bool truncate = fault.truncate_this_request();
         const bool disconnect = fault.disconnect_before_response();
+        const auto t0 = std::chrono::steady_clock::now();
         const int fd = connect_loopback(port);
         if (fd < 0) continue;
+        const std::string_view head =
+            std::string_view{raw}.substr(0, raw.size() / 2);
         if (truncate) {
           // Half a request, then silence: the server's read deadline
           // must end this connection, not a worker's patience.
-          send_best_effort(fd, std::string_view{raw}.substr(0, raw.size() / 2));
-          ::close(fd);
-          continue;
-        }
-        if (stall.count() > 0) {
-          send_best_effort(fd,
-                           std::string_view{raw}.substr(0, raw.size() / 2));
-          std::this_thread::sleep_for(stall);
-          send_best_effort(fd, std::string_view{raw}.substr(raw.size() / 2));
+          send_best_effort(fd, head);
         } else {
-          send_best_effort(fd, raw);
+          if (stall.count() > 0) {
+            send_best_effort(fd, head);
+            std::this_thread::sleep_for(stall);
+            send_best_effort(fd, std::string_view{raw}.substr(head.size()));
+          } else {
+            send_best_effort(fd, raw);
+          }
+          // A disconnecting peer vanishes before reading the response.
+          const std::string response = disconnect ? "" : read_to_eof(fd);
+          if (!response.empty()) {
+            // Whatever came back is a complete, well-formed status line.
+            const int status = status_of(response);
+            EXPECT_TRUE(status == 200 || status == 400 || status == 429 ||
+                        status == 503 || status == 504)
+                << response.substr(0, 64);
+          }
         }
-        if (disconnect) {
-          ::close(fd);  // vanish before reading the response
-          continue;
-        }
-        const std::string response = read_to_eof(fd);
         ::close(fd);
-        if (!response.empty()) {
-          // Whatever came back is a complete, well-formed status line.
-          const int status = status_of(response);
-          EXPECT_TRUE(status == 200 || status == 400 || status == 429 ||
-                      status == 503 || status == 504)
-              << response.substr(0, 64);
-        }
+        const double elapsed = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+        double& worst = worst_ratio[static_cast<std::size_t>(c)];
+        worst = std::max(worst, elapsed / envelope_seconds);
       }
     });
   }
   for (std::thread& t : clients) t.join();
+
+  const double max_ratio =
+      *std::max_element(worst_ratio.begin(), worst_ratio.end());
+  RecordProperty("max_deadline_ratio", std::to_string(max_ratio));
+  EXPECT_LE(max_ratio, 2.0) << "an exchange outlived 2x its deadline "
+                               "envelope of "
+                            << envelope_seconds << " s";
 
   // The no-wedged-worker gate: every thread exits within the timeout.
   EXPECT_TRUE(fe.listener.stop(std::chrono::seconds{5}));
@@ -605,6 +628,28 @@ TEST(HttpListenerChaos, FaultStormReconcilesExactlyAndShutsDownCleanly) {
   for (const auto& [tenant, snap] : ss.tenants) {
     EXPECT_EQ(snap.queue_depth, 0u) << tenant;
   }
+
+  // The trace ledger: under sampling=all every submission the scheduler
+  // counted, whichever outcome the storm forced, has exactly one retained
+  // trace with the matching outcome.
+  const std::vector<core::telemetry::TraceRecord> traces =
+      fe.fx.svc.tracer().snapshot();
+  EXPECT_EQ(fe.fx.svc.tracer().recorded(), ss.submitted);
+  EXPECT_EQ(traces.size(), ss.submitted);
+  std::set<std::uint64_t> ids;
+  std::uint64_t by_outcome[4] = {0, 0, 0, 0};
+  for (const core::telemetry::TraceRecord& rec : traces) {
+    EXPECT_TRUE(ids.insert(rec.trace_id).second) << rec.trace_id;
+    ASSERT_LT(rec.outcome, 4u);
+    ++by_outcome[rec.outcome];
+  }
+  using core::telemetry::TraceOutcome;
+  EXPECT_EQ(by_outcome[static_cast<int>(TraceOutcome::kAdmitted)],
+            ss.admitted);
+  EXPECT_EQ(by_outcome[static_cast<int>(TraceOutcome::kDegraded)],
+            ss.degraded);
+  EXPECT_EQ(by_outcome[static_cast<int>(TraceOutcome::kShed)], ss.shed);
+  EXPECT_EQ(by_outcome[static_cast<int>(TraceOutcome::kExpired)], ss.expired);
 }
 
 }  // namespace

@@ -2,17 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "confsim/dataset.h"
 #include "core/regression.h"
 #include "core/units.h"
+#include "usaas/correlation_engine.h"
 
 namespace usaas::service {
 namespace {
 
-std::vector<confsim::ParticipantRecord> sessions_from(std::size_t calls,
-                                                      std::uint64_t seed) {
+confsim::DatasetConfig sweep_config(std::size_t calls, std::uint64_t seed) {
   // Swept conditions spread the experienced quality widely, giving the
   // regression real variance to explain (population sampling concentrates
   // almost all sessions at "good", where MOS is mostly rater noise).
@@ -24,8 +25,13 @@ std::vector<confsim::ParticipantRecord> sessions_from(std::size_t calls,
   cfg.sweep_lo = 0.0;
   cfg.sweep_hi = 300.0;
   cfg.control_windows.loss_hi_pct = 3.0;
+  return cfg;
+}
+
+std::vector<confsim::ParticipantRecord> sessions_from(std::size_t calls,
+                                                      std::uint64_t seed) {
   std::vector<confsim::ParticipantRecord> out;
-  confsim::CallDatasetGenerator{cfg}.generate_stream(
+  confsim::CallDatasetGenerator{sweep_config(calls, seed)}.generate_stream(
       [&](const confsim::CallRecord& call) {
         for (const auto& p : call.participants) out.push_back(p);
       });
@@ -131,6 +137,26 @@ TEST_F(MosPredictorTest, EvaluationDeterministicForSplitSeed) {
   const auto eb = b.evaluate(sessions());
   EXPECT_DOUBLE_EQ(ea.full.mae, eb.full.mae);
   EXPECT_EQ(ea.test_sessions, eb.test_sessions);
+}
+
+TEST(MosPredictorBackfill, PredictsEverySessionTheSplashScreenNeverAsked) {
+  // EXPERIMENTS.md §5: engagement covers every call but MOS only ~0.3 % of
+  // sessions, so the trained predictor backfills the rest. A whole-corpus
+  // tally predicts every session while fewer than 1 % carry a rating, so
+  // the backfilled share is above 99 %.
+  const std::vector<confsim::CallRecord> calls =
+      confsim::CallDatasetGenerator{sweep_config(10000, 55)}.generate();
+  CorrelationEngine engine;
+  engine.ingest(std::span<const confsim::CallRecord>{calls});
+  MosPredictor predictor;
+  predictor.train(engine.rated_sessions_canonical());
+  const CorrelationEngine::Tally tally = engine.tally(nullptr, {}, &predictor);
+  ASSERT_GT(tally.sessions, 0u);
+  EXPECT_GT(tally.rated, 0u);
+  EXPECT_EQ(tally.predicted, tally.sessions);
+  EXPECT_LT(static_cast<double>(tally.rated) /
+                static_cast<double>(tally.sessions),
+            0.01);
 }
 
 }  // namespace
